@@ -33,6 +33,7 @@ from .errors import (
     DegeneratePixelError,
     EmptyEvidenceError,
     FitError,
+    FormatError,
     GeometryError,
     GridCoverageError,
     MatrixSizeError,
@@ -155,4 +156,5 @@ __all__ = [
     "EmptyEvidenceError",
     "BoundsError",
     "ConfigError",
+    "FormatError",
 ]

@@ -1,8 +1,9 @@
 """Command-line pipeline: simulate, analyze, reconstruct, aperture, report.
 
-Exit codes: 0 success, 2 config or usage error, 3 empty evidence,
-4 fit failure.  All artifacts land in the --out directory; manifest.json
-snapshots the effective config so a run can be reproduced exactly.
+Exit codes: 0 success, 2 config, usage or malformed-artifact error,
+3 empty evidence, 4 fit failure.  All artifacts land in the --out
+directory; manifest.json snapshots the effective config so a run can be
+reproduced exactly, and a bare analyze re-fits the orders it records.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, serialize
-from .config import Config, RunManifest, emit_config, load_config
-from .errors import ConfigError, EmptyEvidenceError, FitError, SpeckleScopeError
+from .config import Config, RunManifest, load_config, parse_config
+from .errors import ConfigError, EmptyEvidenceError, FitError, FormatError, SpeckleScopeError
 from .reconstruct import aperture_report, disambiguate, search
 from .speckle import SpeckleRun, estimate_g_m, nearest_magic_pixels, sample_frames, uniform_grid
 from .spectrum import aggregate, fit_free, gate
@@ -136,6 +137,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
     out = _out_dir(args)
     orders = _parse_orders(args.orders) if args.orders else None
+    if orders is None and args.config is None and (out / "manifest.json").exists():
+        manifest = serialize.read_json(out / "manifest.json")
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), str):
+            raise FormatError(f"{out / 'manifest.json'}: no config recorded")
+        orders = parse_config(manifest["config"]).simulate.orders
 
     # prefer re-estimating from the frame stack: bootstrap replicas only
     # exist on freshly estimated curves and carry the honest fit errors

@@ -50,3 +50,7 @@ class BoundsError(SpeckleScopeError, ValueError):
 
 class ConfigError(SpeckleScopeError, ValueError):
     """Config file could not be parsed or failed validation."""
+
+
+class FormatError(SpeckleScopeError, ValueError):
+    """A run artifact on disk is truncated or malformed."""

@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .correlation import CorrelationCurve, Harmonic, ModulationSpectrum
+from .errors import FormatError
 from .reconstruct import ApertureReport, Candidate, CandidateSet
 from .speckle import FrameStack
 from .spectrum import EvidenceRow, EvidenceTable
@@ -234,7 +235,10 @@ def write_json(path: str | Path, data: dict[str, Any]) -> None:
 
 def read_json(path: str | Path) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: not JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +266,29 @@ def write_frames(stack: FrameStack, path: str | Path) -> None:
 
 
 def read_frames(path: str | Path) -> FrameStack:
+    """Read a frame container; a truncated or malformed file is a FormatError."""
+    size = os.path.getsize(path)
     with open(path, "rb") as fh:
-        magic = fh.read(len(_FRAME_MAGIC))
-        if magic != _FRAME_MAGIC:
-            raise ValueError(f"{path}: not a frame container (magic {magic!r})")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        n_frames, n_pixels = int(header["R"]), int(header["P"])
-        data = fh.read(n_frames * n_pixels * 8)
-    if len(data) != n_frames * n_pixels * 8:
-        raise ValueError(f"{path}: truncated frame payload")
-    intensities = np.frombuffer(data, dtype=np.float64).reshape(n_frames, n_pixels)
-    return FrameStack(
-        intensities=intensities,
-        delta_axis=np.asarray(header["delta_axis"], dtype=float),
-        n_sources=int(header["N"]),
-        seed=int(header["seed"]),
-        bits=None if header.get("bits") is None else int(header["bits"]),
-    )
+        try:
+            magic = fh.read(len(_FRAME_MAGIC))
+            if magic != _FRAME_MAGIC:
+                raise FormatError(f"{path}: not a frame container (magic {magic!r})")
+            (header_len,) = struct.unpack("<Q", fh.read(8))
+            if fh.tell() + header_len > size:
+                raise FormatError(f"{path}: {header_len}-byte header overruns a {size}-byte file")
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            n_frames, n_pixels = int(header["R"]), int(header["P"])
+            data = fh.read(n_frames * n_pixels * 8)
+            if len(data) != n_frames * n_pixels * 8:
+                raise FormatError(f"{path}: truncated frame payload")
+            return FrameStack(
+                intensities=np.frombuffer(data, dtype=np.float64).reshape(n_frames, n_pixels),
+                delta_axis=np.asarray(header["delta_axis"], dtype=float),
+                n_sources=int(header["N"]),
+                seed=int(header["seed"]),
+                bits=None if header.get("bits") is None else int(header["bits"]),
+            )
+        except FormatError:
+            raise
+        except (struct.error, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: malformed frame container: {exc!r}") from exc

@@ -17,7 +17,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .correlation import CorrelationCurve, Harmonic, ModulationSpectrum
 from .errors import FitError
@@ -207,6 +206,20 @@ def _param_bounds(k: int, f_nyquist: float) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _jacobian(p: np.ndarray, delta: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Weighted derivative of the offset-plus-cosines model at p."""
+    jac = np.empty((delta.size, p.size))
+    jac[:, 0] = 1.0
+    for i in range((p.size - 1) // 3):
+        a, b, f = p[1 + 3 * i], p[2 + 3 * i], p[3 + 3 * i]
+        cos_fd = np.cos(f * delta)
+        sin_fd = np.sin(f * delta)
+        jac[:, 1 + 3 * i] = cos_fd
+        jac[:, 2 + 3 * i] = sin_fd
+        jac[:, 3 + 3 * i] = (-a * sin_fd + b * cos_fd) * delta
+    return jac if w is None else jac * w[:, None]
+
+
 def _solve_bounded(
     delta: np.ndarray,
     y: np.ndarray,
@@ -214,34 +227,22 @@ def _solve_bounded(
     x0: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    max_nfev: int | None = None,
 ):
     """Trust-region solve of the offset-plus-cosines model from x0."""
-    k = (x0.size - 1) // 3
+    # imported here: it is most of the package's import time, and only fits need it
+    from scipy.optimize import least_squares
 
     def residual(p: np.ndarray) -> np.ndarray:
         r = _cosine_model(p, delta) - y
         return r if w is None else r * w
 
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        jac = np.empty((len(y), p.size))
-        jac[:, 0] = 1.0
-        for i in range(k):
-            a, b, f = p[1 + 3 * i], p[2 + 3 * i], p[3 + 3 * i]
-            cos_fd = np.cos(f * delta)
-            sin_fd = np.sin(f * delta)
-            jac[:, 1 + 3 * i] = cos_fd
-            jac[:, 2 + 3 * i] = sin_fd
-            jac[:, 3 + 3 * i] = (-a * sin_fd + b * cos_fd) * delta
-        return jac if w is None else jac * w[:, None]
-
     return least_squares(
         residual,
         x0,
-        jac=jacobian,
+        jac=lambda p: _jacobian(p, delta, w),
         bounds=(lo, hi),
         method="trf",
-        max_nfev=400 * x0.size if max_nfev is None else max_nfev,
+        max_nfev=400 * x0.size,
     )
 
 
@@ -288,17 +289,16 @@ def _replica_sigmas(
     curve: CorrelationCurve,
     params: np.ndarray,
     w: np.ndarray | None,
-    f_nyquist: float,
     max_fits: int = 48,
 ) -> tuple[float, list[float], list[float]] | None:
-    """Amplitude/frequency errors from refitting bootstrap replica curves.
+    """Amplitude/frequency errors from the bootstrap replica curves.
 
-    Estimator noise is coherent across the scan: a noise mode looks like a
-    genuine line whose amplitude rivals its own resampling scatter, which
-    the independent-pixel covariance cannot see.  Warm-starting the joint
-    solve on each resampled curve and taking the spread of the re-fitted
-    parameters prices that in.  Returns None when too few replica fits
-    converge to trust the spread.
+    Estimator noise is coherent across the scan, which the independent-pixel
+    covariance cannot see.  Each replica y_b is fit by one Gauss-Newton step
+    from the converged params, all in one solve: p_b = params + lstsq(J_w,
+    w * (y_b - y_hat)), the delta-method bootstrap (Efron & Tibshirani, An
+    Introduction to the Bootstrap, 1993).  Sigmas are the spread of A0, of
+    each hypot(a, b) and of each f over the rows; None when under 8 rows.
     """
     replicas = curve.replicas
     if replicas is None:
@@ -307,36 +307,12 @@ def _replica_sigmas(
     rows = replicas[::step][:max_fits]
     if rows.shape[0] < 8:
         return None
-    k = (params.size - 1) // 3
-    lo, hi = _param_bounds(k, f_nyquist)
-    # confine each frequency to a window around its point estimate: slots
-    # must not collide or swap across replicas, or the spread measures
-    # bookkeeping accidents instead of noise.  A wandering noise line
-    # saturates its window, which is still several times sigma_f_max.
-    freqs = _line_freqs(params)
-    for i, f in enumerate(freqs):
-        gap = min((abs(f - g) for j, g in enumerate(freqs) if j != i), default=math.inf)
-        half = min(0.4, 0.45 * gap)
-        lo[3 + 3 * i] = max(lo[3 + 3 * i], f - half)
-        hi[3 + 3 * i] = min(hi[3 + 3 * i], f + half)
-    fits = []
-    for y_b in rows:
-        result = _solve_bounded(
-            curve.delta1, y_b, w, params.copy(), lo, hi, max_nfev=120 * params.size
-        )
-        if result.success:
-            fits.append(result.x)
-    if len(fits) < 8:
-        return None
-    p = np.array(fits)
-    sigma_a0 = float(np.std(p[:, 0], ddof=1))
-    sigma_a = []
-    sigma_f = []
-    for i in range(k):
-        amp = np.hypot(p[:, 1 + 3 * i], p[:, 2 + 3 * i])
-        sigma_a.append(float(np.std(amp, ddof=1)))
-        sigma_f.append(float(np.std(p[:, 3 + 3 * i], ddof=1)))
-    return sigma_a0, sigma_a, sigma_f
+    resid_w = (rows - _cosine_model(params, curve.delta1)).T * (1.0 if w is None else w[:, None])
+    shift, *_ = np.linalg.lstsq(_jacobian(params, curve.delta1, w), resid_w, rcond=None)
+    p = params + shift.T
+    sigma_a = np.std(np.hypot(p[:, 1::3], p[:, 2::3]), axis=0, ddof=1)
+    sigma_f = np.std(p[:, 3::3], axis=0, ddof=1)
+    return float(np.std(p[:, 0], ddof=1)), sigma_a.tolist(), sigma_f.tolist()
 
 
 def _spectrum_from_fit(
@@ -404,10 +380,11 @@ def fit_free(
     it lands on an already-fitted (or already-abandoned) line.
 
     Errors: when the curve carries bootstrap replicas, up to replica_fits
-    of them are refit from the converged solution and sigma values are
-    the spread of the re-fitted parameters; otherwise the fit covariance
-    (scaled by reduced chi-square) is used.  Zero harvested lines is a
-    legitimate outcome and yields an offset-only spectrum.
+    of them are projected through the converged fit's Jacobian (the
+    delta-method bootstrap of Efron & Tibshirani, 1993) and sigma values
+    are the spread of the projected parameters; otherwise the fit
+    covariance (scaled by reduced chi-square) is used.  Zero harvested
+    lines is a legitimate outcome and yields an offset-only spectrum.
     """
     delta = curve.delta1
     y = curve.values
@@ -504,12 +481,8 @@ def fit_free(
         except ValueError as exc:
             raise FitError(f"fit produced an invalid spectrum: {exc}") from exc
 
-    replica_sig = _replica_sigmas(curve, params, w, f_nyquist, max_fits=replica_fits)
+    replica_sig = _replica_sigmas(curve, params, w, max_fits=replica_fits)
     return _spectrum_from_fit(curve, params, cov, replica_sig)
-
-
-def _line_freqs(params: np.ndarray) -> list[float]:
-    return [float(params[3 + 3 * i]) for i in range((params.size - 1) // 3)]
 
 
 def _line_state(params: np.ndarray) -> list[tuple[float, float]]:

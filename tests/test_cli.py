@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import specklescope
 from conftest import magic_curve
 from specklescope import EvidenceTable
 from specklescope.cli import main
@@ -130,6 +135,15 @@ def test_analyze_prefers_frames_over_stale_csv(tmp_path):
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+def test_analyze_takes_orders_from_the_manifest(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--frames", "500", "--orders", "3,5", "--out", str(out)]) == 0
+    assert main(["analyze", "--out", str(out)]) == 0
+    spectra = json.loads((out / "spectra.json").read_text())
+    fitted = [s["m"] for s in spectra["fits"]] + [f["m"] for f in spectra["failures"]]
+    assert sorted(fitted) == [3, 5]
+
+
 def test_simulate_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG)
@@ -176,6 +190,23 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["analyze", "--orders", "3,3", "--out", str(tmp_path)]) == 2
     assert main(["aperture", "--orders", "1..3"]) == 2
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
+
+
+def test_truncated_frames_exit_2_without_traceback(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--frames", "64", "--orders", "3", "--out", str(out)]) == 0
+    frames = out / "frames.sstk"
+    frames.write_bytes(frames.read_bytes()[:100])
+    src = str(Path(specklescope.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "specklescope.cli", "analyze", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "frames.sstk" in done.stderr
 
 
 def test_empty_evidence_exits_3(tmp_path):
