@@ -23,6 +23,7 @@ from .speckle import SpeckleRun, estimate_g_m, nearest_magic_pixels, sample_fram
 from .spectrum import aggregate, fit_free, gate
 
 _CURVE_PREFIX = "curves_m"
+_REPLICA_PREFIX = "replicas_m"
 _FRAMES_NAME = "frames.sstk"
 
 
@@ -106,6 +107,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         path = out / f"{_CURVE_PREFIX}{m}.csv"
         serialize.write_curve_csv(curve, path)
         outputs[f"curve_m{m}"] = path.name
+        if curve.replicas is not None:
+            path = out / f"{_REPLICA_PREFIX}{m}.npy"
+            serialize.write_replicas(curve.replicas, path)
+            outputs[f"replicas_m{m}"] = path.name
         notes.append(f"order {m}: magic placement error {placement_error:.3e} rad")
         print(f"order {m}: {len(curve)} pixels, fixed at {list(pixels)}")
 
@@ -122,40 +127,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _find_curves(out: Path, orders: tuple[int, ...] | None) -> dict[int, Path]:
-    found: dict[int, Path] = {}
-    for path in sorted(out.glob(f"{_CURVE_PREFIX}*.csv")):
-        stem = path.stem.removeprefix(_CURVE_PREFIX)
-        if stem.isdigit():
-            found[int(stem)] = path
-    if orders is not None:
-        found = {m: p for m, p in found.items() if m in orders}
-    return found
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
     out = _out_dir(args)
-    orders = _parse_orders(args.orders) if args.orders else None
-    if orders is None and args.config is None and (out / "manifest.json").exists():
+    if args.orders or args.config:
+        orders = config.simulate.orders
+    elif (out / "manifest.json").exists():
         manifest = serialize.read_json(out / "manifest.json")
         if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), str):
             raise FormatError(f"{out / 'manifest.json'}: no config recorded")
         orders = parse_config(manifest["config"]).simulate.orders
-
-    # prefer re-estimating from the frame stack: bootstrap replicas only
-    # exist on freshly estimated curves and carry the honest fit errors
-    curves = {}
-    if (out / _FRAMES_NAME).exists():
-        stack = serialize.read_frames(out / _FRAMES_NAME)
-        for m in orders or config.simulate.orders:
-            pixels, _ = nearest_magic_pixels(stack.delta_axis, m)
-            curves[m] = estimate_g_m(stack, pixels)
-    if not curves:
-        curve_files = _find_curves(out, orders)
-        curves = {m: serialize.read_curve_csv(path, m) for m, path in curve_files.items()}
-    if not curves:
-        raise ConfigError(f"no curve files or frame stack under {out}")
+    else:  # a bare directory: every curve file in it
+        stems = (p.stem.removeprefix(_CURVE_PREFIX) for p in out.glob(f"{_CURVE_PREFIX}*.csv"))
+        orders = tuple(sorted(int(stem) for stem in stems if stem.isdigit()))
+    if not orders:
+        raise ConfigError(f"no curve files under {out}")
+    missing = [m for m in orders if not (out / f"{_CURVE_PREFIX}{m}.csv").exists()]
+    if missing:
+        raise ConfigError(f"no curve file for order(s) {missing} under {out}")
+    curves = {m: serialize.read_curve_csv(out / f"{_CURVE_PREFIX}{m}.csv", m) for m in orders}
+    for m in orders:
+        replicas_path = out / f"{_REPLICA_PREFIX}{m}.npy"
+        if replicas_path.exists():
+            curves[m] = serialize.read_replicas(replicas_path, curves[m])
+        else:
+            print(f"warning: order {m}: no {replicas_path.name}; sigmas from the fit "
+                  "covariance miss the pixel-correlated estimator noise", file=sys.stderr)
 
     fit_cfg = config.fit
     raw, gated, failures = [], [], []

@@ -33,7 +33,6 @@ __all__ = [
     "GeometryConfig",
     "SimulateConfig",
     "FitConfig",
-    "SceneConfig",
     "Config",
     "PhysicalScene",
     "RunManifest",
@@ -62,16 +61,9 @@ class SimulateConfig:
 
 @dataclass(frozen=True)
 class FitConfig:
-    span_bound: int = 16
     max_harmonics: int = 6
     oversample: int = 8
     stop_snr: float = 4.0
-
-
-@dataclass(frozen=True)
-class SceneConfig:
-    wavelength_nm: float = 632.8
-    z_m: float = 0.4
 
 
 @dataclass(frozen=True)
@@ -81,17 +73,9 @@ class Config:
     gate: GatePolicy = field(default_factory=GatePolicy)
     fit: FitConfig = field(default_factory=FitConfig)
     reconstruct: SearchBounds = field(default_factory=SearchBounds)
-    scene: SceneConfig = field(default_factory=SceneConfig)
 
     def source_geometry(self) -> SourceGeometry:
         return SourceGeometry(self.geometry.x, d=self.geometry.d_microns * 1e-6)
-
-    def physical_scene(self) -> "PhysicalScene":
-        return PhysicalScene(
-            wavelength=self.scene.wavelength_nm * 1e-9,
-            z=self.scene.z_m,
-            d=self.geometry.d_microns * 1e-6,
-        )
 
 
 # INI key -> (section dataclass, attribute, type spec). Type specs:
@@ -114,7 +98,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "eps_int": ("eps_int", "float"),
     },
     "fit": {
-        "span_bound": ("span_bound", "int"),
         "max_harmonics": ("max_harmonics", "int"),
         "oversample": ("oversample", "int"),
         "stop_snr": ("stop_snr", "float"),
@@ -124,7 +107,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "max_span": ("max_span", "int"),
         "allow_unknown_span": ("allow_unknown_span", "bool"),
     },
-    "scene": {"wavelength_nm": ("wavelength_nm", "float"), "z_m": ("z_m", "float")},
 }
 
 _SECTION_TYPES = {
@@ -133,7 +115,6 @@ _SECTION_TYPES = {
     "gate": GatePolicy,
     "fit": FitConfig,
     "reconstruct": SearchBounds,
-    "scene": SceneConfig,
 }
 
 

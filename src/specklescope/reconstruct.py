@@ -323,7 +323,8 @@ def disambiguate(
     candidate's exact prediction at that order; the chi-square over all
     lines (errors propagated to the ratio at first order) ranks the
     candidates.  Ties within one unit of chi-square count as joint
-    winners, see CandidateSet.winners().
+    winners, see CandidateSet.winners().  Scores equal to 12 significant
+    digits (equal spectra) keep the search order (n_sources, x).
     """
     orders = [s.m for s in spectra]
     if len(set(orders)) != len(orders):
@@ -360,7 +361,7 @@ def disambiguate(
         rescored.append(
             replace(cand, score=score, chi2_by_order=tuple(sorted(chi2_by_order.items())))
         )
-    rescored.sort(key=lambda c: (c.score, c.geometry.n_sources, c.geometry.x))
+    rescored.sort(key=lambda c: (float(f"{c.score:.12g}"), c.geometry.n_sources, c.geometry.x))
     return replace(candidate_set, candidates=tuple(rescored))
 
 

@@ -1,4 +1,4 @@
-"""File formats: curve CSV, spectrum/evidence/report JSON, frame container.
+"""File formats: curve CSV and replicas, spectrum/evidence/report JSON, frames.
 
 All writers are atomic (temp file + rename) and deterministic: identical
 inputs produce byte-identical files, so pipeline runs can be diffed.
@@ -12,6 +12,7 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -28,6 +29,8 @@ __all__ = [
     "atomic_write_bytes",
     "write_curve_csv",
     "read_curve_csv",
+    "write_replicas",
+    "read_replicas",
     "spectrum_to_dict",
     "spectrum_from_dict",
     "evidence_to_dict",
@@ -81,29 +84,48 @@ def write_curve_csv(curve: CorrelationCurve, path: str | Path) -> None:
 
 
 def read_curve_csv(path: str | Path, m: int) -> CorrelationCurve:
-    """Read a curve CSV; the correlation order is not stored in the file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["delta1_rad", "g_value"]:
-            raise ValueError(f"{path}: not a curve CSV (header {header})")
-        has_sigma = len(header) == 3 and header[2] == "sigma"
-        if len(header) > 2 and not has_sigma:
-            raise ValueError(f"{path}: unexpected columns {header[2:]}")
-        delta, values, sigma = [], [], []
-        for line in reader:
-            if not line:
-                continue
-            delta.append(float(line[0]))
-            values.append(float(line[1]))
-            if has_sigma:
-                sigma.append(float(line[2]))
-    return CorrelationCurve(
-        m=m,
-        delta1=np.asarray(delta),
-        values=np.asarray(values),
-        sigma=np.asarray(sigma) if has_sigma else None,
-    )
+    """Read a curve CSV; the correlation order is not stored in the file.
+
+    A foreign header, a row of the wrong length or a bad value is a FormatError.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = [line for line in csv.reader(fh) if line]
+        header = rows.pop(0) if rows else None
+        if header not in (["delta1_rad", "g_value"], ["delta1_rad", "g_value", "sigma"]):
+            raise ValueError(f"not a curve CSV (header {header})")
+        if any(len(line) != len(header) for line in rows):
+            raise ValueError(f"every row needs {len(header)} cells")
+        columns = np.array([[float(cell) for cell in line] for line in rows])
+        columns = columns.reshape(-1, len(header)).T
+        sigma = columns[2] if len(header) == 3 else None
+        return CorrelationCurve(m=m, delta1=columns[0], values=columns[1], sigma=sigma)
+    except (csv.Error, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def write_replicas(replicas: np.ndarray, path: str | Path) -> None:
+    """Bootstrap replica curves (one row per resample) as a .npy file."""
+    buf = io.BytesIO()
+    np.save(buf, replicas, allow_pickle=False)
+    atomic_write_bytes(path, buf.getvalue())
+
+
+def read_replicas(path: str | Path, curve: CorrelationCurve) -> CorrelationCurve:
+    """`curve` with its bootstrap replicas read from a .npy file.
+
+    Anything but a finite 2-D float64 array with at least two rows and one
+    column per curve sample is a FormatError; nothing is unpickled.
+    """
+    try:
+        with open(path, "rb") as fh:
+            replicas = np.lib.format.read_array(fh, allow_pickle=False)
+        if replicas.dtype != np.float64 or replicas.ndim != 2 or len(replicas) < 2:
+            raise ValueError(f"need float64 rows of >= 2 resamples, got {replicas.dtype}"
+                             f" array of shape {replicas.shape}")
+        return replace(curve, replicas=replicas)
+    except (OSError, EOFError, ValueError) as exc:
+        raise FormatError(f"{path}: not replicas of this curve: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +185,12 @@ def evidence_to_dict(table: EvidenceTable) -> dict[str, Any]:
     rows = []
     for f in sorted(table.rows):
         row = table.rows[f]
-        orders = row.present_orders if row.status == "present" else row.absent_orders
         rows.append(
             {
                 "f": row.f,
                 "status": row.status,
                 "A": row.amplitude,
                 "sigma_A": row.sigma_a,
-                "orders": list(orders),
                 "present_orders": list(row.present_orders),
                 "absent_orders": list(row.absent_orders),
                 "conflict": row.conflict,

@@ -26,21 +26,18 @@ pixels = 240
 orders = [3, 4]
 """
 
-PIPELINE_ARTIFACTS = [
-    "curves_m3.csv",
-    "spectra.json",
-    "evidence.json",
-    "table.csv",
-    "reconstruction.json",
-]
+RESULTS = ["spectra.json", "evidence.json", "table.csv", "reconstruction.json"]
+PIPELINE_ARTIFACTS = ["curves_m3.csv", "replicas_m3.npy", *RESULTS]
 
 
-def run_pipeline(root):
+def run_pipeline(root, config=CONFIG, drop_frames=False):
     root.mkdir(parents=True, exist_ok=True)
     cfg = root / "run.ini"
-    cfg.write_text(CONFIG)
+    cfg.write_text(config)
     out = root / "out"
     for cmd in ("simulate", "analyze", "reconstruct"):
+        if cmd == "analyze" and drop_frames:
+            (out / "frames.sstk").unlink()
         assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0, cmd
     return out
 
@@ -56,7 +53,9 @@ def run_dir(tmp_path_factory):
 
 
 def test_pipeline_writes_all_artifacts(run_dir):
-    expected = PIPELINE_ARTIFACTS + ["curves_m4.csv", "frames.sstk", "manifest.json"]
+    expected = PIPELINE_ARTIFACTS + [
+        "curves_m4.csv", "replicas_m4.npy", "frames.sstk", "manifest.json",
+    ]
     for name in expected:
         assert (run_dir / name).exists(), name
 
@@ -65,7 +64,8 @@ def test_manifest_reproduces_the_config(run_dir):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["tool"] == "specklescope"
     assert manifest["seed"] == 1
-    assert "curve_m3" in manifest["outputs"]
+    assert manifest["outputs"]["curve_m3"] == "curves_m3.csv"
+    assert manifest["outputs"]["replicas_m3"] == "replicas_m3.npy"
     assert any("placement error" in note for note in manifest["notes"])
     assert "frames = 1000" in manifest["config"]
 
@@ -111,28 +111,50 @@ def test_pipeline_is_deterministic(run_dir, tmp_path):
         assert (again / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
+def test_results_do_not_depend_on_the_frame_file(run_dir, tmp_path, capsys):
+    unsaved = run_pipeline(tmp_path / "unsaved", CONFIG + "save_frames = False\n")
+    assert not (unsaved / "frames.sstk").exists()
+    dropped = run_pipeline(tmp_path / "dropped", drop_frames=True)
+    assert "warning" not in capsys.readouterr().err  # replicas were found
+    for name in RESULTS:
+        expected = (run_dir / name).read_bytes()
+        assert (unsaved / name).read_bytes() == expected, name
+        assert (dropped / name).read_bytes() == expected, name
+
+
 # ---------------------------------------------------------------------------
 # analyze variants
 # ---------------------------------------------------------------------------
 
 
-def test_analyze_accepts_bare_curve_files(tmp_path):
+def test_analyze_accepts_bare_curve_files(tmp_path, capsys):
     write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
     code = main(["analyze", "--out", str(tmp_path), "--format", "json"])
     assert code == 0
     table = json.loads((tmp_path / "table.json").read_text())
     kept = [round(r["f_fit"]) for r in table["rows"] if r["accepted"]]
     assert kept == [4]
+    # without replicas the sigmas come from the covariance, and analyze says so
+    err = capsys.readouterr().err
+    assert "warning: order 3: no replicas_m3.npy" in err
+    assert "covariance" in err
 
 
-def test_analyze_prefers_frames_over_stale_csv(tmp_path):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG.replace("frames = 1000", "frames = 200"))
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    # a corrupt curve file is ignored when the frame stack is present
-    (out / "curves_m3.csv").write_text("nonsense,header\n1,2\n")
-    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+def test_malformed_curve_csv_exits_2(tmp_path, capsys):
+    for text in [
+        "nonsense,header\n1,2\n",  # foreign header
+        "delta1_rad,g_value,sigma\n0.0,2.0\n",  # short row
+        "delta1_rad,g_value\n0.0,two\n",  # non-numeric cell
+    ]:
+        (tmp_path / "curves_m3.csv").write_text(text)
+        assert main(["analyze", "--out", str(tmp_path)]) == 2, text
+        assert "curves_m3.csv" in capsys.readouterr().err
+
+
+def test_analyze_names_orders_without_curve_files(tmp_path, capsys):
+    write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
+    assert main(["analyze", "--orders", "3,5", "--out", str(tmp_path)]) == 2
+    assert "order(s) [5]" in capsys.readouterr().err
 
 
 def test_analyze_takes_orders_from_the_manifest(tmp_path):
@@ -192,11 +214,11 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
 
 
-def test_truncated_frames_exit_2_without_traceback(tmp_path):
+def test_truncated_replicas_exit_2_without_traceback(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--frames", "64", "--orders", "3", "--out", str(out)]) == 0
-    frames = out / "frames.sstk"
-    frames.write_bytes(frames.read_bytes()[:100])
+    replicas = out / "replicas_m3.npy"
+    replicas.write_bytes(replicas.read_bytes()[:100])
     src = str(Path(specklescope.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -206,7 +228,7 @@ def test_truncated_frames_exit_2_without_traceback(tmp_path):
     )
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
-    assert "frames.sstk" in done.stderr
+    assert "replicas_m3.npy" in done.stderr
 
 
 def test_empty_evidence_exits_3(tmp_path):

@@ -1,6 +1,9 @@
 """Config parsing, emission round-trips, physical-scene conversions."""
 
+import configparser
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +84,8 @@ def test_optional_keys_accept_none():
         "[gate]\nk_A = -1.0\n",  # GatePolicy rejects it
         "[simulate]\nsave_frames = 1\n",  # int for bool
         "[geometry]\nx = 3\n",  # scalar for tuple
+        "[fit]\nspan_bound = 16\n",  # removed: no stage read it
+        "[scene]\nz_m = 0.4\n",  # removed: no stage read it
     ],
 )
 def test_bad_configs_are_rejected(text):
@@ -122,14 +127,26 @@ def test_scene_abbe_limit():
         PhysicalScene(wavelength=-1.0, z=0.4, d=570e-6)
 
 
-def test_config_builds_scene_and_geometry():
+def test_config_builds_geometry():
     cfg = parse_config("[geometry]\nx = [2, 2]\nd_microns = 500.0\n")
     geometry = cfg.source_geometry()
     assert geometry.x == (2, 2)
     assert geometry.d == pytest.approx(500e-6)
-    scene = cfg.physical_scene()
-    assert scene.d == pytest.approx(500e-6)
-    assert scene.wavelength == pytest.approx(632.8e-9)
+
+
+def test_readme_config_reference_matches_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config reference", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    assert parse_config(block) == Config()
+
+    def keys(text):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read_string(text)
+        return [(name, key) for name in parser.sections() for key in parser[name]]
+
+    assert keys(block) == keys(emit_config(Config()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from specklescope import (
     CandidateSet,
     EmptyEvidenceError,
     EvidenceTable,
+    Harmonic,
     ModulationSpectrum,
     OrderError,
     SearchBounds,
@@ -188,6 +189,34 @@ def test_disambiguation_input_checks():
     exact = [predicted_spectrum(truth, m) for m in (3, 5)]
     with pytest.raises(ValueError):
         disambiguate(candidates, exact)  # zero errors cannot weight a fit
+
+
+def test_equal_spectra_fall_back_on_the_search_order():
+    # sources {0,3,4,12,15} and {0,1,4,12,13} differ in their pair distances
+    # but are homometric as far as order 5 sees (lines at 4, 8, 12, 12), so
+    # they score equal up to the last bits of the chi-square sum; with these
+    # lines, fitted from 100000 frames of x=(1, 3, 5), the bits differ
+    lines = (
+        Harmonic(kappa=1, f=4.0, amplitude=1.4067580071859833,
+                 sigma_a=0.05988458346151628, sigma_f=0.01),
+        Harmonic(kappa=2, f=8.0, amplitude=1.4157072190937008,
+                 sigma_a=0.07236950067110268, sigma_f=0.01),
+    )
+    measured = ModulationSpectrum(
+        m=5, a0=5.795499453322755, sigma_a0=0.14567705295292302, harmonics=lines,
+        kind="free",
+    )
+    pair = CandidateSet(
+        candidates=(Candidate(SourceGeometry((3, 1, 8, 3))),
+                    Candidate(SourceGeometry((1, 3, 8, 1)))),
+        evidence=EvidenceTable.from_sets((4, 8), orders_measured=(5,)),
+        exhaustive=True,
+    )
+    ranked = disambiguate(pair, [measured]).candidates
+    assert [c.geometry.x for c in ranked] == [(1, 3, 8, 1), (3, 1, 8, 3)]
+    # the stored scores keep their bits: the first one is the larger
+    assert ranked[0].score > ranked[1].score
+    assert ranked[0].score == pytest.approx(ranked[1].score, rel=1e-12)
 
 
 def test_winner_window():

@@ -1,11 +1,14 @@
 """Round-trips through every on-disk format, plus corruption handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import magic_curve
 from specklescope import (
     EvidenceTable,
+    FormatError,
     Harmonic,
     ModulationSpectrum,
     SourceGeometry,
@@ -23,12 +26,14 @@ from specklescope.serialize import (
     read_curve_csv,
     read_frames,
     read_json,
+    read_replicas,
     report_to_dict,
     spectrum_from_dict,
     spectrum_to_dict,
     write_curve_csv,
     write_frames,
     write_json,
+    write_replicas,
 )
 
 
@@ -70,12 +75,70 @@ def test_curve_csv_without_sigma(tmp_path):
 
 def test_curve_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "foreign.csv"
-    path.write_text("wavelength,power\n1.0,2.0\n")
-    with pytest.raises(ValueError):
-        read_curve_csv(path, m=3)
-    path.write_text("delta1_rad,g_value,sigma,extra\n0.0,2.0,0.1,9\n")
-    with pytest.raises(ValueError):
-        read_curve_csv(path, m=3)
+    for text in [
+        "wavelength,power\n1.0,2.0\n",  # foreign header
+        "delta1_rad,g_value,sigma,extra\n0.0,2.0,0.1,9\n",  # extra column
+        "delta1_rad,g_value,sigma\n0.0,2.0\n",  # short row
+        "delta1_rad,g_value\n0.0,2.0,0.1\n",  # long row
+        "delta1_rad,g_value\n0.0,two\n",  # non-numeric cell
+        "delta1_rad,g_value\n0.0,nan\n",  # CorrelationCurve rejects it
+    ]:
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_curve_csv(path, m=3)
+    for blob in (b"delta1_rad,g_value\n0.0,\xff\n", b"delta1_rad,g_value\n0.0,\x002\n"):
+        path.write_bytes(blob)  # not UTF-8; a NUL byte
+        with pytest.raises(FormatError):
+            read_curve_csv(path, m=3)
+
+
+# ---------------------------------------------------------------------------
+# bootstrap replicas
+# ---------------------------------------------------------------------------
+
+
+def test_replicas_round_trip_is_exact(tmp_path, stack):
+    curve = estimate_g_m(stack, (0,), n_boot=16)
+    path = tmp_path / "replicas.npy"
+    write_replicas(curve.replicas, path)
+    bare = replace(curve, replicas=None)
+    np.testing.assert_array_equal(read_replicas(path, bare).replicas, curve.replicas)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.ones((4, 16), dtype=np.float32),  # not float64
+        np.ones(16),  # one curve, not a stack of them
+        np.ones((1, 16)),  # one row has no spread
+        np.ones((4, 15)),  # wrong sample count
+        np.full((4, 16), np.inf),
+    ],
+)
+def test_replicas_reader_rejects_malformed_arrays(tmp_path, bad):
+    path = tmp_path / "replicas.npy"
+    np.save(path, bad)
+    with pytest.raises(FormatError):
+        read_replicas(path, magic_curve((2,), 3, samples=16))
+
+
+def test_replicas_reader_rejects_corruption(tmp_path):
+    curve = magic_curve((2,), 3, samples=16)
+    path = tmp_path / "replicas.npy"
+    np.save(path, np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
+    with pytest.raises(FormatError):
+        read_replicas(path, curve)  # never unpickled
+    with open(path, "wb") as fh:
+        np.savez(fh, np.ones((4, 16)))
+    with pytest.raises(FormatError):
+        read_replicas(path, curve)  # an .npz archive is not an .npy array
+    write_replicas(np.ones((4, 16)), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(FormatError):
+        read_replicas(path, curve)
+    path.write_bytes(b"")
+    with pytest.raises(FormatError):
+        read_replicas(path, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -181,5 +244,6 @@ def test_writers_leave_no_temp_files(tmp_path, stack):
     write_frames(stack, tmp_path / "frames.sstk")
     write_json(tmp_path / "data.json", {"k": 1})
     write_curve_csv(magic_curve((2,), 3), tmp_path / "curve.csv")
+    write_replicas(np.ones((2, 3)), tmp_path / "replicas.npy")
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["curve.csv", "data.json", "frames.sstk"]
+    assert names == ["curve.csv", "data.json", "frames.sstk", "replicas.npy"]
