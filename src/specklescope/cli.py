@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 config, usage or malformed-artifact error,
 3 empty evidence, 4 fit failure.  All artifacts land in the --out
 directory; manifest.json snapshots the effective config so a run can be
-reproduced exactly, and a bare analyze re-fits the orders it records.
+reproduced exactly, and a bare analyze or reconstruct runs on the config it
+records.
 """
 
 from __future__ import annotations
@@ -43,17 +44,25 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     return orders
 
 
-def _load_config_arg(args: argparse.Namespace) -> Config:
-    config = load_config(args.config) if args.config else Config()
-    sim = config.simulate
-    if getattr(args, "seed", None) is not None:
-        sim = replace(sim, seed=args.seed)
-    if getattr(args, "frames", None) is not None:
-        if args.frames < 1:
-            raise ConfigError(f"--frames must be positive, got {args.frames}")
-        sim = replace(sim, frames=args.frames)
-    if getattr(args, "orders", None) is not None:
-        sim = replace(sim, orders=_parse_orders(args.orders))
+def _load_config_arg(args: argparse.Namespace, run_manifest: bool = False) -> Config:
+    """Flags over --config over the run's manifest.json (when asked) over defaults."""
+    manifest_path = Path(args.out) / "manifest.json"
+    if args.config:
+        config = load_config(args.config)
+    elif run_manifest and manifest_path.exists():
+        manifest = serialize.read_json(manifest_path)
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), str):
+            raise FormatError(f"{manifest_path}: no config recorded")
+        config = parse_config(manifest["config"])
+    else:
+        config = Config()
+    flags = {key: getattr(args, key, None) for key in ("seed", "frames", "orders")}
+    if flags["orders"] is not None:
+        flags["orders"] = _parse_orders(flags["orders"])
+    try:
+        sim = replace(config.simulate, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(f"[simulate]: {exc}") from exc
     return replace(config, simulate=sim)
 
 
@@ -128,15 +137,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args)
+    config = _load_config_arg(args, run_manifest=True)
     out = _out_dir(args)
-    if args.orders or args.config:
+    if args.orders or args.config or (out / "manifest.json").exists():
         orders = config.simulate.orders
-    elif (out / "manifest.json").exists():
-        manifest = serialize.read_json(out / "manifest.json")
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), str):
-            raise FormatError(f"{out / 'manifest.json'}: no config recorded")
-        orders = parse_config(manifest["config"]).simulate.orders
     else:  # a bare directory: every curve file in it
         stems = (p.stem.removeprefix(_CURVE_PREFIX) for p in out.glob(f"{_CURVE_PREFIX}*.csv"))
         orders = tuple(sorted(int(stem) for stem in stems if stem.isdigit()))
@@ -232,7 +236,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args)
+    config = _load_config_arg(args, run_manifest=True)
     out = _out_dir(args)
     evidence_path = out / "evidence.json"
     if not evidence_path.exists():

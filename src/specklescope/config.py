@@ -18,7 +18,7 @@ import ast
 import configparser
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -58,6 +58,13 @@ class SimulateConfig:
     weights: tuple[float, ...] | None = None
     save_frames: bool = True
 
+    def __post_init__(self) -> None:
+        for name, least in (("frames", 1), ("pixels", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not self.orders or min(self.orders) < 2 or len(set(self.orders)) != len(self.orders):
+            raise ValueError(f"orders must be distinct integers >= 2, got {list(self.orders)}")
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -78,74 +85,39 @@ class Config:
         return SourceGeometry(self.geometry.x, d=self.geometry.d_microns * 1e-6)
 
 
-# INI key -> (section dataclass, attribute, type spec). Type specs:
-# "int", "float", "bool", "int_tuple", "float_tuple",
-# and "|none" marks optional.
+# INI section -> its dataclass, in emission order
+_SECTIONS: dict[str, type] = {f.name: f.default_factory for f in fields(Config)}
+# INI keys spelled differently from their dataclass attribute
+_INI_KEYS = {"k_a": "k_A"}
+# INI section -> INI key -> (attribute, annotation such as "tuple[int, ...] | None");
+# the section modules postpone annotations, so each field's type is that text
 _SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
-    "geometry": {"x": ("x", "int_tuple"), "d_microns": ("d_microns", "float")},
-    "simulate": {
-        "frames": ("frames", "int"),
-        "seed": ("seed", "int"),
-        "pixels": ("pixels", "int"),
-        "orders": ("orders", "int_tuple"),
-        "bits": ("bits", "int|none"),
-        "weights": ("weights", "float_tuple|none"),
-        "save_frames": ("save_frames", "bool"),
-    },
-    "gate": {
-        "k_A": ("k_a", "float"),
-        "sigma_f_max": ("sigma_f_max", "float"),
-        "eps_int": ("eps_int", "float"),
-    },
-    "fit": {
-        "max_harmonics": ("max_harmonics", "int"),
-        "oversample": ("oversample", "int"),
-        "stop_snr": ("stop_snr", "float"),
-    },
-    "reconstruct": {
-        "max_sources": ("max_sources", "int"),
-        "max_span": ("max_span", "int"),
-        "allow_unknown_span": ("allow_unknown_span", "bool"),
-    },
+    section: {_INI_KEYS.get(f.name, f.name): (f.name, f.type) for f in fields(cls)}
+    for section, cls in _SECTIONS.items()
 }
 
-_SECTION_TYPES = {
-    "geometry": GeometryConfig,
-    "simulate": SimulateConfig,
-    "gate": GatePolicy,
-    "fit": FitConfig,
-    "reconstruct": SearchBounds,
-}
+
+def _is_scalar(value: Any, kind: str) -> bool:
+    """Whether a literal fits an "int", "float" or "bool" field; bools are not numbers."""
+    if isinstance(value, bool):
+        return kind == "bool"
+    if kind == "int":
+        return isinstance(value, int)
+    return kind == "float" and isinstance(value, (int, float))
 
 
 def _coerce(section: str, key: str, value: Any, spec: str) -> Any:
-    optional = spec.endswith("|none")
-    base = spec.removesuffix("|none")
+    base = spec.removesuffix(" | None")
     if value is None:
-        if optional:
+        if base != spec:
             return None
         raise ConfigError(f"[{section}] {key}: None is not allowed")
-    if base == "bool":
-        if isinstance(value, bool):
-            return value
-    elif base == "int":
-        if isinstance(value, bool):
-            pass  # bools are ints; reject them for numeric keys
-        elif isinstance(value, int):
-            return value
-    elif base == "float":
-        if not isinstance(value, bool) and isinstance(value, (int, float)):
-            return float(value)
-    elif base == "int_tuple":
-        if isinstance(value, (list, tuple)) and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value
-        ):
-            return tuple(value)
-    elif base == "float_tuple":
-        if isinstance(value, (list, tuple)) and all(
-            not isinstance(v, bool) and isinstance(v, (int, float)) for v in value
-        ):
-            return tuple(float(v) for v in value)
+    item = base.removeprefix("tuple[").removesuffix(", ...]")
+    if item != base:
+        if isinstance(value, (list, tuple)) and all(_is_scalar(v, item) for v in value):
+            return tuple(float(v) if item == "float" else v for v in value)
+    elif _is_scalar(value, base):
+        return float(value) if base == "float" else value
     raise ConfigError(f"[{section}] {key}: expected {base}, got {value!r}")
 
 
@@ -183,7 +155,7 @@ def parse_config(text: str) -> Config:
         raise ConfigError("; ".join(problems))
 
     sections = {}
-    for section, cls in _SECTION_TYPES.items():
+    for section, cls in _SECTIONS.items():
         try:
             sections[section] = cls(**overrides.get(section, {}))
         except (ValueError, TypeError) as exc:

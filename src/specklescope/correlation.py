@@ -108,13 +108,11 @@ class DetectorArray:
         object.__setattr__(self, "scan", scan)
 
     @classmethod
-    def magic_scan(
-        cls, m: int, samples: int, lo: float = 0.0, hi: float = 2.0 * math.pi
-    ) -> "DetectorArray":
-        """Fixed detectors at the magic offsets, uniform scan over [lo, hi)."""
+    def magic_scan(cls, m: int, samples: int) -> "DetectorArray":
+        """Fixed detectors at the magic offsets, uniform scan over [0, 2*pi)."""
         if samples < 1:
             raise ValueError(f"need at least one scan sample, got {samples}")
-        scan = np.linspace(lo, hi, samples, endpoint=False)
+        scan = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
         return cls(m, magic_positions(m), scan)
 
 
@@ -211,17 +209,18 @@ def coherence_matrix(
     return np.einsum("l,ljk->jk", w, phases)
 
 
-def permanent(matrix: np.ndarray, cap: int = MAX_PERMANENT_ORDER) -> complex:
+def permanent(matrix: np.ndarray) -> complex:
     """Permanent of a square matrix by Ryser's formula with Gray-code updates.
 
-    O(2^n * n) time, refusing n > cap.  The empty matrix has permanent 1.
+    O(2^n * n) time, refusing n > MAX_PERMANENT_ORDER.  The empty matrix
+    has permanent 1.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"permanent needs a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    if n > cap:
-        raise MatrixSizeError(f"matrix order {n} exceeds permanent cap {cap}")
+    if n > MAX_PERMANENT_ORDER:
+        raise MatrixSizeError(f"matrix order {n} exceeds permanent cap {MAX_PERMANENT_ORDER}")
     if n == 0:
         return complex(1.0)
     return complex(_ryser_batch(a[None, :, :].astype(complex))[0])

@@ -7,6 +7,21 @@ bad arguments rather than runtime faults.
 
 from __future__ import annotations
 
+__all__ = [
+    "SpeckleScopeError",
+    "GeometryError",
+    "OrderError",
+    "MatrixSizeError",
+    "AliasingError",
+    "GridCoverageError",
+    "DegeneratePixelError",
+    "FitError",
+    "EmptyEvidenceError",
+    "BoundsError",
+    "ConfigError",
+    "FormatError",
+]
+
 
 class SpeckleScopeError(Exception):
     """Base class for all errors raised by this package."""

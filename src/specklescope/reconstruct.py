@@ -315,7 +315,6 @@ def _site_subsets(
 def disambiguate(
     candidate_set: CandidateSet,
     spectra: list[ModulationSpectrum],
-    samples: int | None = None,
 ) -> CandidateSet:
     """Score candidates against measured relative amplitudes.
 
@@ -346,7 +345,7 @@ def disambiguate(
     def predicted(geom: SourceGeometry, m: int) -> ModulationSpectrum:
         key = (geom.x, m)
         if key not in predictions:
-            predictions[key] = predicted_spectrum(geom, m, samples=samples)
+            predictions[key] = predicted_spectrum(geom, m)
         return predictions[key]
 
     sigma_floor = 1e-12

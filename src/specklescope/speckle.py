@@ -12,6 +12,7 @@ with a block bootstrap supplying per-pixel standard errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 _CHUNK_FRAMES = 8192
+# the block bootstrap resamples at most this many contiguous frame blocks
+_MAX_BLOCKS = 256
 
 
 def uniform_grid(pixels: int, lo: float = 0.0, hi: float = 2.0 * math.pi) -> np.ndarray:
@@ -140,6 +143,25 @@ class FrameStack:
         return float(np.mean((inten == 0) | (inten == top)))
 
 
+def _draw_amplitudes(run: SpeckleRun, frames: Sequence[int]) -> np.ndarray:
+    """Complex source amplitudes, one row per listed frame.
+
+    Frame r draws from the Philox stream keyed by run.seed at counter
+    r << 192; one bit generator is reused, its counter reset per frame.
+    """
+    n = run.geometry.n_sources
+    w = np.ones(n) if run.weights is None else np.asarray(run.weights)
+    bitgen = np.random.Philox(key=run.seed)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    xi = np.empty((len(frames), n, 2))
+    for i, frame in enumerate(frames):
+        state["state"]["counter"][3] = frame
+        bitgen.state = state
+        xi[i] = rng.standard_normal((n, 2))
+    return np.sqrt(w / 2.0) * (xi[..., 0] + 1j * xi[..., 1])
+
+
 def frame_amplitudes(run: SpeckleRun, frame: int) -> np.ndarray:
     """Complex source amplitudes of one frame, reproducible in isolation.
 
@@ -149,11 +171,7 @@ def frame_amplitudes(run: SpeckleRun, frame: int) -> np.ndarray:
     """
     if not 0 <= frame < run.frames:
         raise ValueError(f"frame index {frame} outside 0..{run.frames - 1}")
-    n = run.geometry.n_sources
-    w = np.ones(n) if run.weights is None else np.asarray(run.weights)
-    rng = np.random.Generator(np.random.Philox(key=run.seed, counter=frame << 192))
-    xi = rng.standard_normal((n, 2))
-    return np.sqrt(w / 2.0) * (xi[:, 0] + 1j * xi[:, 1])
+    return _draw_amplitudes(run, [frame])[0]
 
 
 def sample_frames(run: SpeckleRun) -> FrameStack:
@@ -162,16 +180,7 @@ def sample_frames(run: SpeckleRun) -> FrameStack:
     Draws per-frame source amplitudes, propagates them to the camera
     grid, and applies quantization if the run requests it.
     """
-    n = run.geometry.n_sources
-    w = np.ones(n) if run.weights is None else np.asarray(run.weights)
-    scale = np.sqrt(w / 2.0)
-
-    amps = np.empty((run.frames, n), dtype=complex)
-    for i in range(run.frames):
-        rng = np.random.Generator(np.random.Philox(key=run.seed, counter=i << 192))
-        xi = rng.standard_normal((n, 2))
-        amps[i] = scale * (xi[:, 0] + 1j * xi[:, 1])
-
+    amps = _draw_amplitudes(run, range(run.frames))
     alpha = np.asarray(phase_prefactors(run.geometry), dtype=float)
     field_matrix = np.exp(1j * alpha[:, None] * run.delta_axis[None, :])  # (n, P)
 
@@ -184,7 +193,7 @@ def sample_frames(run: SpeckleRun) -> FrameStack:
     stack = FrameStack(
         intensities=intensities,
         delta_axis=run.delta_axis,
-        n_sources=n,
+        n_sources=run.geometry.n_sources,
         seed=run.seed,
     )
     if run.quantization_bits is not None:
@@ -255,7 +264,6 @@ def estimate_g_m(
     stack: FrameStack,
     fixed_pixels: tuple[int, ...],
     n_boot: int = 200,
-    max_blocks: int = 256,
     boot_seed: int | None = None,
 ) -> CorrelationCurve:
     """Estimate the order-(len(fixed_pixels)+1) correlation curve.
@@ -295,7 +303,7 @@ def estimate_g_m(
         return CorrelationCurve(m=m, delta1=stack.delta_axis, values=values)
 
     # --- block bootstrap ---------------------------------------------------
-    n_blocks = min(max_blocks, n_frames)
+    n_blocks = min(_MAX_BLOCKS, n_frames)
     edges = np.array_split(np.arange(n_frames), n_blocks)
     block_num = np.empty((n_blocks, n_pixels))
     block_mean_i = np.empty((n_blocks, n_pixels))

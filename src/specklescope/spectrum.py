@@ -47,6 +47,10 @@ _LOW_FREQ_BOUND = 0.3
 # sidelobe, never two genuine lines.
 _MERGE_RADIUS = 1.2
 
+# Bootstrap replica rows projected for the free fit's errors: every
+# second of the estimator's 200.
+_REPLICA_ROWS = 96
+
 
 @dataclass(frozen=True)
 class GatePolicy:
@@ -70,9 +74,10 @@ class GatePolicy:
 # ---------------------------------------------------------------------------
 
 
-def _weights(curve: CorrelationCurve) -> np.ndarray | None:
+def _weights(curve: CorrelationCurve) -> np.ndarray:
+    """Inverse sigmas, floored; ones for a curve without sigmas."""
     if curve.sigma is None:
-        return None
+        return np.ones_like(curve.values)
     floor = 1e-12 * max(1.0, float(np.max(np.abs(curve.values))))
     return 1.0 / np.maximum(curve.sigma, floor)
 
@@ -89,6 +94,51 @@ def _quadrature_amplitude(a: float, b: float, cov2: np.ndarray) -> tuple[float, 
     grad = np.array([a / amp, b / amp])
     var = float(grad @ cov2 @ grad)
     return amp, math.sqrt(max(var, 0.0))
+
+
+def _spectrum(
+    curve: CorrelationCurve,
+    kind: str,
+    a0: float,
+    sigma_a0: float,
+    harmonics: Sequence[Harmonic],
+    model: np.ndarray | float,
+) -> ModulationSpectrum:
+    """The fitted spectrum, with the rms residual of `model` against the curve."""
+    residual_rms = float(np.sqrt(np.mean((curve.values - model) ** 2)))
+    try:
+        return ModulationSpectrum(
+            m=curve.m,
+            a0=a0,
+            sigma_a0=sigma_a0,
+            harmonics=tuple(harmonics),
+            kind=kind,
+            residual_rms=residual_rms,
+        )
+    except ValueError as exc:
+        raise FitError(f"fit produced an invalid spectrum: {exc}") from exc
+
+
+def _linear_fit(
+    delta: np.ndarray, y: np.ndarray, w: np.ndarray, freqs: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offset plus (a, b) per frequency by weighted linear least squares.
+
+    Returns the coefficients and the unweighted design matrix; too few
+    samples or a rank-deficient design is a FitError.
+    """
+    columns = [np.ones_like(delta)]
+    for f in freqs:
+        columns.append(np.cos(f * delta))
+        columns.append(np.sin(f * delta))
+    design = np.column_stack(columns)
+    n_params = design.shape[1]
+    if len(y) <= n_params:
+        raise FitError(f"{len(y)} samples cannot constrain {n_params} parameters")
+    coef, _, rank, _ = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)
+    if rank < n_params:
+        raise FitError(f"rank-deficient design matrix (rank {rank} < {n_params})")
+    return coef, design
 
 
 def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectrum:
@@ -111,24 +161,13 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectr
             f"{2.0 * math.pi / fundamental:.3f} of the order-{curve.m} comb"
         )
     n_harm = span_bound // fundamental
-    columns = [np.ones_like(delta)]
-    for kappa in range(1, n_harm + 1):
-        columns.append(np.cos(kappa * fundamental * delta))
-        columns.append(np.sin(kappa * fundamental * delta))
-    design = np.column_stack(columns)
     w = _weights(curve)
-    design_w = design if w is None else design * w[:, None]
-    y_w = y if w is None else y * w
-
-    n_params = design.shape[1]
-    if len(y) <= n_params:
-        raise FitError(f"{len(y)} samples cannot constrain {n_params} parameters")
-    coef, _, rank, _ = np.linalg.lstsq(design_w, y_w, rcond=None)
-    if rank < n_params:
-        raise FitError(f"rank-deficient design matrix (rank {rank} < {n_params})")
-
-    resid_w = y_w - design_w @ coef
-    dof = len(y) - n_params
+    coef, design = _linear_fit(
+        delta, y, w, [kappa * fundamental for kappa in range(1, n_harm + 1)]
+    )
+    design_w = design * w[:, None]
+    resid_w = y * w - design_w @ coef
+    dof = len(y) - design.shape[1]
     scale = float(resid_w @ resid_w) / dof
     cov = np.linalg.inv(design_w.T @ design_w) * scale
 
@@ -146,45 +185,17 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectr
         harmonics.append(
             Harmonic(kappa=kappa, f=float(kappa * fundamental), amplitude=amp, sigma_a=sigma_a)
         )
-    residual_rms = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
-    try:
-        return ModulationSpectrum(
-            m=curve.m,
-            a0=a0,
-            sigma_a0=sigma_a0,
-            harmonics=tuple(harmonics),
-            kind="fixed",
-            residual_rms=residual_rms,
-        )
-    except ValueError as exc:
-        raise FitError(f"fit produced an invalid spectrum: {exc}") from exc
+    return _spectrum(curve, "fixed", a0, sigma_a0, harmonics, design @ coef)
 
 
 def _periodogram(
-    delta: np.ndarray, resid: np.ndarray, w: np.ndarray | None, f_grid: np.ndarray
+    delta: np.ndarray, resid: np.ndarray, w: np.ndarray, f_grid: np.ndarray
 ) -> np.ndarray:
     """Weighted rectangular-window amplitude estimates on a frequency grid."""
-    weights = np.ones_like(resid) if w is None else w**2
+    weights = w**2
     wsum = weights.sum()
     phases = np.exp(-1j * f_grid[:, None] * delta[None, :])
     return 2.0 * np.abs(phases @ (weights * resid)) / wsum
-
-
-def _linear_refit(
-    delta: np.ndarray, y: np.ndarray, w: np.ndarray | None, freqs: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offset plus (a, b) per frequency by linear least squares."""
-    columns = [np.ones_like(delta)]
-    for f in freqs:
-        columns.append(np.cos(f * delta))
-        columns.append(np.sin(f * delta))
-    design = np.column_stack(columns)
-    design_w = design if w is None else design * w[:, None]
-    y_w = y if w is None else y * w
-    coef, _, rank, _ = np.linalg.lstsq(design_w, y_w, rcond=None)
-    if rank < design.shape[1]:
-        raise FitError("rank-deficient design while seeding the free fit")
-    return coef, y - design @ coef
 
 
 def _cosine_model(p: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -206,7 +217,7 @@ def _param_bounds(k: int, f_nyquist: float) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _jacobian(p: np.ndarray, delta: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def _jacobian(p: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted derivative of the offset-plus-cosines model at p."""
     jac = np.empty((delta.size, p.size))
     jac[:, 0] = 1.0
@@ -217,13 +228,13 @@ def _jacobian(p: np.ndarray, delta: np.ndarray, w: np.ndarray | None) -> np.ndar
         jac[:, 1 + 3 * i] = cos_fd
         jac[:, 2 + 3 * i] = sin_fd
         jac[:, 3 + 3 * i] = (-a * sin_fd + b * cos_fd) * delta
-    return jac if w is None else jac * w[:, None]
+    return jac * w[:, None]
 
 
 def _solve_bounded(
     delta: np.ndarray,
     y: np.ndarray,
-    w: np.ndarray | None,
+    w: np.ndarray,
     x0: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
@@ -233,8 +244,7 @@ def _solve_bounded(
     from scipy.optimize import least_squares
 
     def residual(p: np.ndarray) -> np.ndarray:
-        r = _cosine_model(p, delta) - y
-        return r if w is None else r * w
+        return (_cosine_model(p, delta) - y) * w
 
     return least_squares(
         residual,
@@ -249,7 +259,7 @@ def _solve_bounded(
 def _nls_solve(
     curve: CorrelationCurve,
     seed_freqs: list[float],
-    w: np.ndarray | None,
+    w: np.ndarray,
     f_nyquist: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly fit offset, quadrature pairs and frequencies.
@@ -260,7 +270,7 @@ def _nls_solve(
     """
     delta = curve.delta1
     y = curve.values
-    coef, _ = _linear_refit(delta, y, w, seed_freqs)
+    coef, _ = _linear_fit(delta, y, w, seed_freqs)
     k = len(seed_freqs)
 
     x0 = np.empty(1 + 3 * k)
@@ -286,10 +296,7 @@ def _nls_solve(
 
 
 def _replica_sigmas(
-    curve: CorrelationCurve,
-    params: np.ndarray,
-    w: np.ndarray | None,
-    max_fits: int = 48,
+    curve: CorrelationCurve, params: np.ndarray, w: np.ndarray
 ) -> tuple[float, list[float], list[float]] | None:
     """Amplitude/frequency errors from the bootstrap replica curves.
 
@@ -303,11 +310,11 @@ def _replica_sigmas(
     replicas = curve.replicas
     if replicas is None:
         return None
-    step = max(1, replicas.shape[0] // max_fits)
-    rows = replicas[::step][:max_fits]
+    step = max(1, replicas.shape[0] // _REPLICA_ROWS)
+    rows = replicas[::step][:_REPLICA_ROWS]
     if rows.shape[0] < 8:
         return None
-    resid_w = (rows - _cosine_model(params, curve.delta1)).T * (1.0 if w is None else w[:, None])
+    resid_w = (rows - _cosine_model(params, curve.delta1)).T * w[:, None]
     shift, *_ = np.linalg.lstsq(_jacobian(params, curve.delta1, w), resid_w, rcond=None)
     p = params + shift.T
     sigma_a = np.std(np.hypot(p[:, 1::3], p[:, 2::3]), axis=0, ddof=1)
@@ -346,18 +353,7 @@ def _spectrum_from_fit(
             Harmonic(kappa=kappa, f=f, amplitude=amp, sigma_a=sigma_a, sigma_f=sigma_f)
         )
     harmonics.sort(key=lambda h: h.f)
-    residual_rms = float(np.sqrt(np.mean((_cosine_model(p, curve.delta1) - curve.values) ** 2)))
-    try:
-        return ModulationSpectrum(
-            m=curve.m,
-            a0=a0,
-            sigma_a0=sigma_a0,
-            harmonics=tuple(harmonics),
-            kind="free",
-            residual_rms=residual_rms,
-        )
-    except ValueError as exc:
-        raise FitError(f"fit produced an invalid spectrum: {exc}") from exc
+    return _spectrum(curve, "free", a0, sigma_a0, harmonics, _cosine_model(p, curve.delta1))
 
 
 def fit_free(
@@ -365,7 +361,6 @@ def fit_free(
     max_harmonics: int = 6,
     oversample: int = 8,
     stop_snr: float = 4.0,
-    replica_fits: int = 96,
 ) -> ModulationSpectrum:
     """Joint fit of offset, amplitudes and unconstrained frequencies.
 
@@ -379,8 +374,8 @@ def fit_free(
     periodogram floor, or below an absolute machine-noise floor, or when
     it lands on an already-fitted (or already-abandoned) line.
 
-    Errors: when the curve carries bootstrap replicas, up to replica_fits
-    of them are projected through the converged fit's Jacobian (the
+    Errors: when the curve carries bootstrap replicas, up to 96 of them
+    are projected through the converged fit's Jacobian (the
     delta-method bootstrap of Efron & Tibshirani, 1993) and sigma values
     are the spread of the projected parameters; otherwise the fit
     covariance (scaled by reduced chi-square) is used.  Zero harvested
@@ -401,7 +396,7 @@ def fit_free(
     if f_grid.size < 4:
         raise FitError("scan too short to resolve any frequency")
 
-    a0 = float(np.average(y, weights=None if w is None else w**2))
+    a0 = float(np.average(y, weights=w**2))
     floor_abs = _amplitude_floor(a0)
     resid = y - a0
     params: np.ndarray | None = None
@@ -451,7 +446,7 @@ def fit_free(
         # mask the peak's neighbourhood so it cannot be harvested again
         if params is None:
             masked |= np.abs(f_grid - f_hat) < 0.5
-            a0 = float(np.average(y, weights=None if w is None else w**2))
+            a0 = float(np.average(y, weights=w**2))
             resid = y - a0
         else:
             if len(freqs) <= k_before:
@@ -462,26 +457,13 @@ def fit_free(
 
     if params is None:
         if curve.replicas is not None and curve.replicas.shape[0] > 1:
-            rep_means = np.average(
-                curve.replicas, axis=1, weights=None if w is None else w**2
-            )
+            rep_means = np.average(curve.replicas, axis=1, weights=w**2)
             sigma_a0 = float(np.std(rep_means, ddof=1))
         else:
             sigma_a0 = float(np.std(y, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        residual_rms = float(np.sqrt(np.mean((y - a0) ** 2)))
-        try:
-            return ModulationSpectrum(
-                m=curve.m,
-                a0=a0,
-                sigma_a0=sigma_a0,
-                harmonics=(),
-                kind="free",
-                residual_rms=residual_rms,
-            )
-        except ValueError as exc:
-            raise FitError(f"fit produced an invalid spectrum: {exc}") from exc
+        return _spectrum(curve, "free", a0, sigma_a0, (), a0)
 
-    replica_sig = _replica_sigmas(curve, params, w, max_fits=replica_fits)
+    replica_sig = _replica_sigmas(curve, params, w)
     return _spectrum_from_fit(curve, params, cov, replica_sig)
 
 

@@ -166,6 +166,20 @@ def test_analyze_takes_orders_from_the_manifest(tmp_path):
     assert sorted(fitted) == [3, 5]
 
 
+def test_bare_analyze_takes_the_whole_config_from_the_manifest(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[geometry]\nx = [1, 3]\n\n[simulate]\nframes = 300\norders = [3, 4]\n\n"
+                   "[gate]\nk_A = 50.0\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+    configured = (out / "evidence.json").read_bytes()
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(out)]) == 0
+    assert (out / "evidence.json").read_bytes() == configured
+    assert "present []" in capsys.readouterr().out
+
+
 def test_simulate_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG)
@@ -204,11 +218,17 @@ def test_aperture_table(tmp_path, capsys):
 
 
 def test_config_errors_exit_2(tmp_path):
+    # each returns 2 from main: no exception, so no traceback
     bad = tmp_path / "bad.ini"
     bad.write_text("[simulate]\nframe_count = 10\n")
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["analyze", "--out", str(tmp_path / "empty")]) == 2
     assert main(["simulate", "--frames", "0", "--out", str(tmp_path / "o")]) == 2
+    assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    for text in ("frames = 0", "pixels = 0", "seed = -1", "orders = []", "orders = [3, 3]"):
+        bad.write_text(f"[simulate]\n{text}\n")
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, text
+    assert not (tmp_path / "o").exists()
     assert main(["analyze", "--orders", "3,3", "--out", str(tmp_path)]) == 2
     assert main(["aperture", "--orders", "1..3"]) == 2
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2

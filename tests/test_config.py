@@ -86,6 +86,12 @@ def test_optional_keys_accept_none():
         "[geometry]\nx = 3\n",  # scalar for tuple
         "[fit]\nspan_bound = 16\n",  # removed: no stage read it
         "[scene]\nz_m = 0.4\n",  # removed: no stage read it
+        "[simulate]\nframes = 0\n",
+        "[simulate]\npixels = 0\n",
+        "[simulate]\nseed = -1\n",
+        "[simulate]\norders = []\n",
+        "[simulate]\norders = [3, 3]\n",
+        "[simulate]\norders = [1, 3]\n",
     ],
 )
 def test_bad_configs_are_rejected(text):

@@ -119,6 +119,11 @@ def test_single_frame_regenerates_in_isolation():
     alpha = np.asarray(run.geometry.positions, dtype=float)
     basis = np.exp(1j * np.outer(alpha, run.delta_axis))
     for frame in (0, 17, 49):
+        # the frame's own Philox stream, drawn by a generator of its own
+        rng = np.random.Generator(np.random.Philox(key=run.seed, counter=frame << 192))
+        xi = rng.standard_normal((run.geometry.n_sources, 2))
+        reference = np.sqrt(0.5) * (xi[:, 0] + 1j * xi[:, 1])
+        np.testing.assert_array_equal(frame_amplitudes(run, frame), reference)
         field = frame_amplitudes(run, frame) @ basis
         np.testing.assert_allclose(
             np.abs(field) ** 2, stack.intensities[frame], atol=1e-12
