@@ -10,8 +10,6 @@ records.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,13 +17,14 @@ from pathlib import Path
 from . import __version__, serialize
 from .config import Config, RunManifest, load_config, parse_config
 from .errors import ConfigError, EmptyEvidenceError, FitError, FormatError, SpeckleScopeError
-from .reconstruct import aperture_report, disambiguate, search
+from .reconstruct import CandidateSet, aperture_report, disambiguate, search
 from .speckle import SpeckleRun, estimate_g_m, nearest_magic_pixels, sample_frames, uniform_grid
 from .spectrum import aggregate, fit_free, gate
 
 _CURVE_PREFIX = "curves_m"
 _REPLICA_PREFIX = "replicas_m"
 _FRAMES_NAME = "frames.sstk"
+_TABLE_FIELDS = ("m", "f_fit", "sigma_f", "A", "sigma_A", "accepted")
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
@@ -50,10 +49,7 @@ def _load_config_arg(args: argparse.Namespace, run_manifest: bool = False) -> Co
     if args.config:
         config = load_config(args.config)
     elif run_manifest and manifest_path.exists():
-        manifest = serialize.read_json(manifest_path)
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), str):
-            raise FormatError(f"{manifest_path}: no config recorded")
-        config = parse_config(manifest["config"])
+        config = parse_config(serialize.read_json(manifest_path, RunManifest.from_dict).config_text)
     else:
         config = Config()
     flags = {key: getattr(args, key, None) for key in ("seed", "frames", "orders")}
@@ -176,43 +172,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         gated.append(gate(spectrum, config.gate))
 
     evidence = aggregate(gated)
-    serialize.write_json(
-        out / "spectra.json",
-        {
-            "fits": [serialize.spectrum_to_dict(s) for s in raw],
-            "gated": [serialize.spectrum_to_dict(s) for s in gated],
-            "failures": [{"m": m, "error": msg} for m, msg in failures],
-        },
-    )
+    serialize.write_json(out / "spectra.json", serialize.spectra_to_dict(raw, gated, failures))
     serialize.write_json(out / "evidence.json", serialize.evidence_to_dict(evidence))
 
     table_rows = []
     for spectrum, gated_spectrum in zip(raw, gated):
         kept = {round(h.f) for h in gated_spectrum.harmonics}
         for h in spectrum.harmonics:
-            table_rows.append(
-                {
-                    "m": spectrum.m,
-                    "f_fit": h.f,
-                    "sigma_f": h.sigma_f,
-                    "A": h.amplitude,
-                    "sigma_A": h.sigma_a,
-                    "accepted": abs(h.f - round(h.f)) <= 0.5 and round(h.f) in kept,
-                }
-            )
+            accepted = abs(h.f - round(h.f)) <= 0.5 and round(h.f) in kept
+            cells = (spectrum.m, h.f, h.sigma_f, h.amplitude, h.sigma_a, accepted)
+            table_rows.append(dict(zip(_TABLE_FIELDS, cells)))
         if not spectrum.harmonics:
             print(f"order {spectrum.m}: no modulation above threshold (A0={spectrum.a0:.3f})")
     if args.format == "json":
         serialize.write_json(out / "table.json", {"rows": table_rows})
     else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=["m", "f_fit", "sigma_f", "A", "sigma_A", "accepted"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        writer.writerows(table_rows)
-        serialize.atomic_write_text(out / "table.csv", buf.getvalue())
+        serialize.write_csv(out / "table.csv", _TABLE_FIELDS, table_rows)
 
     for row in table_rows:
         flag = "accepted" if row["accepted"] else "rejected"
@@ -241,19 +216,19 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     evidence_path = out / "evidence.json"
     if not evidence_path.exists():
         raise ConfigError(f"missing {evidence_path}; run analyze first")
-    evidence = serialize.evidence_from_dict(serialize.read_json(evidence_path))
+    evidence = serialize.read_json(evidence_path, serialize.evidence_from_dict)
 
     candidate_set = search(evidence, config.reconstruct)
 
     spectra_path = out / "spectra.json"
     if spectra_path.exists():
-        gated = [
-            serialize.spectrum_from_dict(d)
-            for d in serialize.read_json(spectra_path)["gated"]
-        ]
+        gated = serialize.read_json(spectra_path, serialize.gated_from_dict)
         gated = [s for s in gated if s.harmonics]
         if gated and candidate_set.candidates:
-            candidate_set = disambiguate(candidate_set, gated)
+            try:
+                candidate_set = disambiguate(candidate_set, gated)
+            except ValueError as exc:  # e.g. a repeated order or a zero offset
+                raise FormatError(f"{spectra_path}: cannot score these spectra: {exc}") from exc
 
     apertures = [aperture_report(m) for m in evidence.orders_measured]
     serialize.write_json(
@@ -262,13 +237,17 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     print(f"{len(candidate_set.candidates)} candidate geometr"
           f"{'y' if len(candidate_set.candidates) == 1 else 'ies'}")
-    for cand in candidate_set.candidates:
-        score = "" if cand.score is None else f"  chi2 = {cand.score:.2f}"
-        print(f"  x = {list(cand.geometry.x)}{score}")
+    _print_candidates(candidate_set)
     if not candidate_set.exhaustive:
         print("warning: bounds truncated the search; candidate list may be incomplete",
               file=sys.stderr)
     return 0
+
+
+def _print_candidates(candidate_set: CandidateSet) -> None:
+    for cand in candidate_set.candidates:
+        score = "" if cand.score is None else f"  chi2 = {cand.score:.2f}"
+        print(f"  x = {list(cand.geometry.x)}{score}")
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +258,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 def cmd_aperture(args: argparse.Namespace) -> int:
     orders = _parse_orders(args.orders)
     reports = [aperture_report(m) for m in orders]
-    rows = [{"m": r.m, "r_moving": r.moving, "r_total": r.total} for r in reports]
+    rows = [serialize.aperture_to_dict(r) for r in reports]
     if args.out:
         if args.format == "json":
             serialize.write_json(Path(args.out), {"apertures": rows})
         else:
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=["m", "r_moving", "r_total"],
-                                    lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-            serialize.atomic_write_text(Path(args.out), buf.getvalue())
+            serialize.write_csv(Path(args.out), list(rows[0]), rows)
     for r in reports:
         print(f"m = {r.m}: moving {r.moving:.4f}, fixed array {r.total:.4f} of full aperture")
     return 0
@@ -305,8 +279,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     recon_path = out / "reconstruction.json"
     if not recon_path.exists():
         raise ConfigError(f"missing {recon_path}; run reconstruct first")
-    report = serialize.read_json(recon_path)
-    evidence = serialize.evidence_from_dict(report["evidence"])
+    candidate_set, apertures = serialize.read_json(recon_path, serialize.report_from_dict)
+    evidence = candidate_set.evidence
 
     print(f"orders measured: {list(evidence.orders_measured)}")
     print(f"present: {list(evidence.present())}")
@@ -314,25 +288,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     conflicts = evidence.conflicts()
     if conflicts:
         print(f"conflicts: {list(conflicts)}")
-    print(f"exhaustive search: {report['exhaustive']}")
-    scored = [c for c in report["candidates"] if c["score"] is not None]
-    for cand in report["candidates"]:
-        line = f"  x = {cand['x']}"
-        if cand["score"] is not None:
-            line += f"  chi2 = {cand['score']:.2f}"
-        print(line)
-    if scored:
-        best = min(c["score"] for c in scored)
-        winners = [c["x"] for c in scored if c["score"] - best < 1.0]
-        print(f"winner(s) within one chi-square unit: {winners}")
-    for ap in report["apertures"]:
-        print(
-            f"order {ap['m']}: moving aperture {ap['r_moving']:.4f}, "
-            f"fixed array {ap['r_total']:.4f}"
-        )
+    print(f"exhaustive search: {candidate_set.exhaustive}")
+    _print_candidates(candidate_set)
+    winners = candidate_set.winners()
+    if winners:
+        print(f"winner(s) within one chi-square unit: {[list(c.geometry.x) for c in winners]}")
+    for ap in apertures:
+        print(f"order {ap.m}: moving aperture {ap.moving:.4f}, fixed array {ap.total:.4f}")
     manifest_path = out / "manifest.json"
     if manifest_path.exists():
-        manifest = RunManifest.from_dict(serialize.read_json(manifest_path))
+        manifest = serialize.read_json(manifest_path, RunManifest.from_dict)
         print(f"run: seed {manifest.seed}, tool version {manifest.version}")
         for note in manifest.notes:
             print(f"note: {note}")

@@ -281,8 +281,8 @@ class RunManifest:
         return cls(
             config_text=str(data["config"]),
             seed=int(data["seed"]),
-            version=str(data.get("version", "")),
-            created_utc=str(data.get("created_utc", "")),
-            outputs=tuple(sorted((str(k), str(v)) for k, v in data.get("outputs", {}).items())),
-            notes=tuple(data.get("notes", ())),
+            version=str(data["version"]),
+            created_utc=str(data["created_utc"]),
+            outputs=tuple(sorted((str(k), str(v)) for k, v in data["outputs"].items())),
+            notes=tuple(str(note) for note in data["notes"]),
         )

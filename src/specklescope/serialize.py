@@ -12,6 +12,9 @@ import json
 import os
 import struct
 import tempfile
+import tokenize
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
@@ -20,6 +23,7 @@ import numpy as np
 
 from .correlation import CorrelationCurve, Harmonic, ModulationSpectrum
 from .errors import FormatError
+from .geometry import SourceGeometry
 from .reconstruct import ApertureReport, Candidate, CandidateSet
 from .speckle import FrameStack
 from .spectrum import EvidenceRow, EvidenceTable
@@ -27,15 +31,20 @@ from .spectrum import EvidenceRow, EvidenceTable
 __all__ = [
     "atomic_write_text",
     "atomic_write_bytes",
+    "write_csv",
     "write_curve_csv",
     "read_curve_csv",
     "write_replicas",
     "read_replicas",
     "spectrum_to_dict",
     "spectrum_from_dict",
+    "spectra_to_dict",
+    "gated_from_dict",
     "evidence_to_dict",
     "evidence_from_dict",
+    "aperture_to_dict",
     "report_to_dict",
+    "report_from_dict",
     "write_json",
     "read_json",
     "write_frames",
@@ -45,13 +54,35 @@ __all__ = [
 _FRAME_MAGIC = b"SPKLSTK1"
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write bytes so the destination is never seen half-written."""
+@contextmanager
+def _parsing(path: str | Path, what: str) -> Iterator[None]:
+    """Turn any read or parse failure inside the block into a FormatError naming `path`."""
+    try:
+        yield
+    except FormatError:
+        raise
+    # numpy's .npy header parser raises TokenError for some damaged headers
+    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, RecursionError,
+            csv.Error, struct.error, tokenize.TokenError) as exc:
+        raise FormatError(f"{path}: {what}: {exc!r}") from exc
+
+
+def _optional_float(value: Any) -> float | None:
+    return None if value is None else float(value)
+
+
+def _ints(values: Any) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def atomic_write_bytes(path: str | Path, *chunks: bytes | memoryview | np.ndarray) -> None:
+    """Write the chunks in order so the destination is never seen half-written."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -63,24 +94,28 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def write_csv(path: str | Path, fieldnames: Sequence[str], rows: Iterable[dict]) -> None:
+    """Dict rows under a header line; floats are written at full precision."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
+
+
 # ---------------------------------------------------------------------------
 # curves
 # ---------------------------------------------------------------------------
 
+_CURVE_HEADERS = (["delta1_rad", "g_value"], ["delta1_rad", "g_value", "sigma"])
+
 
 def write_curve_csv(curve: CorrelationCurve, path: str | Path) -> None:
     """Curve as CSV with columns delta1_rad, g_value and optionally sigma."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if curve.sigma is None:
-        writer.writerow(["delta1_rad", "g_value"])
-        for d, v in zip(curve.delta1, curve.values):
-            writer.writerow([repr(float(d)), repr(float(v))])
-    else:
-        writer.writerow(["delta1_rad", "g_value", "sigma"])
-        for d, v, s in zip(curve.delta1, curve.values, curve.sigma):
-            writer.writerow([repr(float(d)), repr(float(v)), repr(float(s))])
-    atomic_write_text(path, buf.getvalue())
+    columns = [curve.delta1, curve.values] + ([] if curve.sigma is None else [curve.sigma])
+    header = _CURVE_HEADERS[len(columns) - 2]
+    rows = (dict(zip(header, row)) for row in np.column_stack(columns).tolist())
+    write_csv(path, header, rows)
 
 
 def read_curve_csv(path: str | Path, m: int) -> CorrelationCurve:
@@ -88,27 +123,24 @@ def read_curve_csv(path: str | Path, m: int) -> CorrelationCurve:
 
     A foreign header, a row of the wrong length or a bad value is a FormatError.
     """
-    try:
-        with open(path, newline="") as fh:
-            rows = [line for line in csv.reader(fh) if line]
+    with _parsing(path, "not a curve CSV"), open(path, newline="") as fh:
+        rows = [line for line in csv.reader(fh) if line]
         header = rows.pop(0) if rows else None
-        if header not in (["delta1_rad", "g_value"], ["delta1_rad", "g_value", "sigma"]):
-            raise ValueError(f"not a curve CSV (header {header})")
+        if header not in _CURVE_HEADERS:
+            raise ValueError(f"header {header}")
         if any(len(line) != len(header) for line in rows):
             raise ValueError(f"every row needs {len(header)} cells")
         columns = np.array([[float(cell) for cell in line] for line in rows])
         columns = columns.reshape(-1, len(header)).T
         sigma = columns[2] if len(header) == 3 else None
         return CorrelationCurve(m=m, delta1=columns[0], values=columns[1], sigma=sigma)
-    except (csv.Error, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_replicas(replicas: np.ndarray, path: str | Path) -> None:
     """Bootstrap replica curves (one row per resample) as a .npy file."""
     buf = io.BytesIO()
     np.save(buf, replicas, allow_pickle=False)
-    atomic_write_bytes(path, buf.getvalue())
+    atomic_write_bytes(path, buf.getbuffer())
 
 
 def read_replicas(path: str | Path, curve: CorrelationCurve) -> CorrelationCurve:
@@ -117,115 +149,96 @@ def read_replicas(path: str | Path, curve: CorrelationCurve) -> CorrelationCurve
     Anything but a finite 2-D float64 array with at least two rows and one
     column per curve sample is a FormatError; nothing is unpickled.
     """
-    try:
-        with open(path, "rb") as fh:
-            replicas = np.lib.format.read_array(fh, allow_pickle=False)
+    with _parsing(path, "not replicas of this curve"), open(path, "rb") as fh:
+        replicas = np.lib.format.read_array(fh, allow_pickle=False)
         if replicas.dtype != np.float64 or replicas.ndim != 2 or len(replicas) < 2:
             raise ValueError(f"need float64 rows of >= 2 resamples, got {replicas.dtype}"
                              f" array of shape {replicas.shape}")
         return replace(curve, replicas=replicas)
-    except (OSError, EOFError, ValueError) as exc:
-        raise FormatError(f"{path}: not replicas of this curve: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# spectra
+# JSON records
 # ---------------------------------------------------------------------------
+
+# JSON key -> (attribute, reader that converts the value back) for each flat
+# record; writer and reader share one table, so the reader requires exactly
+# the keys the writer writes.
+_HARMONIC = {
+    "kappa": ("kappa", int),
+    "f": ("f", float),
+    "A": ("amplitude", float),
+    "sigma_A": ("sigma_a", float),
+    "sigma_f": ("sigma_f", float),
+}
+_SPECTRUM = {
+    "m": ("m", int),
+    "A0": ("a0", float),
+    "sigma_A0": ("sigma_a0", float),
+    "kind": ("kind", str),
+    "residual_rms": ("residual_rms", float),
+    "leakage": ("leakage", _optional_float),
+}
+_EVIDENCE_ROW = {
+    "f": ("f", int),
+    "status": ("status", str),
+    "A": ("amplitude", _optional_float),
+    "sigma_A": ("sigma_a", _optional_float),
+    "present_orders": ("present_orders", _ints),
+    "absent_orders": ("absent_orders", _ints),
+    "conflict": ("conflict", bool),
+}
+_APERTURE = {"m": ("m", int), "r_moving": ("moving", float), "r_total": ("total", float)}
+
+
+def _record_to_dict(record: Any, keys: dict[str, tuple[str, Callable]]) -> dict[str, Any]:
+    return {key: getattr(record, attr) for key, (attr, _) in keys.items()}
+
+
+def _record_from_dict(cls: type, data: dict, keys: dict[str, tuple[str, Callable]], **more) -> Any:
+    return cls(**{attr: read(data[key]) for key, (attr, read) in keys.items()}, **more)
 
 
 def spectrum_to_dict(spectrum: ModulationSpectrum) -> dict[str, Any]:
-    return {
-        "m": spectrum.m,
-        "A0": spectrum.a0,
-        "sigma_A0": spectrum.sigma_a0,
-        "kind": spectrum.kind,
-        "residual_rms": spectrum.residual_rms,
-        "leakage": spectrum.leakage,
-        "harmonics": [
-            {
-                "kappa": h.kappa,
-                "f": h.f,
-                "A": h.amplitude,
-                "sigma_A": h.sigma_a,
-                "sigma_f": h.sigma_f,
-            }
-            for h in spectrum.harmonics
-        ],
-    }
+    harmonics = [_record_to_dict(h, _HARMONIC) for h in spectrum.harmonics]
+    return {**_record_to_dict(spectrum, _SPECTRUM), "harmonics": harmonics}
 
 
 def spectrum_from_dict(data: dict[str, Any]) -> ModulationSpectrum:
-    harmonics = tuple(
-        Harmonic(
-            kappa=int(h["kappa"]),
-            f=float(h["f"]),
-            amplitude=float(h["A"]),
-            sigma_a=float(h.get("sigma_A", 0.0)),
-            sigma_f=float(h.get("sigma_f", 0.0)),
-        )
-        for h in data["harmonics"]
-    )
-    return ModulationSpectrum(
-        m=int(data["m"]),
-        a0=float(data["A0"]),
-        sigma_a0=float(data.get("sigma_A0", 0.0)),
-        harmonics=harmonics,
-        kind=str(data.get("kind", "free")),
-        residual_rms=float(data.get("residual_rms", 0.0)),
-        leakage=data.get("leakage"),
-    )
+    harmonics = tuple(_record_from_dict(Harmonic, h, _HARMONIC) for h in data["harmonics"])
+    return _record_from_dict(ModulationSpectrum, data, _SPECTRUM, harmonics=harmonics)
 
 
-# ---------------------------------------------------------------------------
-# evidence
-# ---------------------------------------------------------------------------
+def spectra_to_dict(fits: list[ModulationSpectrum], gated: list[ModulationSpectrum],
+                    failures: list[tuple[int, str]]) -> dict[str, Any]:
+    """spectra.json: the free fits, their gated versions and the failed orders."""
+    return {
+        "fits": [spectrum_to_dict(s) for s in fits],
+        "gated": [spectrum_to_dict(s) for s in gated],
+        "failures": [{"m": m, "error": msg} for m, msg in failures],
+    }
+
+
+def gated_from_dict(data: dict[str, Any]) -> list[ModulationSpectrum]:
+    """The gated spectra of a spectra.json."""
+    return [spectrum_from_dict(d) for d in data["gated"]]
 
 
 def evidence_to_dict(table: EvidenceTable) -> dict[str, Any]:
-    rows = []
-    for f in sorted(table.rows):
-        row = table.rows[f]
-        rows.append(
-            {
-                "f": row.f,
-                "status": row.status,
-                "A": row.amplitude,
-                "sigma_A": row.sigma_a,
-                "present_orders": list(row.present_orders),
-                "absent_orders": list(row.absent_orders),
-                "conflict": row.conflict,
-            }
-        )
     return {
         "span_hint": table.span_hint,
         "orders_measured": list(table.orders_measured),
-        "rows": rows,
+        "rows": [_record_to_dict(row, _EVIDENCE_ROW) for _, row in sorted(table.rows.items())],
     }
 
 
 def evidence_from_dict(data: dict[str, Any]) -> EvidenceTable:
-    rows = {}
-    for r in data["rows"]:
-        f = int(r["f"])
-        rows[f] = EvidenceRow(
-            f=f,
-            status=str(r["status"]),
-            amplitude=None if r.get("A") is None else float(r["A"]),
-            sigma_a=None if r.get("sigma_A") is None else float(r["sigma_A"]),
-            present_orders=tuple(r.get("present_orders", ())),
-            absent_orders=tuple(r.get("absent_orders", ())),
-            conflict=bool(r.get("conflict", False)),
-        )
+    rows = [_record_from_dict(EvidenceRow, r, _EVIDENCE_ROW) for r in data["rows"]]
     return EvidenceTable(
         span_hint=int(data["span_hint"]),
-        rows=rows,
-        orders_measured=tuple(data.get("orders_measured", ())),
+        rows={row.f: row for row in rows},
+        orders_measured=_ints(data["orders_measured"]),
     )
-
-
-# ---------------------------------------------------------------------------
-# reconstruction report
-# ---------------------------------------------------------------------------
 
 
 def _candidate_to_dict(candidate: Candidate) -> dict[str, Any]:
@@ -236,29 +249,50 @@ def _candidate_to_dict(candidate: Candidate) -> dict[str, Any]:
     }
 
 
+def _candidate_from_dict(data: dict[str, Any]) -> Candidate:
+    chi2_by_order = sorted((int(m), float(chi2)) for m, chi2 in data["chi2_by_order"].items())
+    return Candidate(
+        geometry=SourceGeometry(data["x"]),
+        score=_optional_float(data["score"]),
+        chi2_by_order=tuple(chi2_by_order),
+    )
+
+
+def aperture_to_dict(report: ApertureReport) -> dict[str, Any]:
+    return _record_to_dict(report, _APERTURE)
+
+
 def report_to_dict(
     candidate_set: CandidateSet, apertures: list[ApertureReport]
 ) -> dict[str, Any]:
     return {
         "evidence": evidence_to_dict(candidate_set.evidence),
         "candidates": [_candidate_to_dict(c) for c in candidate_set.candidates],
-        "apertures": [
-            {"m": a.m, "r_moving": a.moving, "r_total": a.total} for a in apertures
-        ],
+        "apertures": [aperture_to_dict(a) for a in apertures],
         "exhaustive": candidate_set.exhaustive,
     }
+
+
+def report_from_dict(data: dict[str, Any]) -> tuple[CandidateSet, list[ApertureReport]]:
+    """Inverse of report_to_dict."""
+    candidate_set = CandidateSet(
+        candidates=tuple(_candidate_from_dict(c) for c in data["candidates"]),
+        evidence=evidence_from_dict(data["evidence"]),
+        exhaustive=bool(data["exhaustive"]),
+    )
+    apertures = [_record_from_dict(ApertureReport, a, _APERTURE) for a in data["apertures"]]
+    return candidate_set, apertures
 
 
 def write_json(path: str | Path, data: dict[str, Any]) -> None:
     atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise FormatError(f"{path}: not JSON: {exc}") from exc
+def read_json(path: str | Path, parse: Callable[[Any], Any] | None = None) -> Any:
+    """The JSON value in `path`, through `parse` if given; FormatError if either fails."""
+    with _parsing(path, "not a readable JSON artifact"), open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+        return data if parse is None else parse(data)
 
 
 # ---------------------------------------------------------------------------
@@ -278,37 +312,31 @@ def write_frames(stack: FrameStack, path: str | Path) -> None:
         "dtype": "float64",
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.ascontiguousarray(stack.intensities, dtype=np.float64).tobytes()
-    blob = b"".join(
-        [_FRAME_MAGIC, struct.pack("<Q", len(header_bytes)), header_bytes, payload]
+    payload = np.ascontiguousarray(stack.intensities, dtype=np.float64)
+    atomic_write_bytes(
+        path, _FRAME_MAGIC, struct.pack("<Q", len(header_bytes)), header_bytes, payload
     )
-    atomic_write_bytes(path, blob)
 
 
 def read_frames(path: str | Path) -> FrameStack:
     """Read a frame container; a truncated or malformed file is a FormatError."""
     size = os.path.getsize(path)
-    with open(path, "rb") as fh:
-        try:
-            magic = fh.read(len(_FRAME_MAGIC))
-            if magic != _FRAME_MAGIC:
-                raise FormatError(f"{path}: not a frame container (magic {magic!r})")
-            (header_len,) = struct.unpack("<Q", fh.read(8))
-            if fh.tell() + header_len > size:
-                raise FormatError(f"{path}: {header_len}-byte header overruns a {size}-byte file")
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-            n_frames, n_pixels = int(header["R"]), int(header["P"])
-            data = fh.read(n_frames * n_pixels * 8)
-            if len(data) != n_frames * n_pixels * 8:
-                raise FormatError(f"{path}: truncated frame payload")
-            return FrameStack(
-                intensities=np.frombuffer(data, dtype=np.float64).reshape(n_frames, n_pixels),
-                delta_axis=np.asarray(header["delta_axis"], dtype=float),
-                n_sources=int(header["N"]),
-                seed=int(header["seed"]),
-                bits=None if header.get("bits") is None else int(header["bits"]),
-            )
-        except FormatError:
-            raise
-        except (struct.error, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: malformed frame container: {exc!r}") from exc
+    with _parsing(path, "malformed frame container"), open(path, "rb") as fh:
+        magic = fh.read(len(_FRAME_MAGIC))
+        if magic != _FRAME_MAGIC:
+            raise FormatError(f"{path}: not a frame container (magic {magic!r})")
+        (header_len,) = struct.unpack("<Q", fh.read(8))
+        if fh.tell() + header_len > size:
+            raise FormatError(f"{path}: {header_len}-byte header overruns a {size}-byte file")
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+        n_frames, n_pixels = int(header["R"]), int(header["P"])
+        data = fh.read(n_frames * n_pixels * 8)
+        if len(data) != n_frames * n_pixels * 8:
+            raise FormatError(f"{path}: truncated frame payload")
+        return FrameStack(
+            intensities=np.frombuffer(data, dtype=np.float64).reshape(n_frames, n_pixels),
+            delta_axis=np.asarray(header["delta_axis"], dtype=float),
+            n_sources=int(header["N"]),
+            seed=int(header["seed"]),
+            bits=None if header["bits"] is None else int(header["bits"]),
+        )

@@ -100,7 +100,10 @@ class SpeckleRun:
 
 @dataclass(frozen=True, eq=False)
 class FrameStack:
-    """Recorded intensities, frames x pixels, plus provenance."""
+    """Recorded intensities, frames x pixels, plus provenance.
+
+    Adopts arrays that own their data and are read-only; copies anything else.
+    """
 
     intensities: np.ndarray
     delta_axis: np.ndarray
@@ -118,8 +121,9 @@ class FrameStack:
         if not np.all(np.isfinite(inten)) or np.any(inten < 0):
             raise ValueError("intensities must be finite and non-negative")
         for name, arr in (("intensities", inten), ("delta_axis", axis)):
-            arr = arr.copy()
-            arr.flags.writeable = False
+            if arr.flags.writeable or not arr.flags.owndata:
+                arr = arr.copy()
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
@@ -189,6 +193,7 @@ def sample_frames(run: SpeckleRun) -> FrameStack:
         stop = min(start + _CHUNK_FRAMES, run.frames)
         fields = amps[start:stop] @ field_matrix
         intensities[start:stop] = fields.real**2 + fields.imag**2
+    intensities.flags.writeable = False  # the stack adopts it
 
     stack = FrameStack(
         intensities=intensities,
@@ -212,10 +217,9 @@ def quantize(stack: FrameStack, bits: int) -> FrameStack:
         raise ValueError(f"quantization bits must be in 1..16, got {bits}")
     top = float(stack.intensities.max())
     levels = float(2**bits - 1)
-    if top == 0:
-        counts = np.zeros_like(stack.intensities)
-    else:
-        counts = np.rint(stack.intensities * (levels / top))
+    counts = stack.intensities * (levels / top) if top else np.zeros_like(stack.intensities)
+    np.rint(counts, out=counts)
+    counts.flags.writeable = False  # the new stack adopts it
     return FrameStack(
         intensities=counts,
         delta_axis=stack.delta_axis,

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -234,21 +235,73 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
 
 
-def test_truncated_replicas_exit_2_without_traceback(tmp_path):
+def _drop_first_row_f(evidence):
+    del evidence["rows"][0]["f"]
+    return evidence
+
+
+def _drop_gated(spectra):
+    del spectra["gated"]
+    return spectra
+
+
+def _repeat_gated_order(spectra):
+    spectra["gated"].append(spectra["gated"][0])
+    return spectra
+
+
+def _zero_offset(spectra):
+    spectra["gated"][0]["A0"] = 0.0
+    return spectra
+
+
+def _drop_sigmas(spectra):
+    for spectrum in spectra["gated"]:
+        del spectrum["sigma_A0"]
+        for line in spectrum["harmonics"]:
+            del line["sigma_A"], line["sigma_f"]
+    return spectra
+
+
+def _drop_evidence(report):
+    del report["evidence"]
+    return report
+
+
+def _json_edit(edit):
+    return lambda blob: json.dumps(edit(json.loads(blob))).encode()
+
+
+# artifact, the command that reads it, and how it is broken; every case exits 2
+MALFORMED_ARTIFACTS = {
+    "replicas-truncated": ("replicas_m3.npy", "analyze", lambda blob: blob[:100]),
+    "evidence-row-without-f": ("evidence.json", "reconstruct", _json_edit(_drop_first_row_f)),
+    "spectra-without-gated": ("spectra.json", "reconstruct", _json_edit(_drop_gated)),
+    "spectra-repeated-order": ("spectra.json", "reconstruct", _json_edit(_repeat_gated_order)),
+    "spectra-zero-offset": ("spectra.json", "reconstruct", _json_edit(_zero_offset)),
+    "spectra-without-sigmas": ("spectra.json", "reconstruct", _json_edit(_drop_sigmas)),
+    "report-without-evidence": ("reconstruction.json", "report", _json_edit(_drop_evidence)),
+    "manifest-as-list": ("manifest.json", "report", _json_edit(list)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARTIFACTS))
+def test_malformed_artifacts_exit_2_without_traceback(run_dir, tmp_path, case):
+    name, command, corrupt = MALFORMED_ARTIFACTS[case]
     out = tmp_path / "out"
-    assert main(["simulate", "--frames", "64", "--orders", "3", "--out", str(out)]) == 0
-    replicas = out / "replicas_m3.npy"
-    replicas.write_bytes(replicas.read_bytes()[:100])
+    shutil.copytree(run_dir, out)
+    artifact = out / name
+    artifact.write_bytes(corrupt(artifact.read_bytes()))
+    # a fresh interpreter, so a traceback would show
     src = str(Path(specklescope.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-m", "specklescope.cli", "analyze", "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "specklescope.cli", command, "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
-    assert "replicas_m3.npy" in done.stderr
+    assert name in done.stderr
 
 
 def test_empty_evidence_exits_3(tmp_path):

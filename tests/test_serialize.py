@@ -202,6 +202,13 @@ def test_json_files_are_deterministic(tmp_path):
     assert read_json(p1) == data
 
 
+def test_json_nested_past_the_recursion_limit_is_a_format_error(tmp_path):
+    path = tmp_path / "evidence.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(FormatError, match="evidence.json"):
+        read_json(path, evidence_from_dict)
+
+
 # ---------------------------------------------------------------------------
 # frame container
 # ---------------------------------------------------------------------------
