@@ -19,6 +19,7 @@ filtering is what the rest of the package exploits.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,8 @@ __all__ = [
     "Harmonic",
     "ModulationSpectrum",
     "magic_positions",
-    "coherence_matrix",
     "permanent",
     "g_m_analytic",
-    "roots_of_unity_sum",
     "surviving_frequencies",
     "predicted_spectrum",
     "regular_array_reference",
@@ -53,6 +52,10 @@ MAX_PERMANENT_ORDER = 12
 
 # Analytic values may dip this far below zero from roundoff and are clamped.
 _NEGATIVE_TOL = 1e-9
+
+# predicted_spectrum gathers at most this many complex phase terms (4 MB)
+# for one Gray-code walk; larger groups of geometries are chunked
+_CHUNK_ELEMENTS = 1 << 18
 
 
 def magic_positions(m: int) -> tuple[float, ...]:
@@ -179,34 +182,32 @@ class CorrelationCurve:
 # ---------------------------------------------------------------------------
 
 
-def _weight_vector(geometry: SourceGeometry, weights) -> np.ndarray:
-    n = geometry.n_sources
-    if weights is None:
-        return np.ones(n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"need {n} source weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0):
-        raise ValueError("source weights must be finite and positive")
-    return w
+def _phase_table(positions, detectors: DetectorArray) -> np.ndarray:
+    """Terms exp(i p (delta_k - delta_j)) of J for each source position p.
 
-
-def coherence_matrix(
-    geometry: SourceGeometry, deltas, weights=None
-) -> np.ndarray:
-    """Mutual coherence matrix J for detectors at the given offsets.
-
-    J[j, k] = sum_l w_l exp(i alpha_l (delta_k - delta_j)); Hermitian with
-    a constant diagonal sum(w), positive semidefinite by construction.
+    Shape (P, s, m, m) over the P positions and the s scan samples.  Every
+    geometry whose positions are among them gathers its rows from here.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1 or deltas.size < 1:
-        raise ValueError("deltas must be a non-empty 1-D sequence")
-    w = _weight_vector(geometry, weights)
-    alpha = np.asarray(phase_prefactors(geometry), dtype=float)
-    diff = deltas[None, :] - deltas[:, None]
-    phases = np.exp(1j * alpha[:, None, None] * diff[None, :, :])
-    return np.einsum("l,ljk->jk", w, phases)
+    if detectors.m > MAX_PERMANENT_ORDER:
+        raise MatrixSizeError(
+            f"order {detectors.m} exceeds permanent cap {MAX_PERMANENT_ORDER}"
+        )
+    deltas = np.empty((detectors.scan.size, detectors.m))
+    deltas[:, 0] = detectors.scan
+    deltas[:, 1:] = detectors.fixed_deltas
+    diff = deltas[:, None, :] - deltas[:, :, None]  # (s, m, m)
+    alpha = np.asarray(positions, dtype=float)
+    return np.exp(1j * alpha[:, None, None, None] * diff[None])
+
+
+def _coherence_stack(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Equal-weight coherence matrices (G, s, m, m) of G geometries.
+
+    rows[g] holds the table rows of geometry g's sources; all G geometries
+    have the same number of sources.
+    """
+    ones = np.ones(rows.shape[1], dtype=complex)
+    return np.einsum("l,glsjk->gsjk", ones, table[rows])
 
 
 def permanent(matrix: np.ndarray) -> complex:
@@ -250,59 +251,33 @@ def _ryser_batch(mats: np.ndarray) -> np.ndarray:
     return total
 
 
-def g_m_analytic(
-    geometry: SourceGeometry,
-    detectors: DetectorArray,
-    weights=None,
+def _normalized_curve(
+    perms: np.ndarray, n_sources: int, detectors: DetectorArray
 ) -> CorrelationCurve:
+    """perm(J)/prod(diag J) over the scan, after checking the imaginary residue."""
+    norm = float(n_sources) ** detectors.m
+    values = perms.real / norm
+    residue = np.max(np.abs(perms.imag)) / norm
+    if residue > 1e-8 * max(1.0, float(np.max(np.abs(values)))):
+        raise ArithmeticError(f"permanent imaginary residue too large: {residue:g}")
+    return CorrelationCurve(m=detectors.m, delta1=detectors.scan, values=values)
+
+
+def g_m_analytic(geometry: SourceGeometry, detectors: DetectorArray) -> CorrelationCurve:
     """Exact normalized correlation curve over the detector scan grid.
 
     Evaluates perm(J)/prod(diag J) for every scan sample, batching the
     Gray-code walk across the grid.  Values are real up to roundoff; the
     imaginary residue is checked and discarded.
     """
-    m = detectors.m
-    if m > MAX_PERMANENT_ORDER:
-        raise MatrixSizeError(
-            f"order {m} exceeds permanent cap {MAX_PERMANENT_ORDER}"
-        )
-    w = _weight_vector(geometry, weights)
-    alpha = np.asarray(phase_prefactors(geometry), dtype=float)
-    scan = detectors.scan
-    s = scan.size
-
-    deltas = np.empty((s, m))
-    deltas[:, 0] = scan
-    deltas[:, 1:] = detectors.fixed_deltas
-    diff = deltas[:, None, :] - deltas[:, :, None]  # (s, m, m)
-    mats = np.einsum(
-        "l,lsjk->sjk", w.astype(complex), np.exp(1j * alpha[:, None, None, None] * diff[None])
-    )
-
-    perms = _ryser_batch(mats)
-    norm = float(np.sum(w)) ** m
-    values = perms.real / norm
-    residue = np.max(np.abs(perms.imag)) / norm
-    if residue > 1e-8 * max(1.0, float(np.max(np.abs(values)))):
-        raise ArithmeticError(f"permanent imaginary residue too large: {residue:g}")
-    return CorrelationCurve(m=m, delta1=scan, values=values)
+    table = _phase_table(phase_prefactors(geometry), detectors)
+    mats = _coherence_stack(table, np.arange(geometry.n_sources)[None])[0]
+    return _normalized_curve(_ryser_batch(mats), geometry.n_sources, detectors)
 
 
 # ---------------------------------------------------------------------------
 # filtering
 # ---------------------------------------------------------------------------
-
-
-def roots_of_unity_sum(lam: int, m: int) -> complex:
-    """sum_{j=2}^{m} exp(i * lam * delta_j) over the magic offsets.
-
-    Equals m-1 when (m-1) divides lam and 0 otherwise; computed directly
-    so tests can check that identity rather than assume it.
-    """
-    if m < 2:
-        raise OrderError(f"correlation order must be at least 2, got {m}")
-    deltas = np.asarray(magic_positions(m))
-    return complex(np.sum(np.exp(1j * lam * deltas)))
 
 
 def surviving_frequencies(geometry: SourceGeometry, m: int) -> tuple[int, ...]:
@@ -339,6 +314,8 @@ class Harmonic:
     def __post_init__(self) -> None:
         if self.kappa < 1:
             raise ValueError(f"harmonic index must be >= 1, got {self.kappa}")
+        if not all(map(math.isfinite, (self.f, self.amplitude, self.sigma_a, self.sigma_f))):
+            raise ValueError("harmonic contains non-finite fields")
         if not self.f > 0:
             raise ValueError(f"harmonic frequency must be positive, got {self.f}")
         if self.amplitude < 0 or self.sigma_a < 0 or self.sigma_f < 0:
@@ -369,6 +346,11 @@ class ModulationSpectrum:
         if self.kind not in ("analytic", "fixed", "free", "reference"):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
+        numbers = [self.a0, self.sigma_a0, self.residual_rms]
+        if self.leakage is not None:
+            numbers.append(self.leakage)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("spectrum contains non-finite fields")
         if self.a0 < 0 or self.sigma_a0 < 0:
             raise ValueError("offset and its uncertainty must be non-negative")
         fundamental = self.m - 1
@@ -424,36 +406,58 @@ def _dft_spectrum(
     )
 
 
-def _default_samples(span: int) -> int:
-    return max(4 * (span + 1), 8)
-
-
-def predicted_spectrum(
-    geometry: SourceGeometry,
-    m: int,
-    samples: int | None = None,
-    weights=None,
-) -> ModulationSpectrum:
-    """Exact filtered spectrum of a geometry at order m (magic positions).
-
-    Samples the analytic curve on a uniform full-period grid and reads the
-    surviving amplitudes off single DFT bins.  A single source has a flat
-    curve at m!, reported as an offset with no harmonics.
-    """
-    if m < 3:
-        raise OrderError(f"filtered spectra need m >= 3, got m={m}")
-    span = geometry.span
-    s = _default_samples(span) if samples is None else int(samples)
+def _scan_samples(span: int, samples: int | None) -> int:
+    """Scan samples for a span-`span` array, refusing a grid that aliases it."""
+    s = max(4 * (span + 1), 8) if samples is None else int(samples)
     if s < 2 * span + 1:
         raise AliasingError(
             f"{s} samples alias a span-{span} array; need at least {2 * span + 1}"
         )
-    detectors = DetectorArray.magic_scan(m, s)
-    curve = g_m_analytic(geometry, detectors, weights=weights)
-    if geometry.n_sources == 1:
-        return ModulationSpectrum(m=m, a0=float(np.mean(curve.values)), harmonics=())
-    keep = surviving_frequencies(geometry, m)
-    return _dft_spectrum(curve, keep, kind="analytic", fundamental=m - 1)
+    return s
+
+
+def predicted_spectrum(
+    geometries: Sequence[SourceGeometry], m: int, samples: int | None = None
+) -> tuple[ModulationSpectrum, ...]:
+    """Exact filtered spectra of geometries at order m (magic positions).
+
+    Samples each analytic curve on a uniform full-period grid and reads the
+    surviving amplitudes off single DFT bins.  Geometries of equal span and
+    source count share one phase table and one Gray-code walk per chunk;
+    each spectrum is the one its geometry gets alone, bit for bit.  A
+    single source has a flat curve at m!, reported as an offset with no
+    harmonics.
+    """
+    if m < 3:
+        raise OrderError(f"filtered spectra need m >= 3, got m={m}")
+    geometries = tuple(geometries)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, geometry in enumerate(geometries):
+        groups.setdefault((geometry.span, geometry.n_sources), []).append(i)
+
+    spectra: list[ModulationSpectrum | None] = [None] * len(geometries)
+    tables: dict[int, tuple[DetectorArray, np.ndarray]] = {}
+    for (span, n), members in groups.items():
+        if span not in tables:
+            detectors = DetectorArray.magic_scan(m, _scan_samples(span, samples))
+            tables[span] = detectors, _phase_table(range(span + 1), detectors)
+        detectors, table = tables[span]
+        per_walk = max(1, _CHUNK_ELEMENTS // (n * table[0].size))
+        for start in range(0, len(members), per_walk):
+            chunk = members[start : start + per_walk]
+            rows = np.array([phase_prefactors(geometries[i]) for i in chunk])
+            mats = _coherence_stack(table, rows).reshape(-1, m, m)
+            perms = _ryser_batch(mats).reshape(len(chunk), -1)
+            for i, row in zip(chunk, perms):
+                curve = _normalized_curve(row, n, detectors)
+                if n == 1:
+                    spectra[i] = ModulationSpectrum(
+                        m=m, a0=float(np.mean(curve.values)), harmonics=()
+                    )
+                else:
+                    keep = surviving_frequencies(geometries[i], m)
+                    spectra[i] = _dft_spectrum(curve, keep, kind="analytic", fundamental=m - 1)
+    return tuple(spectra)
 
 
 def regular_array_reference(
@@ -469,15 +473,8 @@ def regular_array_reference(
         raise GeometryError(f"reference array needs at least 2 sources, got {n_sources}")
     if m < 2:
         raise OrderError(f"correlation order must be at least 2, got {m}")
-    if m > MAX_PERMANENT_ORDER:
-        raise MatrixSizeError(f"order {m} exceeds permanent cap {MAX_PERMANENT_ORDER}")
     geometry = SourceGeometry((1,) * (n_sources - 1))
-    span = geometry.span
-    s = _default_samples(span) if samples is None else int(samples)
-    if s < 2 * span + 1:
-        raise AliasingError(
-            f"{s} samples alias a span-{span} array; need at least {2 * span + 1}"
-        )
+    s = _scan_samples(geometry.span, samples)
     detectors = DetectorArray(m, (0.0,) * (m - 1), np.linspace(0, 2 * math.pi, s, endpoint=False))
     curve = g_m_analytic(geometry, detectors)
     keep = tuple(range(1, n_sources))

@@ -340,20 +340,18 @@ def disambiguate(
     if measured and all(sig == 0.0 for _, _, _, sig in measured):
         raise ValueError("all measured amplitude errors are zero; weighting degenerate")
 
-    predictions: dict[tuple[tuple[int, ...], int], ModulationSpectrum] = {}
-
-    def predicted(geom: SourceGeometry, m: int) -> ModulationSpectrum:
-        key = (geom.x, m)
-        if key not in predictions:
-            predictions[key] = predicted_spectrum(geom, m)
-        return predictions[key]
+    # one batched prediction of every candidate per order with measured lines
+    geometries = candidate_set.geometries()
+    predictions = {
+        m: predicted_spectrum(geometries, m) for m in dict.fromkeys(m for m, *_ in measured)
+    }
 
     sigma_floor = 1e-12
     rescored = []
-    for cand in candidate_set.candidates:
+    for k, cand in enumerate(candidate_set.candidates):
         chi2_by_order: dict[int, float] = {m: 0.0 for m in orders}
         for m, f, ratio, sig in measured:
-            pred = predicted(cand.geometry, m)
+            pred = predictions[m][k]
             pred_ratio = pred.amplitude_at(f) / pred.a0
             chi2_by_order[m] += ((ratio - pred_ratio) / max(sig, sigma_floor)) ** 2
         score = float(sum(chi2_by_order.values()))

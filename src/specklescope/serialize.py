@@ -285,13 +285,21 @@ def report_from_dict(data: dict[str, Any]) -> tuple[CandidateSet, list[ApertureR
 
 
 def write_json(path: str | Path, data: dict[str, Any]) -> None:
-    atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity is a ValueError, not a NaN token in the file."""
+    atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _refuse_constant(token: str) -> None:
+    raise ValueError(f"non-finite number {token}")
 
 
 def read_json(path: str | Path, parse: Callable[[Any], Any] | None = None) -> Any:
-    """The JSON value in `path`, through `parse` if given; FormatError if either fails."""
+    """The JSON value in `path`, through `parse` if given; FormatError if either fails.
+
+    The NaN and Infinity tokens that Python's json accepts are refused.
+    """
     with _parsing(path, "not a readable JSON artifact"), open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_constant=_refuse_constant)
         return data if parse is None else parse(data)
 
 

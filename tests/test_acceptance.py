@@ -76,7 +76,7 @@ def test_1_filtering_theorem():
             n_geometries += 1
             geometry = SourceGeometry(x)
             for m in (3, 4, 5, 6):
-                spectrum = predicted_spectrum(geometry, m)
+                spectrum = predicted_spectrum((geometry,), m)[0]
                 expected = tuple(float(f) for f in surviving_frequencies(geometry, m))
                 if spectrum.frequencies != expected:
                     wrong_sets += 1

@@ -255,6 +255,11 @@ def _zero_offset(spectra):
     return spectra
 
 
+def _nan_offset(spectra):
+    spectra["gated"][0]["A0"] = float("nan")
+    return spectra
+
+
 def _drop_sigmas(spectra):
     for spectrum in spectra["gated"]:
         del spectrum["sigma_A0"]
@@ -279,6 +284,7 @@ MALFORMED_ARTIFACTS = {
     "spectra-without-gated": ("spectra.json", "reconstruct", _json_edit(_drop_gated)),
     "spectra-repeated-order": ("spectra.json", "reconstruct", _json_edit(_repeat_gated_order)),
     "spectra-zero-offset": ("spectra.json", "reconstruct", _json_edit(_zero_offset)),
+    "spectra-nan-offset": ("spectra.json", "reconstruct", _json_edit(_nan_offset)),
     "spectra-without-sigmas": ("spectra.json", "reconstruct", _json_edit(_drop_sigmas)),
     "report-without-evidence": ("reconstruction.json", "report", _json_edit(_drop_evidence)),
     "manifest-as-list": ("manifest.json", "report", _json_edit(list)),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,19 +13,61 @@ from specklescope import (
     CorrelationCurve,
     DetectorArray,
     GeometryError,
+    Harmonic,
     MatrixSizeError,
+    ModulationSpectrum,
     OrderError,
     SourceGeometry,
-    coherence_matrix,
+    correlation,
     g_m_analytic,
     magic_positions,
     permanent,
+    phase_prefactors,
     predicted_spectrum,
     reflect,
     regular_array_reference,
-    roots_of_unity_sum,
     surviving_frequencies,
 )
+
+
+def _weight_vector(geometry, weights):
+    n = geometry.n_sources
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"need {n} source weights, got shape {w.shape}")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        raise ValueError("source weights must be finite and positive")
+    return w
+
+
+def coherence_matrix(geometry, deltas, weights=None):
+    """Mutual coherence matrix J for detectors at the given offsets.
+
+    J[j, k] = sum_l w_l exp(i alpha_l (delta_k - delta_j)); Hermitian with
+    a constant diagonal sum(w), positive semidefinite by construction.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1 or deltas.size < 1:
+        raise ValueError("deltas must be a non-empty 1-D sequence")
+    w = _weight_vector(geometry, weights)
+    alpha = np.asarray(phase_prefactors(geometry), dtype=float)
+    diff = deltas[None, :] - deltas[:, None]
+    phases = np.exp(1j * alpha[:, None, None] * diff[None, :, :])
+    return np.einsum("l,ljk->jk", w, phases)
+
+
+def roots_of_unity_sum(lam, m):
+    """sum_{j=2}^{m} exp(i * lam * delta_j) over the magic offsets.
+
+    Equals m-1 when (m-1) divides lam and 0 otherwise; computed directly
+    so tests can check that identity rather than assume it.
+    """
+    if m < 2:
+        raise OrderError(f"correlation order must be at least 2, got {m}")
+    deltas = np.asarray(magic_positions(m))
+    return complex(np.sum(np.exp(1j * lam * deltas)))
 
 
 def permutation_permanent(a):
@@ -185,16 +228,33 @@ def test_analytic_order_cap():
 @pytest.mark.parametrize("x", [(1, 3), (3, 1, 4), (2, 1, 3)])
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_reflection_leaves_the_spectrum_unchanged(x, m):
-    a = predicted_spectrum(SourceGeometry(x), m)
-    b = predicted_spectrum(reflect(SourceGeometry(x)), m)
+    a = predicted_spectrum((SourceGeometry(x),), m)[0]
+    b = predicted_spectrum((reflect(SourceGeometry(x)),), m)[0]
     assert a.frequencies == b.frequencies
     assert a.a0 == pytest.approx(b.a0, abs=1e-10)
     for ha, hb in zip(a.harmonics, b.harmonics):
         assert ha.amplitude == pytest.approx(hb.amplitude, abs=1e-10)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_prediction_does_not_depend_on_its_batch(m):
+    # every 5-source array of span 12 (more than one walk holds) shuffled
+    # among arrays of 1 to 6 sources and other spans
+    fives = [SourceGeometry(x) for x in itertools.product(range(1, 10), repeat=4) if sum(x) == 12]
+    others = [SourceGeometry(x) for x in [(), (4,), (1, 3), (3, 1, 4), (1, 3, 5), (2, 2, 7, 1),
+                                          (1, 1, 1, 1, 1), (2, 5, 1, 3, 2), (1, 3, 8, 1)]]
+    batch = fives + others
+    random.Random(m).shuffle(batch)
+    samples = 4 * (12 + 1)
+    assert len(fives) * 5 * samples * m * m > correlation._CHUNK_ELEMENTS
+    together = predicted_spectrum(batch, m)
+    assert len(together) == len(batch)
+    for geometry, spectrum in zip(batch, together):
+        assert spectrum == predicted_spectrum((geometry,), m)[0], geometry.x
+
+
 def test_spectrum_keeps_only_surviving_lines():
-    s = predicted_spectrum(SourceGeometry((3, 1, 4)), 3)
+    s = predicted_spectrum((SourceGeometry((3, 1, 4)),), 3)[0]
     assert s.frequencies == (4.0, 8.0)
     assert all(h.amplitude > 1e-6 for h in s.harmonics)
     assert s.leakage < 1e-9
@@ -202,16 +262,16 @@ def test_spectrum_keeps_only_surviving_lines():
 
 
 def test_single_source_spectrum_is_flat():
-    s = predicted_spectrum(SourceGeometry(()), 4)
+    s = predicted_spectrum((SourceGeometry(()),), 4)[0]
     assert s.harmonics == ()
     assert s.a0 == pytest.approx(math.factorial(4), rel=1e-9)
 
 
 def test_undersampled_grid_rejected():
     with pytest.raises(AliasingError):
-        predicted_spectrum(SourceGeometry((3, 1, 4)), 3, samples=10)
+        predicted_spectrum((SourceGeometry((3, 1, 4)),), 3, samples=10)
     with pytest.raises(OrderError):
-        predicted_spectrum(SourceGeometry((1, 2)), 2)
+        predicted_spectrum((SourceGeometry((1, 2)),), 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -250,6 +310,17 @@ def test_curve_validation():
     curve = CorrelationCurve(m=3, delta1=d, values=np.ones(10))
     assert len(curve) == 10
     assert not curve.values.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectra_refuse_non_finite_fields(bad):
+    with pytest.raises(ValueError):
+        Harmonic(kappa=1, f=2.0, amplitude=bad)
+    with pytest.raises(ValueError):
+        Harmonic(kappa=1, f=2.0, amplitude=1.0, sigma_a=bad)
+    for field in ("a0", "sigma_a0", "residual_rms", "leakage"):
+        with pytest.raises(ValueError):
+            ModulationSpectrum(m=3, **{"a0": 1.0, field: bad}, harmonics=())
 
 
 def test_curve_replica_shape_checks():

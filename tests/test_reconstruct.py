@@ -23,12 +23,13 @@ from specklescope import (
     disambiguate,
     oracle_search,
     predicted_spectrum,
+    reconstruct,
     search,
 )
 
 
 def measured_spectrum(truth, m, sigma_a=0.02):
-    exact = predicted_spectrum(truth, m)
+    exact = predicted_spectrum((truth,), m)[0]
     noisy = tuple(replace(h, sigma_a=sigma_a, sigma_f=0.01) for h in exact.harmonics)
     return ModulationSpectrum(m=m, a0=exact.a0, harmonics=noisy, kind="free")
 
@@ -186,9 +187,30 @@ def test_disambiguation_input_checks():
     flat = ModulationSpectrum(m=3, a0=0.0, harmonics=(), kind="free")
     with pytest.raises(ValueError):
         disambiguate(candidates, [flat])
-    exact = [predicted_spectrum(truth, m) for m in (3, 5)]
+    exact = [predicted_spectrum((truth,), m)[0] for m in (3, 5)]
     with pytest.raises(ValueError):
         disambiguate(candidates, exact)  # zero errors cannot weight a fit
+
+
+def test_disambiguate_predicts_once_per_measured_order(monkeypatch):
+    # the benchmark times prediction by wrapping reconstruct.predicted_spectrum;
+    # a path that stopped calling through that name would time nothing
+    calls = []
+    original = reconstruct.predicted_spectrum
+
+    def counting(geometries, m, *args, **kwargs):
+        calls.append((tuple(geometries), m))
+        return original(geometries, m, *args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "predicted_spectrum", counting)
+    truth = SourceGeometry((1, 3, 5))
+    candidates = search(AMBIGUOUS)
+    lineless = ModulationSpectrum(m=4, a0=1.0, harmonics=(), kind="free")
+    spectra = [measured_spectrum(truth, 3), lineless, measured_spectrum(truth, 5)]
+    ranked = disambiguate(candidates, spectra)
+    assert [m for _, m in calls] == [3, 5]
+    assert all(geometries == candidates.geometries() for geometries, _ in calls)
+    assert ranked.candidates[0].geometry == truth
 
 
 def test_equal_spectra_fall_back_on_the_search_order():

@@ -209,6 +209,17 @@ def test_json_nested_past_the_recursion_limit_is_a_format_error(tmp_path):
         read_json(path, evidence_from_dict)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_json_refuses_non_finite_numbers(tmp_path, token):
+    path = tmp_path / "spectra.json"
+    path.write_text(f'{{"A0": {token}}}')
+    with pytest.raises(FormatError, match="spectra.json"):
+        read_json(path)
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "out.json", {"A0": float(token.lower().replace("infinity", "inf"))})
+    assert not (tmp_path / "out.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # frame container
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def line(f, amplitude=0.5, sigma_a=0.05, sigma_f=0.02, kappa=1):
 def test_fixed_fit_recovers_exact_amplitudes(x, m):
     span = sum(x)
     fitted = fit_fixed(magic_curve(x, m), span_bound=span)
-    exact = predicted_spectrum(SourceGeometry(x), m)
+    exact = predicted_spectrum((SourceGeometry(x),), m)[0]
     assert fitted.kind == "fixed"
     assert fitted.a0 == pytest.approx(exact.a0, abs=1e-8)
     assert fitted.frequencies == exact.frequencies
@@ -82,7 +82,7 @@ def test_free_fit_of_flat_curve_is_offset_only():
 
 def test_free_fit_recovers_single_line():
     fitted = fit_free(magic_curve((4,), 3))
-    exact = predicted_spectrum(SourceGeometry((4,)), 3)
+    exact = predicted_spectrum((SourceGeometry((4,)),), 3)[0]
     assert len(fitted.harmonics) == 1
     h = fitted.harmonics[0]
     assert h.f == pytest.approx(4.0, abs=1e-6)
