@@ -260,10 +260,12 @@ def cmd_aperture(args: argparse.Namespace) -> int:
     reports = [aperture_report(m) for m in orders]
     rows = [serialize.aperture_to_dict(r) for r in reports]
     if args.out:
+        path = Path(args.out)
+        path.parent.mkdir(parents=True, exist_ok=True)
         if args.format == "json":
-            serialize.write_json(Path(args.out), {"apertures": rows})
+            serialize.write_json(path, {"apertures": rows})
         else:
-            serialize.write_csv(Path(args.out), list(rows[0]), rows)
+            serialize.write_csv(path, list(rows[0]), rows)
     for r in reports:
         print(f"m = {r.m}: moving {r.moving:.4f}, fixed array {r.total:.4f} of full aperture")
     return 0

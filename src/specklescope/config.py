@@ -72,6 +72,13 @@ class FitConfig:
     oversample: int = 8
     stop_snr: float = 4.0
 
+    def __post_init__(self) -> None:
+        for name in ("max_harmonics", "oversample"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 < self.stop_snr < math.inf:
+            raise ValueError(f"stop_snr must be finite and positive, got {self.stop_snr}")
+
 
 @dataclass(frozen=True)
 class Config:

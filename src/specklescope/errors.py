@@ -17,7 +17,6 @@ __all__ = [
     "DegeneratePixelError",
     "FitError",
     "EmptyEvidenceError",
-    "BoundsError",
     "ConfigError",
     "FormatError",
 ]
@@ -57,10 +56,6 @@ class FitError(SpeckleScopeError, RuntimeError):
 
 class EmptyEvidenceError(SpeckleScopeError, ValueError):
     """Reconstruction attempted with no Present frequencies."""
-
-
-class BoundsError(SpeckleScopeError, ValueError):
-    """Problem size exceeds the hard limits of the exhaustive oracle."""
 
 
 class ConfigError(SpeckleScopeError, ValueError):

@@ -3,11 +3,10 @@
 Given a tri-state evidence table (Present / Absent / Unknown per integer
 pair distance), enumerate the integer source configurations whose
 pairwise distance set contains every Present frequency and avoids every
-Absent one.  Two independent routes exist: search() explains Present
-distances recursively and then pads with Unknown-compatible extras, while
-oracle_search() brute-forces every subset of lattice sites.  They must
-agree wherever the oracle's hard limits allow it to run; keeping both is
-deliberate.
+Absent one.  search() explains Present distances recursively and then
+pads with Unknown-compatible extras; the tests hold a brute-force twin
+that enumerates every subset of lattice sites, and the two must agree
+wherever the twin's hard limits allow it to run.
 
 disambiguate() ranks surviving candidates by comparing measured relative
 amplitudes against each candidate's exact prediction, and
@@ -20,10 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .correlation import ModulationSpectrum, predicted_spectrum
-from .errors import BoundsError, EmptyEvidenceError, OrderError
+from .errors import EmptyEvidenceError, OrderError
 from .geometry import SourceGeometry, canonical
 from .spectrum import EvidenceTable
 
@@ -33,13 +31,9 @@ __all__ = [
     "CandidateSet",
     "ApertureReport",
     "search",
-    "oracle_search",
     "disambiguate",
     "aperture_report",
 ]
-
-_ORACLE_MAX_SPAN = 12
-_ORACLE_MAX_SOURCES = 6
 
 
 @dataclass(frozen=True)
@@ -257,54 +251,6 @@ def search(evidence: EvidenceTable, bounds: SearchBounds | None = None) -> Candi
         present, absent, spans, bounds.max_sources
     )
     return _package(found, evidence, exhaustive)
-
-
-def oracle_search(
-    evidence: EvidenceTable, bounds: SearchBounds | None = None
-) -> CandidateSet:
-    """Reference enumeration over every subset of lattice sites.
-
-    Deliberately brute force and kept independent of search(); refuses
-    problems past its hard limits (span 12, 6 sources) instead of
-    guessing.
-    """
-    bounds = bounds or SearchBounds()
-    if bounds.max_sources > _ORACLE_MAX_SOURCES:
-        raise BoundsError(
-            f"oracle handles at most {_ORACLE_MAX_SOURCES} sources, "
-            f"got bound {bounds.max_sources}"
-        )
-    present = frozenset(evidence.present())
-    absent = frozenset(evidence.absent())
-    spans, truncated = _span_candidates(evidence, bounds)
-    if any(s > _ORACLE_MAX_SPAN for s in spans):
-        raise BoundsError(
-            f"oracle handles spans up to {_ORACLE_MAX_SPAN}, got {max(spans)}"
-        )
-
-    found: set[frozenset[int]] = set()
-    for span in spans:
-        for points, diffs in _site_subsets(span, bounds.max_sources):
-            if present <= diffs and not (diffs & absent):
-                found.add(points)
-
-    exhaustive = not truncated and not _cap_extension_exists(
-        present, absent, spans, bounds.max_sources
-    )
-    return _package(found, evidence, exhaustive)
-
-
-@lru_cache(maxsize=64)
-def _site_subsets(
-    span: int, max_sources: int
-) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
-    """All point sets {0, ..., span} with their difference sets, cached."""
-    out = []
-    for k in range(0, max_sources - 1):
-        for interior in itertools.combinations(range(1, span), k):
-            points = frozenset((0, span, *interior))
-            out.append((points, _diffs(points)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

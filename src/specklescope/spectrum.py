@@ -51,6 +51,9 @@ _MERGE_RADIUS = 1.2
 # second of the estimator's 200.
 _REPLICA_ROWS = 96
 
+# (cos(f delta), sin(f delta)) for each line of a free-fit parameter vector
+_Trig = list[tuple[np.ndarray, np.ndarray]]
+
 
 @dataclass(frozen=True)
 class GatePolicy:
@@ -188,22 +191,34 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectr
     return _spectrum(curve, "fixed", a0, sigma_a0, harmonics, design @ coef)
 
 
-def _periodogram(
-    delta: np.ndarray, resid: np.ndarray, w: np.ndarray, f_grid: np.ndarray
-) -> np.ndarray:
+def _phase_table(delta: np.ndarray, f_grid: np.ndarray) -> np.ndarray:
+    """exp(-i f delta) for every grid frequency (rows) and sample (columns)."""
+    return np.exp(-1j * f_grid[:, None] * delta[None, :])
+
+
+def _periodogram(phases: np.ndarray, resid: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted rectangular-window amplitude estimates on a frequency grid."""
     weights = w**2
     wsum = weights.sum()
-    phases = np.exp(-1j * f_grid[:, None] * delta[None, :])
     return 2.0 * np.abs(phases @ (weights * resid)) / wsum
 
 
-def _cosine_model(p: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Offset plus k cosine/sine pairs; p = [A0, a_1, b_1, f_1, ...]."""
-    out = np.full(delta.shape, p[0])
+def _line_trig(p: np.ndarray, delta: np.ndarray) -> _Trig:
+    """cos and sin of f delta for each line of p = [A0, a_1, b_1, f_1, ...]."""
+    out = []
     for i in range((p.size - 1) // 3):
-        a, b, f = p[1 + 3 * i], p[2 + 3 * i], p[3 + 3 * i]
-        out += a * np.cos(f * delta) + b * np.sin(f * delta)
+        f_delta = p[3 + 3 * i] * delta
+        out.append((np.cos(f_delta), np.sin(f_delta)))
+    return out
+
+
+def _cosine_model(p: np.ndarray, delta: np.ndarray, trig: _Trig | None = None) -> np.ndarray:
+    """Offset plus k cosine/sine pairs; p = [A0, a_1, b_1, f_1, ...]."""
+    if trig is None:
+        trig = _line_trig(p, delta)
+    out = np.full(delta.shape, p[0])
+    for i, (cos_fd, sin_fd) in enumerate(trig):
+        out += p[1 + 3 * i] * cos_fd + p[2 + 3 * i] * sin_fd
     return out
 
 
@@ -217,14 +232,16 @@ def _param_bounds(k: int, f_nyquist: float) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _jacobian(p: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _jacobian(
+    p: np.ndarray, delta: np.ndarray, w: np.ndarray, trig: _Trig | None = None
+) -> np.ndarray:
     """Weighted derivative of the offset-plus-cosines model at p."""
+    if trig is None:
+        trig = _line_trig(p, delta)
     jac = np.empty((delta.size, p.size))
     jac[:, 0] = 1.0
-    for i in range((p.size - 1) // 3):
-        a, b, f = p[1 + 3 * i], p[2 + 3 * i], p[3 + 3 * i]
-        cos_fd = np.cos(f * delta)
-        sin_fd = np.sin(f * delta)
+    for i, (cos_fd, sin_fd) in enumerate(trig):
+        a, b = p[1 + 3 * i], p[2 + 3 * i]
         jac[:, 1 + 3 * i] = cos_fd
         jac[:, 2 + 3 * i] = sin_fd
         jac[:, 3 + 3 * i] = (-a * sin_fd + b * cos_fd) * delta
@@ -243,13 +260,24 @@ def _solve_bounded(
     # imported here: it is most of the package's import time, and only fits need it
     from scipy.optimize import least_squares
 
+    # TRF takes the Jacobian at the last point whose residual it took, so
+    # one memo of that point's cos/sin serves both
+    memo: dict[bytes, _Trig] = {}
+
+    def trig(p: np.ndarray) -> _Trig:
+        key = p.tobytes()
+        if key not in memo:
+            memo.clear()
+            memo[key] = _line_trig(p, delta)
+        return memo[key]
+
     def residual(p: np.ndarray) -> np.ndarray:
-        return (_cosine_model(p, delta) - y) * w
+        return (_cosine_model(p, delta, trig(p)) - y) * w
 
     return least_squares(
         residual,
         x0,
-        jac=lambda p: _jacobian(p, delta, w),
+        jac=lambda p: _jacobian(p, delta, w, trig(p)),
         bounds=(lo, hi),
         method="trf",
         max_nfev=400 * x0.size,
@@ -395,6 +423,7 @@ def fit_free(
     f_grid = np.arange(0.5, f_nyquist, df)
     if f_grid.size < 4:
         raise FitError("scan too short to resolve any frequency")
+    phases = _phase_table(delta, f_grid)
 
     a0 = float(np.average(y, weights=w**2))
     floor_abs = _amplitude_floor(a0)
@@ -404,7 +433,7 @@ def fit_free(
     freqs: list[float] = []
     masked = np.zeros(f_grid.size, dtype=bool)
     while len(freqs) < max_harmonics:
-        amps = _periodogram(delta, resid, w, f_grid)
+        amps = _periodogram(phases, resid, w)
         robust_floor = 1.4826 * float(np.median(amps))
         threshold = max(stop_snr * robust_floor, floor_abs)
         # a peak within the merge radius of a fitted line would merge

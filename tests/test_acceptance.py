@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import evidence_for, magic_curve
+from search_oracle import oracle_search
 from specklescope import (
     DetectorArray,
     EvidenceTable,
@@ -28,7 +29,6 @@ from specklescope import (
     g_m_analytic,
     gate,
     nearest_magic_pixels,
-    oracle_search,
     permanent,
     predicted_spectrum,
     sample_frames,

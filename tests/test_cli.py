@@ -213,6 +213,57 @@ def test_aperture_table(tmp_path, capsys):
     assert float(rows[2]["r_total"]) == pytest.approx(2 / 3)
 
 
+def test_aperture_creates_missing_directories(tmp_path):
+    path = tmp_path / "nope" / "dir" / "ap.csv"
+    assert main(["aperture", "--orders", "3..5", "--out", str(path)]) == 0
+    with open(path, newline="") as handle:
+        assert [r["m"] for r in csv.DictReader(handle)] == ["3", "4", "5"]
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+# runs one command in a fresh interpreter, then lists the scipy modules it loaded
+SCIPY_PROBE = """\
+import sys
+from specklescope.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def fresh_interpreter_env():
+    """The environment for a child Python that imports this checkout's package."""
+    src = str(Path(specklescope.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def scipy_modules_loaded(*argv):
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        capture_output=True, text=True, env=fresh_interpreter_env(),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_only_analyze_loads_scipy(tmp_path):
+    # scipy.optimize takes about half a second to import; only the free fit needs it
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("frames = 1000", "frames = 200"))
+    out = str(tmp_path / "out")
+    assert scipy_modules_loaded() == "[]"
+    assert scipy_modules_loaded("simulate", "--config", str(cfg), "--out", out) == "[]"
+    assert main(["analyze", "--config", str(cfg), "--out", out]) == 0
+    for argv in (["reconstruct", "--config", str(cfg), "--out", out],
+                 ["report", "--out", out],
+                 ["aperture", "--orders", "3..5", "--out", str(tmp_path / "ap.csv")]):
+        assert scipy_modules_loaded(*argv) == "[]", argv[0]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -230,6 +281,13 @@ def test_config_errors_exit_2(tmp_path):
         bad.write_text(f"[simulate]\n{text}\n")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, text
     assert not (tmp_path / "o").exists()
+    write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
+    for text in ("max_harmonics = 0", "max_harmonics = -2", "oversample = 0",
+                 "stop_snr = -1", "stop_snr = 1e999"):
+        bad.write_text(f"[fit]\n{text}\n")
+        assert main(["analyze", "--config", str(bad), "--orders", "3",
+                     "--out", str(tmp_path)]) == 2, text
+    assert not (tmp_path / "spectra.json").exists()
     assert main(["analyze", "--orders", "3,3", "--out", str(tmp_path)]) == 2
     assert main(["aperture", "--orders", "1..3"]) == 2
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
@@ -299,11 +357,9 @@ def test_malformed_artifacts_exit_2_without_traceback(run_dir, tmp_path, case):
     artifact = out / name
     artifact.write_bytes(corrupt(artifact.read_bytes()))
     # a fresh interpreter, so a traceback would show
-    src = str(Path(specklescope.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "specklescope.cli", command, "--out", str(out)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=fresh_interpreter_env(),
     )
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr

@@ -92,6 +92,12 @@ def test_optional_keys_accept_none():
         "[simulate]\norders = []\n",
         "[simulate]\norders = [3, 3]\n",
         "[simulate]\norders = [1, 3]\n",
+        "[fit]\nmax_harmonics = 0\n",
+        "[fit]\nmax_harmonics = -2\n",
+        "[fit]\noversample = 0\n",
+        "[fit]\nstop_snr = 0.0\n",
+        "[fit]\nstop_snr = -1\n",
+        "[fit]\nstop_snr = 1e999\n",  # infinity
     ],
 )
 def test_bad_configs_are_rejected(text):

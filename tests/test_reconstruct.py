@@ -7,8 +7,8 @@ from dataclasses import replace
 import pytest
 
 from conftest import evidence_for
+from search_oracle import BoundsError, oracle_search
 from specklescope import (
-    BoundsError,
     Candidate,
     CandidateSet,
     EmptyEvidenceError,
@@ -21,7 +21,6 @@ from specklescope import (
     aperture_report,
     canonical,
     disambiguate,
-    oracle_search,
     predicted_spectrum,
     reconstruct,
     search,
