@@ -1,10 +1,10 @@
 """Command-line pipeline: simulate, analyze, reconstruct, aperture, report.
 
-Exit codes: 0 success, 2 config, usage or malformed-artifact error,
-3 empty evidence, 4 fit failure.  All artifacts land in the --out
-directory; manifest.json snapshots the effective config so a run can be
-reproduced exactly, and a bare analyze or reconstruct runs on the config it
-records.
+Exit codes: 0 success, 2 config, usage, malformed-artifact or unwritable
+output path error, 3 empty evidence, 4 fit failure.  All artifacts land in
+the --out directory; manifest.json snapshots the effective config so a run
+can be reproduced exactly, and a bare analyze or reconstruct runs on the
+config it records.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from pathlib import Path
 
 from . import __version__, serialize
 from .config import Config, RunManifest, load_config, parse_config
-from .errors import ConfigError, EmptyEvidenceError, FitError, FormatError, SpeckleScopeError
+from .errors import (
+    ConfigError, EmptyEvidenceError, FitError, FormatError, OutputError, SpeckleScopeError,
+)
 from .reconstruct import CandidateSet, aperture_report, disambiguate, search
 from .speckle import SpeckleRun, estimate_g_m, nearest_magic_pixels, sample_frames, uniform_grid
 from .spectrum import aggregate, fit_free, gate
@@ -62,10 +64,16 @@ def _load_config_arg(args: argparse.Namespace, run_manifest: bool = False) -> Co
     return replace(config, simulate=sim)
 
 
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create directory {path}: {exc.strerror or exc}") from exc
+    return path
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _make_dir(Path(args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +114,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         serialize.write_frames(stack, frames_path)
         outputs["frames"] = frames_path.name
 
-    for m in sim.orders:
-        pixels, placement_error = nearest_magic_pixels(stack.delta_axis, m)
-        curve = estimate_g_m(stack, pixels)
+    placements = [nearest_magic_pixels(stack.delta_axis, m) for m in sim.orders]
+    curves = estimate_g_m(stack, [pixels for pixels, _ in placements])
+    for m, (pixels, placement_error), curve in zip(sim.orders, placements, curves):
         path = out / f"{_CURVE_PREFIX}{m}.csv"
         serialize.write_curve_csv(curve, path)
         outputs[f"curve_m{m}"] = path.name
@@ -261,7 +269,7 @@ def cmd_aperture(args: argparse.Namespace) -> int:
     rows = [serialize.aperture_to_dict(r) for r in reports]
     if args.out:
         path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(path.parent)
         if args.format == "json":
             serialize.write_json(path, {"apertures": rows})
         else:

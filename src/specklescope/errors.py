@@ -19,6 +19,7 @@ __all__ = [
     "EmptyEvidenceError",
     "ConfigError",
     "FormatError",
+    "OutputError",
 ]
 
 
@@ -64,3 +65,7 @@ class ConfigError(SpeckleScopeError, ValueError):
 
 class FormatError(SpeckleScopeError, ValueError):
     """A run artifact on disk is truncated or malformed."""
+
+
+class OutputError(SpeckleScopeError):
+    """An output file or directory cannot be created or written."""

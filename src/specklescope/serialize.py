@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .correlation import CorrelationCurve, Harmonic, ModulationSpectrum
-from .errors import FormatError
+from .errors import FormatError, OutputError
 from .geometry import SourceGeometry
 from .reconstruct import ApertureReport, Candidate, CandidateSet
 from .speckle import FrameStack
@@ -76,18 +76,25 @@ def _ints(values: Any) -> tuple[int, ...]:
 
 
 def atomic_write_bytes(path: str | Path, *chunks: bytes | memoryview | np.ndarray) -> None:
-    """Write the chunks in order so the destination is never seen half-written."""
+    """Write the chunks in order so the destination is never seen half-written.
+
+    A path that cannot be written, such as a directory or one under a
+    regular file, is an OutputError naming it.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -12,7 +12,7 @@ with a block bootstrap supplying per-pixel standard errors.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +32,8 @@ __all__ = [
     "estimate_g_m",
 ]
 
-_CHUNK_FRAMES = 8192
+# frames sampled per chunk: about 1 MB of complex field at 120 pixels
+_CHUNK_FRAMES = 512
 # the block bootstrap resamples at most this many contiguous frame blocks
 _MAX_BLOCKS = 256
 
@@ -118,7 +119,8 @@ class FrameStack:
             raise ValueError("intensities must be a frames x pixels array")
         if axis.shape != (inten.shape[1],):
             raise ValueError("delta_axis length must match the pixel count")
-        if not np.all(np.isfinite(inten)) or np.any(inten < 0):
+        # min/max reject NaN and the infinities without a frame-sized mask
+        if inten.size and not (inten.min() >= 0 and np.isfinite(inten.max())):
             raise ValueError("intensities must be finite and non-negative")
         for name, arr in (("intensities", inten), ("delta_axis", axis)):
             if arr.flags.writeable or not arr.flags.owndata:
@@ -162,7 +164,7 @@ def _draw_amplitudes(run: SpeckleRun, frames: Sequence[int]) -> np.ndarray:
     for i, frame in enumerate(frames):
         state["state"]["counter"][3] = frame
         bitgen.state = state
-        xi[i] = rng.standard_normal((n, 2))
+        rng.standard_normal(out=xi[i])
     return np.sqrt(w / 2.0) * (xi[..., 0] + 1j * xi[..., 1])
 
 
@@ -178,32 +180,58 @@ def frame_amplitudes(run: SpeckleRun, frame: int) -> np.ndarray:
     return _draw_amplitudes(run, [frame])[0]
 
 
+def _frame_chunks(n_frames: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each sampling chunk; none holds a single frame of several.
+
+    A one-row complex product goes through zgemv and rounds differently from
+    the rows of a larger product, so a one-frame tail joins the chunk before.
+    """
+    starts = list(range(0, n_frames, _CHUNK_FRAMES))
+    if len(starts) > 1 and n_frames - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n_frames])
+
+
+def _quantize_in_place(inten: np.ndarray, bits: int) -> None:
+    """Round intensities to ADC counts; the maximum maps to 2^bits - 1."""
+    if not 1 <= bits <= 16:
+        raise ValueError(f"quantization bits must be in 1..16, got {bits}")
+    top = float(inten.max())
+    if top:
+        inten *= float(2**bits - 1) / top
+        np.rint(inten, out=inten)
+    else:
+        inten.fill(0.0)
+
+
 def sample_frames(run: SpeckleRun) -> FrameStack:
     """Simulate the whole acquisition described by `run`.
 
     Draws per-frame source amplitudes, propagates them to the camera
-    grid, and applies quantization if the run requests it.
+    grid, and applies quantization if the run requests it.  Each chunk
+    of frames is squared straight into the stack, so nothing frame-sized
+    is held beside it.
     """
-    amps = _draw_amplitudes(run, range(run.frames))
     alpha = np.asarray(phase_prefactors(run.geometry), dtype=float)
     field_matrix = np.exp(1j * alpha[:, None] * run.delta_axis[None, :])  # (n, P)
 
     intensities = np.empty((run.frames, run.delta_axis.size))
-    for start in range(0, run.frames, _CHUNK_FRAMES):
-        stop = min(start + _CHUNK_FRAMES, run.frames)
-        fields = amps[start:stop] @ field_matrix
-        intensities[start:stop] = fields.real**2 + fields.imag**2
+    for start, stop in _frame_chunks(run.frames):
+        fields = _draw_amplitudes(run, range(start, stop)) @ field_matrix
+        rows = intensities[start:stop]
+        np.square(fields.real, out=rows)
+        rows += np.square(fields.imag)
+    if run.quantization_bits is not None:
+        _quantize_in_place(intensities, run.quantization_bits)
     intensities.flags.writeable = False  # the stack adopts it
 
-    stack = FrameStack(
+    return FrameStack(
         intensities=intensities,
         delta_axis=run.delta_axis,
         n_sources=run.geometry.n_sources,
         seed=run.seed,
+        bits=run.quantization_bits,
     )
-    if run.quantization_bits is not None:
-        stack = quantize(stack, run.quantization_bits)
-    return stack
 
 
 def quantize(stack: FrameStack, bits: int) -> FrameStack:
@@ -213,12 +241,8 @@ def quantize(stack: FrameStack, bits: int) -> FrameStack:
     as float counts.  Idempotent: quantizing an already quantized stack
     at the same depth returns identical counts.
     """
-    if not 1 <= bits <= 16:
-        raise ValueError(f"quantization bits must be in 1..16, got {bits}")
-    top = float(stack.intensities.max())
-    levels = float(2**bits - 1)
-    counts = stack.intensities * (levels / top) if top else np.zeros_like(stack.intensities)
-    np.rint(counts, out=counts)
+    counts = np.array(stack.intensities)
+    _quantize_in_place(counts, bits)
     counts.flags.writeable = False  # the new stack adopts it
     return FrameStack(
         intensities=counts,
@@ -266,11 +290,13 @@ def nearest_magic_pixels(
 
 def estimate_g_m(
     stack: FrameStack,
-    fixed_pixels: tuple[int, ...],
+    fixed_pixel_sets: Sequence[Sequence[int]],
     n_boot: int = 200,
     boot_seed: int | None = None,
-) -> CorrelationCurve:
-    """Estimate the order-(len(fixed_pixels)+1) correlation curve.
+) -> tuple[CorrelationCurve, ...]:
+    """Estimate one correlation curve per set of fixed pixels.
+
+    For a set of m-1 fixed pixels the order-m curve is
 
     value[p] = mean(I_p * prod_j I_fj) / (mean(I_p) * prod_j mean(I_fj))
 
@@ -280,61 +306,67 @@ def estimate_g_m(
     resampled curves ride along as curve.replicas so fitters can propagate
     the (strongly pixel-correlated) estimator noise honestly.  With a
     single frame the estimate is defined but sigma and replicas are None.
+
+    The pixel means, block means and bootstrap counts do not depend on the
+    order, so they are computed once for all sets; each curve is the one
+    its set gets alone, bit for bit, and replica row b is the same frame
+    resample in every curve.
     """
     inten = stack.intensities
     n_frames, n_pixels = inten.shape
-    fixed = tuple(int(p) for p in fixed_pixels)
-    if len(fixed) < 1:
-        raise OrderError("need at least one fixed detector (order >= 2)")
-    for p in fixed:
-        if not 0 <= p < n_pixels:
-            raise ValueError(f"fixed pixel {p} outside 0..{n_pixels - 1}")
-    m = len(fixed) + 1
-
-    fixed_idx = np.asarray(fixed, dtype=int)
+    fixed_sets = [tuple(int(p) for p in pixels) for pixels in fixed_pixel_sets]
+    for fixed in fixed_sets:
+        if len(fixed) < 1:
+            raise OrderError("need at least one fixed detector (order >= 2)")
+        for p in fixed:
+            if not 0 <= p < n_pixels:
+                raise ValueError(f"fixed pixel {p} outside 0..{n_pixels - 1}")
 
     mean_i = inten.mean(axis=0)
     if np.any(mean_i == 0):
         bad = int(np.flatnonzero(mean_i == 0)[0])
         raise DegeneratePixelError(f"pixel {bad} has zero mean intensity")
 
-    fixed_product = inten[:, fixed_idx].prod(axis=1)  # (R,)
-    numerator = fixed_product @ inten / n_frames  # (P,)
-    denominator = mean_i * float(np.prod(mean_i[fixed_idx]))
-    values = numerator / denominator
+    # --- block bootstrap: the blocks and resample counts serve every set ---
+    if n_frames >= 2:
+        edges = np.array_split(np.arange(n_frames), min(_MAX_BLOCKS, n_frames))
+        blocks = [slice(int(idx[0]), int(idx[-1]) + 1) for idx in edges]  # contiguous
+        n_blocks = len(blocks)
+        block_mean_i = np.array([inten[block].mean(axis=0) for block in blocks])
+        if boot_seed is None:
+            seed_seq = np.random.SeedSequence(entropy=(stack.seed, 0xB0075EED))
+        else:
+            seed_seq = np.random.SeedSequence(entropy=(boot_seed, 0xB0075EED))
+        rng = np.random.Generator(np.random.Philox(seed_seq))
+        counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=n_boot)
+        boot_mean_i = counts @ block_mean_i / n_blocks  # (n_boot, P)
 
-    if n_frames < 2:
-        return CorrelationCurve(m=m, delta1=stack.delta_axis, values=values)
+    curves = []
+    for fixed in fixed_sets:
+        m = len(fixed) + 1
+        fixed_idx = np.asarray(fixed, dtype=int)
+        fixed_product = inten[:, fixed_idx].prod(axis=1)  # (R,)
+        numerator = fixed_product @ inten / n_frames  # (P,)
+        values = numerator / (mean_i * float(np.prod(mean_i[fixed_idx])))
+        if n_frames < 2:
+            curves.append(CorrelationCurve(m=m, delta1=stack.delta_axis, values=values))
+            continue
 
-    # --- block bootstrap ---------------------------------------------------
-    n_blocks = min(_MAX_BLOCKS, n_frames)
-    edges = np.array_split(np.arange(n_frames), n_blocks)
-    block_num = np.empty((n_blocks, n_pixels))
-    block_mean_i = np.empty((n_blocks, n_pixels))
-    for b, idx in enumerate(edges):
-        block_num[b] = fixed_product[idx] @ inten[idx] / idx.size
-        block_mean_i[b] = inten[idx].mean(axis=0)
-
-    if boot_seed is None:
-        seed_seq = np.random.SeedSequence(entropy=(stack.seed, 0xB0075EED))
-    else:
-        seed_seq = np.random.SeedSequence(entropy=(boot_seed, 0xB0075EED))
-    rng = np.random.Generator(np.random.Philox(seed_seq))
-    counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=n_boot)
-
-    boot_num = counts @ block_num / n_blocks  # (n_boot, P)
-    boot_mean_i = counts @ block_mean_i / n_blocks
-    boot_fixed = boot_mean_i[:, fixed_idx].prod(axis=1)  # (n_boot,)
-    boot_den = boot_mean_i * boot_fixed[:, None]
-    if np.any(boot_den == 0):
-        raise DegeneratePixelError("bootstrap resample hit a zero-mean pixel")
-    boot_values = boot_num / boot_den
-    sigma = boot_values.std(axis=0, ddof=1)
-
-    return CorrelationCurve(
-        m=m,
-        delta1=stack.delta_axis,
-        values=values,
-        sigma=sigma,
-        replicas=boot_values,
-    )
+        block_num = np.array([
+            fixed_product[block] @ inten[block] / (block.stop - block.start)
+            for block in blocks
+        ])
+        boot_num = counts @ block_num / n_blocks  # (n_boot, P)
+        boot_fixed = boot_mean_i[:, fixed_idx].prod(axis=1)  # (n_boot,)
+        boot_den = boot_mean_i * boot_fixed[:, None]
+        if np.any(boot_den == 0):
+            raise DegeneratePixelError("bootstrap resample hit a zero-mean pixel")
+        boot_values = boot_num / boot_den
+        curves.append(CorrelationCurve(
+            m=m,
+            delta1=stack.delta_axis,
+            values=values,
+            sigma=boot_values.std(axis=0, ddof=1),
+            replicas=boot_values,
+        ))
+    return tuple(curves)

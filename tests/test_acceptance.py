@@ -129,7 +129,7 @@ def test_3_monte_carlo_tracks_analytic():
     coverages = {}
     for m in (2, 3, 4):
         fixed, _ = nearest_magic_pixels(stack.delta_axis, m)
-        estimated = estimate_g_m(stack, fixed)
+        estimated = estimate_g_m(stack, (fixed,))[0]
         reference = g_m_analytic(
             geometry,
             DetectorArray(m, tuple(stack.delta_axis[list(fixed)]), stack.delta_axis),
@@ -182,7 +182,7 @@ def test_5_sparse_evidence_disambiguation():
             )
             stack = sample_frames(run)
             fixed, _ = nearest_magic_pixels(stack.delta_axis, 5)
-            spectrum = fit_fixed(estimate_g_m(stack, fixed), span_bound=9)
+            spectrum = fit_fixed(estimate_g_m(stack, (fixed,))[0], span_bound=9)
             scored = disambiguate(candidates, [spectrum])
             trials += 1
             wins += scored.candidates[0].geometry.x == truth_x
@@ -207,7 +207,7 @@ def test_6_gated_lines_match_theory_at_low_frames():
         stack = sample_frames(run)
         for m in (3, 4, 5, 6):
             fixed, _ = nearest_magic_pixels(stack.delta_axis, m)
-            raw = fit_free(estimate_g_m(stack, fixed))
+            raw = fit_free(estimate_g_m(stack, (fixed,))[0])
             kept = gate(raw)
             got = tuple(int(f) for f in kept.frequencies)
             want = surviving_frequencies(geometry, m)

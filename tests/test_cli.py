@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import specklescope
 from conftest import magic_curve
-from specklescope import EvidenceTable
+from specklescope import EvidenceTable, cli, uniform_grid
 from specklescope.cli import main
 from specklescope.serialize import evidence_to_dict, write_curve_csv, write_json
 
@@ -291,6 +292,41 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["analyze", "--orders", "3,3", "--out", str(tmp_path)]) == 2
     assert main(["aperture", "--orders", "1..3"]) == 2
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
+
+
+def test_unwritable_output_paths_exit_2_and_name_the_path(tmp_path):
+    directory = tmp_path / "D"
+    directory.mkdir()
+    regular = tmp_path / "F"
+    regular.write_text("")
+    cases = [  # argv, and the path the error must name
+        (["aperture", "--orders", "3..4", "--out", str(directory)], directory),
+        (["simulate", "--frames", "10", "--out", str(regular / "run")], regular / "run"),
+        (["aperture", "--orders", "3..4", "--out", str(regular / "x.csv")], regular),
+    ]
+    for argv, named in cases:
+        # a fresh interpreter, so a traceback would show
+        done = subprocess.run(
+            [sys.executable, "-m", "specklescope.cli", *argv],
+            capture_output=True, text=True, env=fresh_interpreter_env(),
+        )
+        assert done.returncode == 2, (argv, done.stderr)
+        assert "Traceback" not in done.stderr
+        assert str(named) in done.stderr, argv
+    assert regular.read_text() == "" and not any(directory.iterdir())
+
+
+def test_estimator_errors_exit_2(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.ini"
+    # one-bit counts of two frames leave pixels that never light up
+    cfg.write_text("[geometry]\nx = [1, 3]\n\n[simulate]\nframes = 2\nbits = 1\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "dead")]) == 2
+    assert "zero mean intensity" in capsys.readouterr().err
+    # a grid over half the period cannot hold the order-3 magic offset at pi
+    monkeypatch.setattr(cli, "uniform_grid", lambda pixels: uniform_grid(pixels, hi=math.pi))
+    assert main(["simulate", "--frames", "10", "--orders", "3",
+                 "--out", str(tmp_path / "half")]) == 2
+    assert "outside the grid" in capsys.readouterr().err
 
 
 def _drop_first_row_f(evidence):

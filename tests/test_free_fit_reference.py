@@ -79,7 +79,7 @@ def bootstrapped_curves():
         SpeckleRun(geometry=SourceGeometry((3, 1, 4)), frames=1000, seed=1,
                    delta_axis=uniform_grid(120))
     )
-    return {m: estimate_g_m(stack, nearest_magic_pixels(stack.delta_axis, m)[0])
+    return {m: estimate_g_m(stack, (nearest_magic_pixels(stack.delta_axis, m)[0],))[0]
             for m in (3, 4, 5, 6)}
 
 

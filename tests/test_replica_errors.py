@@ -145,7 +145,7 @@ def check_acquisition(x, frames, monkeypatch):
     problems, ratios = [], []
     for m in (3, 4, 5, 6):
         fixed, _ = nearest_magic_pixels(stack.delta_axis, m)
-        projected, reference = paired_spectra(estimate_g_m(stack, fixed), monkeypatch)
+        projected, reference = paired_spectra(estimate_g_m(stack, (fixed,))[0], monkeypatch)
         cell_problems, cell_ratios = compare(f"x={x} m={m}", projected, reference)
         problems += cell_problems
         ratios += cell_ratios

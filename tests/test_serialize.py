@@ -54,7 +54,7 @@ def stack():
 
 
 def test_curve_csv_round_trip_is_exact(tmp_path, stack):
-    curve = estimate_g_m(stack, (0,), n_boot=16)
+    curve = estimate_g_m(stack, ((0,),), n_boot=16)[0]
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
     back = read_curve_csv(path, m=2)
@@ -98,7 +98,7 @@ def test_curve_csv_rejects_foreign_files(tmp_path):
 
 
 def test_replicas_round_trip_is_exact(tmp_path, stack):
-    curve = estimate_g_m(stack, (0,), n_boot=16)
+    curve = estimate_g_m(stack, ((0,),), n_boot=16)[0]
     path = tmp_path / "replicas.npy"
     write_replicas(curve.replicas, path)
     bare = replace(curve, replicas=None)

@@ -1,12 +1,14 @@
 """Speckle Monte Carlo: thermal statistics, estimator honesty, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from specklescope import (
+    CorrelationCurve,
     DegeneratePixelError,
     DetectorArray,
     FrameStack,
@@ -22,6 +24,7 @@ from specklescope import (
     sample_frames,
     uniform_grid,
 )
+from specklescope import speckle
 
 
 def small_run(**overrides):
@@ -99,6 +102,21 @@ def test_frame_stack_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+def test_frame_stack_rejects_non_finite_and_negative_samples(bad):
+    inten = np.ones((3, 4))
+    inten[1, 2] = bad
+    with pytest.raises(ValueError):
+        handmade_stack(inten)
+
+
+def test_frame_stack_accepts_negative_zero_and_no_frames():
+    inten = np.ones((2, 3))
+    inten[0, 0] = -0.0
+    assert np.signbit(handmade_stack(inten).intensities[0, 0])
+    assert handmade_stack(np.empty((0, 3))).n_frames == 0
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -132,6 +150,37 @@ def test_single_frame_regenerates_in_isolation():
         frame_amplitudes(run, -1)
     with pytest.raises(ValueError):
         frame_amplitudes(run, 50)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7, 100_000])
+@pytest.mark.parametrize("frames", [1, 2, 15, 22, 1025])
+def test_sampled_bytes_do_not_depend_on_the_chunk_size(monkeypatch, frames, chunk):
+    # 15 and 22 frames leave one-frame tails at chunks of 2, 3 or 7, and
+    # 1025 does at the default chunk; such a tail must join the chunk before
+    run = small_run(frames=frames)
+    reference = sample_frames(run).intensities.tobytes()
+    monkeypatch.setattr(speckle, "_CHUNK_FRAMES", chunk)
+    assert sample_frames(run).intensities.tobytes() == reference
+
+
+# the 20000 x 240 stack is 36.6 MiB; the sampler may hold 6 MiB beside it:
+# two 512-frame complex chunks (3.75 MiB, the last freed once the next is
+# made) and one squared part (0.94 MiB)
+_SAMPLING_MARGIN = 6 * 2**20
+
+
+@pytest.mark.parametrize("bits", [None, 12])
+def test_sampling_holds_little_beside_the_stack(bits):
+    run = SpeckleRun(SourceGeometry((3, 1, 4)), frames=20000, seed=1,
+                     delta_axis=uniform_grid(240), quantization_bits=bits)
+    tracemalloc.start()
+    try:
+        stack = sample_frames(run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.bits == bits
+    assert peak < stack.intensities.nbytes + _SAMPLING_MARGIN
 
 
 def test_weights_rescale_frames_exactly():
@@ -170,7 +219,7 @@ def test_estimates_track_analytic_curve(two_gap_stack, m):
     axis = two_gap_stack.delta_axis
     fixed, err = nearest_magic_pixels(axis, m)
     assert err < 1e-9
-    est = estimate_g_m(two_gap_stack, fixed)
+    est = estimate_g_m(two_gap_stack, (fixed,))[0]
     ref = g_m_analytic(
         SourceGeometry((1, 3)),
         DetectorArray(m, tuple(axis[list(fixed)]), axis),
@@ -188,7 +237,7 @@ def test_estimator_formula_by_hand():
         ]
     )
     stack = handmade_stack(inten)
-    curve = estimate_g_m(stack, (1, 1))  # coincident fixed detectors
+    curve = estimate_g_m(stack, ((1, 1),))[0]  # coincident fixed detectors
     fp = inten[:, 1] * inten[:, 1]
     expected = (fp @ inten / 3) / (inten.mean(axis=0) * inten[:, 1].mean() ** 2)
     np.testing.assert_allclose(curve.values, expected, rtol=1e-12)
@@ -203,8 +252,8 @@ def test_rescaled_intensities_give_identical_estimates():
         n_sources=stack.n_sources,
         seed=stack.seed,
     )
-    a = estimate_g_m(stack, (0, 6), n_boot=32)
-    b = estimate_g_m(scaled, (0, 6), n_boot=32)
+    a = estimate_g_m(stack, ((0, 6),), n_boot=32)[0]
+    b = estimate_g_m(scaled, ((0, 6),), n_boot=32)[0]
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.sigma, b.sigma)
 
@@ -212,39 +261,95 @@ def test_rescaled_intensities_give_identical_estimates():
 def test_estimator_input_checks():
     stack = sample_frames(small_run())
     with pytest.raises(OrderError):
-        estimate_g_m(stack, ())
+        estimate_g_m(stack, ((),))
     with pytest.raises(ValueError):
-        estimate_g_m(stack, (24,))
+        estimate_g_m(stack, ((24,),))
     with pytest.raises(ValueError):
-        estimate_g_m(stack, (-1,))
+        estimate_g_m(stack, ((-1,),))
 
 
 def test_single_frame_has_no_error_bars():
     stack = sample_frames(small_run(frames=1))
-    curve = estimate_g_m(stack, (0,))
+    curve = estimate_g_m(stack, ((0,),))[0]
     assert curve.sigma is None
     assert curve.replicas is None
 
 
 def test_bootstrap_replicas_are_reproducible():
     stack = sample_frames(small_run(frames=256))
-    a = estimate_g_m(stack, (0,), n_boot=64, boot_seed=5)
-    b = estimate_g_m(stack, (0,), n_boot=64, boot_seed=5)
+    a = estimate_g_m(stack, ((0,),), n_boot=64, boot_seed=5)[0]
+    b = estimate_g_m(stack, ((0,),), n_boot=64, boot_seed=5)[0]
     assert a.replicas.shape == (64, 24)
     np.testing.assert_array_equal(a.replicas, b.replicas)
-    c = estimate_g_m(stack, (0,), n_boot=64, boot_seed=6)
+    c = estimate_g_m(stack, ((0,),), n_boot=64, boot_seed=6)[0]
     assert not np.array_equal(a.replicas, c.replicas)
     # default boot seed comes from the stack, so repeats still agree
-    d = estimate_g_m(stack, (0,), n_boot=64)
-    e = estimate_g_m(stack, (0,), n_boot=64)
+    d = estimate_g_m(stack, ((0,),), n_boot=64)[0]
+    e = estimate_g_m(stack, ((0,),), n_boot=64)[0]
     np.testing.assert_array_equal(d.replicas, e.replicas)
+
+
+def per_order_estimate(stack, fixed_pixels, n_boot=200, boot_seed=None):
+    """The estimate for one set of fixed pixels, computed apart from every other set."""
+    inten = stack.intensities
+    n_frames, n_pixels = inten.shape
+    fixed = tuple(int(p) for p in fixed_pixels)
+    m = len(fixed) + 1
+    fixed_idx = np.asarray(fixed, dtype=int)
+    mean_i = inten.mean(axis=0)
+    fixed_product = inten[:, fixed_idx].prod(axis=1)
+    numerator = fixed_product @ inten / n_frames
+    denominator = mean_i * float(np.prod(mean_i[fixed_idx]))
+    values = numerator / denominator
+    if n_frames < 2:
+        return CorrelationCurve(m=m, delta1=stack.delta_axis, values=values)
+    n_blocks = min(256, n_frames)
+    edges = np.array_split(np.arange(n_frames), n_blocks)
+    block_num = np.empty((n_blocks, n_pixels))
+    block_mean_i = np.empty((n_blocks, n_pixels))
+    for b, idx in enumerate(edges):
+        block_num[b] = fixed_product[idx] @ inten[idx] / idx.size
+        block_mean_i[b] = inten[idx].mean(axis=0)
+    seed = stack.seed if boot_seed is None else boot_seed
+    seed_seq = np.random.SeedSequence(entropy=(seed, 0xB0075EED))
+    rng = np.random.Generator(np.random.Philox(seed_seq))
+    counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=n_boot)
+    boot_num = counts @ block_num / n_blocks
+    boot_mean_i = counts @ block_mean_i / n_blocks
+    boot_fixed = boot_mean_i[:, fixed_idx].prod(axis=1)
+    boot_values = boot_num / (boot_mean_i * boot_fixed[:, None])
+    return CorrelationCurve(m=m, delta1=stack.delta_axis, values=values,
+                            sigma=boot_values.std(axis=0, ddof=1), replicas=boot_values)
+
+
+# orders 3-6, with coincident fixed detectors in the order-5 and order-6 sets
+ORACLE_PIXEL_SETS = ((0, 12), (0, 8, 16), (3, 3, 9, 20), (0, 6, 6, 12, 18))
+
+
+@pytest.mark.parametrize(
+    "frames, boot_seed",
+    [(1000, None), (1000, 11), (100, None), (1, None)],
+    ids=["blocks-of-3-or-4", "boot-seed", "blocks-of-1", "single-frame"],
+)
+def test_one_call_equals_the_per_order_oracle(frames, boot_seed):
+    stack = sample_frames(small_run(frames=frames))
+    curves = estimate_g_m(stack, ORACLE_PIXEL_SETS, n_boot=64, boot_seed=boot_seed)
+    assert [c.m for c in curves] == [3, 4, 5, 6]
+    for pixels, curve in zip(ORACLE_PIXEL_SETS, curves):
+        expected = per_order_estimate(stack, pixels, n_boot=64, boot_seed=boot_seed)
+        assert curve.values.tobytes() == expected.values.tobytes()
+        if frames == 1:
+            assert curve.sigma is None and curve.replicas is None
+        else:
+            assert curve.sigma.tobytes() == expected.sigma.tobytes()
+            assert curve.replicas.tobytes() == expected.replicas.tobytes()
 
 
 def test_dead_pixel_is_reported():
     inten = np.ones((4, 3))
     inten[:, 2] = 0.0
     with pytest.raises(DegeneratePixelError):
-        estimate_g_m(handmade_stack(inten), (0,))
+        estimate_g_m(handmade_stack(inten), ((0,),))
 
 
 # ---------------------------------------------------------------------------
