@@ -1,15 +1,17 @@
 """Command-line pipeline: simulate, analyze, reconstruct, aperture, report.
 
-Exit codes: 0 success, 2 config, usage, malformed-artifact or unwritable
-output path error, 3 empty evidence, 4 fit failure.  All artifacts land in
-the --out directory; manifest.json snapshots the effective config so a run
-can be reproduced exactly, and a bare analyze or reconstruct runs on the
-config it records.
+Exit codes: 0 success, 1 standard output closed before the command
+finished (a pipe into `head`), 2 config, usage, malformed-artifact or
+unwritable output path error, 3 empty evidence, 4 fit failure.  All
+artifacts land in the --out directory, which only simulate creates;
+manifest.json snapshots the effective config so a run can be reproduced
+exactly, and a bare analyze or reconstruct runs on the config it records.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,12 +23,17 @@ from .errors import (
 )
 from .reconstruct import CandidateSet, aperture_report, disambiguate, search
 from .speckle import SpeckleRun, estimate_g_m, nearest_magic_pixels, sample_frames, uniform_grid
-from .spectrum import aggregate, fit_free, gate
+from .spectrum import aggregate, fit_fixed, gate
+
+# perfbench/spans.py times the per-order fit by wrapping this module's
+# `fit_free`, so analyze calls the comb fit through that name until the
+# benchmark reads a stage trace instead (ROADMAP item 8)
+fit_free = fit_fixed
 
 _CURVE_PREFIX = "curves_m"
 _REPLICA_PREFIX = "replicas_m"
 _FRAMES_NAME = "frames.sstk"
-_TABLE_FIELDS = ("m", "f_fit", "sigma_f", "A", "sigma_A", "accepted")
+_TABLE_FIELDS = ("m", "f", "A", "sigma_A", "a_A0", "sigma_a_A0", "accepted")
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
@@ -72,10 +79,6 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    return _make_dir(Path(args.out))
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -83,7 +86,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
-    out = _out_dir(args)
+    out = _make_dir(Path(args.out))
     sim = config.simulate
     geometry = config.source_geometry()
 
@@ -142,7 +145,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config_arg(args, run_manifest=True)
-    out = _out_dir(args)
+    out = Path(args.out)
     if args.orders or args.config or (out / "manifest.json").exists():
         orders = config.simulate.orders
     else:  # a bare directory: every curve file in it
@@ -162,22 +165,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"warning: order {m}: no {replicas_path.name}; sigmas from the fit "
                   "covariance miss the pixel-correlated estimator noise", file=sys.stderr)
 
-    fit_cfg = config.fit
-    raw, gated, failures = [], [], []
+    span_bound = config.reconstruct.max_span
+    raw, failures = [], []
     for m in sorted(curves):
         try:
-            spectrum = fit_free(
-                curves[m],
-                max_harmonics=fit_cfg.max_harmonics,
-                oversample=fit_cfg.oversample,
-                stop_snr=fit_cfg.stop_snr,
-            )
+            raw.append(fit_free(curves[m], span_bound))
         except FitError as exc:
             failures.append((m, str(exc)))
             print(f"order {m}: fit failed: {exc}", file=sys.stderr)
-            continue
-        raw.append(spectrum)
-        gated.append(gate(spectrum, config.gate))
+    # one family-wise threshold over every comb line the run tested
+    n_tests = sum(span_bound // (s.m - 1) for s in raw)
+    gated = [gate(s, config.gate, n_tests) for s in raw]
 
     evidence = aggregate(gated)
     serialize.write_json(out / "spectra.json", serialize.spectra_to_dict(raw, gated, failures))
@@ -185,24 +183,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     table_rows = []
     for spectrum, gated_spectrum in zip(raw, gated):
-        kept = {round(h.f) for h in gated_spectrum.harmonics}
+        kept = set(gated_spectrum.frequencies)
         for h in spectrum.harmonics:
-            accepted = abs(h.f - round(h.f)) <= 0.5 and round(h.f) in kept
-            cells = (spectrum.m, h.f, h.sigma_f, h.amplitude, h.sigma_a, accepted)
+            cells = (spectrum.m, h.f, h.amplitude, h.sigma_a, h.contrast, h.sigma_contrast,
+                     h.f in kept)
             table_rows.append(dict(zip(_TABLE_FIELDS, cells)))
-        if not spectrum.harmonics:
-            print(f"order {spectrum.m}: no modulation above threshold (A0={spectrum.a0:.3f})")
     if args.format == "json":
         serialize.write_json(out / "table.json", {"rows": table_rows})
     else:
         serialize.write_csv(out / "table.csv", _TABLE_FIELDS, table_rows)
 
+    print(f"gate: {n_tests} comb lines tested, |a/A0| >= "
+          f"{config.gate.threshold(n_tests):.2f} sigma (alpha = {config.gate.alpha:g})")
     for row in table_rows:
         flag = "accepted" if row["accepted"] else "rejected"
         print(
-            f"order {row['m']}: f = {row['f_fit']:.2f} +- {row['sigma_f']:.2f}, "
-            f"A = {row['A']:.3f} +- {row['sigma_A']:.3f}  [{flag}]"
+            f"order {row['m']}: f = {row['f']:g}, A = {row['A']:.3f} +- {row['sigma_A']:.3f}, "
+            f"a/A0 = {row['a_A0']:+.4f} +- {row['sigma_a_A0']:.4f}  [{flag}]"
         )
+    for spectrum in raw:
+        print(f"order {spectrum.m}: A0 = {spectrum.a0:.3f}, strongest off-comb residual "
+              f"peak {spectrum.leakage:.2e}")
     present = evidence.present()
     print(f"evidence: present {list(present)}, absent {list(evidence.absent())}")
     if not present:
@@ -220,7 +221,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     config = _load_config_arg(args, run_manifest=True)
-    out = _out_dir(args)
+    out = Path(args.out)
     evidence_path = out / "evidence.json"
     if not evidence_path.exists():
         raise ConfigError(f"missing {evidence_path}; run analyze first")
@@ -365,7 +366,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head -1`); as the Python docs
+        # recommend, point stdout at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

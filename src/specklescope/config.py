@@ -32,7 +32,6 @@ from .spectrum import GatePolicy
 __all__ = [
     "GeometryConfig",
     "SimulateConfig",
-    "FitConfig",
     "Config",
     "PhysicalScene",
     "RunManifest",
@@ -67,25 +66,10 @@ class SimulateConfig:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    max_harmonics: int = 6
-    oversample: int = 8
-    stop_snr: float = 4.0
-
-    def __post_init__(self) -> None:
-        for name in ("max_harmonics", "oversample"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0 < self.stop_snr < math.inf:
-            raise ValueError(f"stop_snr must be finite and positive, got {self.stop_snr}")
-
-
-@dataclass(frozen=True)
 class Config:
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     gate: GatePolicy = field(default_factory=GatePolicy)
-    fit: FitConfig = field(default_factory=FitConfig)
     reconstruct: SearchBounds = field(default_factory=SearchBounds)
 
     def source_geometry(self) -> SourceGeometry:
@@ -94,13 +78,10 @@ class Config:
 
 # INI section -> its dataclass, in emission order
 _SECTIONS: dict[str, type] = {f.name: f.default_factory for f in fields(Config)}
-# INI keys spelled differently from their dataclass attribute
-_INI_KEYS = {"k_a": "k_A"}
-# INI section -> INI key -> (attribute, annotation such as "tuple[int, ...] | None");
-# the section modules postpone annotations, so each field's type is that text
-_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
-    section: {_INI_KEYS.get(f.name, f.name): (f.name, f.type) for f in fields(cls)}
-    for section, cls in _SECTIONS.items()
+# INI section -> key -> annotation such as "tuple[int, ...] | None"; the
+# section modules postpone annotations, so each field's type is that text
+_SCHEMA: dict[str, dict[str, str]] = {
+    section: {f.name: f.type for f in fields(cls)} for section, cls in _SECTIONS.items()
 }
 
 
@@ -131,7 +112,7 @@ def _coerce(section: str, key: str, value: Any, spec: str) -> Any:
 def parse_config(text: str) -> Config:
     """Parse config text, filling defaults and rejecting unknown keys."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keep key case (k_A)
+    parser.optionxform = str  # keys are case-sensitive
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -141,7 +122,8 @@ def parse_config(text: str) -> Config:
     overrides: dict[str, dict[str, Any]] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
-            problems.append(f"unknown section [{section}]")
+            keys = ", ".join(parser.options(section))
+            problems.append(f"unknown section [{section}]" + (f" (keys {keys})" if keys else ""))
             continue
         schema = _SCHEMA[section]
         for key, raw in parser.items(section):
@@ -153,9 +135,8 @@ def parse_config(text: str) -> Config:
             except (ValueError, SyntaxError) as exc:
                 problems.append(f"[{section}] {key}: not a literal ({raw!r})")
                 continue
-            attr, spec = schema[key]
             try:
-                overrides.setdefault(section, {})[attr] = _coerce(section, key, value, spec)
+                overrides.setdefault(section, {})[key] = _coerce(section, key, value, schema[key])
             except ConfigError as exc:
                 problems.append(str(exc))
     if problems:
@@ -195,8 +176,8 @@ def emit_config(config: Config) -> str:
     for section, schema in _SCHEMA.items():
         lines.append(f"[{section}]")
         part = getattr(config, section)
-        for key, (attr, _spec) in schema.items():
-            lines.append(f"{key} = {_literal(getattr(part, attr))}")
+        for key in schema:
+            lines.append(f"{key} = {_literal(getattr(part, key))}")
         lines.append("")
     return "\n".join(lines)
 

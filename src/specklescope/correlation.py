@@ -298,27 +298,34 @@ def surviving_frequencies(geometry: SourceGeometry, m: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Harmonic:
-    """One cosine component of a correlation curve.
+    """One cosine component a cos(f delta) + b sin(f delta) of a correlation curve.
 
     kappa counts multiples of the filter fundamental; f is the spatial
-    frequency in lattice units (f = kappa*(m-1) for filtered curves,
-    fitted freely otherwise).
+    frequency in lattice units (f = kappa*(m-1) for filtered curves).
+    amplitude is hypot(a, b).  A fitted line also carries its contrast
+    a/A0 and the null channel b/A0 relative to the curve's offset A0,
+    each with its error.
     """
 
     kappa: int
     f: float
     amplitude: float
     sigma_a: float = 0.0
-    sigma_f: float = 0.0
+    contrast: float = 0.0
+    sigma_contrast: float = 0.0
+    quadrature: float = 0.0
+    sigma_quadrature: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kappa < 1:
             raise ValueError(f"harmonic index must be >= 1, got {self.kappa}")
-        if not all(map(math.isfinite, (self.f, self.amplitude, self.sigma_a, self.sigma_f))):
+        sigmas = (self.sigma_a, self.sigma_contrast, self.sigma_quadrature)
+        if not all(map(math.isfinite, (self.f, self.amplitude, self.contrast, self.quadrature,
+                                       *sigmas))):
             raise ValueError("harmonic contains non-finite fields")
         if not self.f > 0:
             raise ValueError(f"harmonic frequency must be positive, got {self.f}")
-        if self.amplitude < 0 or self.sigma_a < 0 or self.sigma_f < 0:
+        if self.amplitude < 0 or min(sigmas) < 0:
             raise ValueError("amplitude and uncertainties must be non-negative")
 
 
@@ -327,9 +334,11 @@ class ModulationSpectrum:
     """Offset plus cosine amplitudes describing one correlation curve.
 
     kind records how the numbers were obtained: "analytic" (exact DFT of
-    a noiseless curve), "fixed" (least squares on the filtered comb),
-    "free" (frequencies fitted as well), or "reference" (regular-array
-    fixed-at-zero configuration, where f = kappa instead of kappa*(m-1)).
+    a noiseless curve), "fixed" (least squares on the filtered comb), or
+    "reference" (regular-array fixed-at-zero configuration, where
+    f = kappa instead of kappa*(m-1)).  leakage is the largest amplitude
+    away from the reported lines: of the DFT for "analytic" and
+    "reference", of the fit residual's periodogram for "fixed".
     """
 
     m: int
@@ -343,7 +352,7 @@ class ModulationSpectrum:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise OrderError(f"correlation order must be at least 2, got {self.m}")
-        if self.kind not in ("analytic", "fixed", "free", "reference"):
+        if self.kind not in ("analytic", "fixed", "reference"):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
         numbers = [self.a0, self.sigma_a0, self.residual_rms]

@@ -176,7 +176,10 @@ _HARMONIC = {
     "f": ("f", float),
     "A": ("amplitude", float),
     "sigma_A": ("sigma_a", float),
-    "sigma_f": ("sigma_f", float),
+    "a_A0": ("contrast", float),
+    "sigma_a_A0": ("sigma_contrast", float),
+    "b_A0": ("quadrature", float),
+    "sigma_b_A0": ("sigma_quadrature", float),
 }
 _SPECTRUM = {
     "m": ("m", int),
@@ -218,7 +221,7 @@ def spectrum_from_dict(data: dict[str, Any]) -> ModulationSpectrum:
 
 def spectra_to_dict(fits: list[ModulationSpectrum], gated: list[ModulationSpectrum],
                     failures: list[tuple[int, str]]) -> dict[str, Any]:
-    """spectra.json: the free fits, their gated versions and the failed orders."""
+    """spectra.json: the comb fits, their gated versions and the failed orders."""
     return {
         "fits": [spectrum_to_dict(s) for s in fits],
         "gated": [spectrum_to_dict(s) for s in gated],

@@ -1,13 +1,13 @@
 """Harmonic content of measured correlation curves and its aggregation.
 
-Two fitting routes: fit_fixed pins frequencies to the filtered comb
-kappa*(m-1) and solves a linear least-squares problem; fit_free also fits
-the frequencies, seeding a joint nonlinear fit with iteratively
-prewhitened periodogram peaks.  gate() applies significance thresholds,
-aggregate() merges gated spectra from several orders into a tri-state
-evidence table (Present / Absent / Unknown per integer frequency), and
-calibrate_d() turns measured magic-angle separations into the lattice
-constant.
+fit_fixed pins the frequencies to the filtered comb kappa*(m-1) and
+solves one weighted linear least-squares problem for the offset and a
+cosine/sine pair per comb line; the curve's bootstrap replicas go through
+the same solve.  gate() keeps the lines whose contrast a/A0 passes a
+family-wise two-sided test, aggregate() merges gated spectra from several
+orders into a tri-state evidence table (Present / Absent / Unknown per
+integer frequency), and calibrate_d() turns measured magic-angle
+separations into the lattice constant.
 """
 
 from __future__ import annotations
@@ -27,49 +27,47 @@ __all__ = [
     "EvidenceRow",
     "EvidenceTable",
     "fit_fixed",
-    "fit_free",
     "gate",
     "aggregate",
     "calibrate_d",
 ]
 
 # Harmonics below this fraction of max(1, offset) are machine noise on a
-# noiseless curve and are never reported by the fitters; keeping them out
+# noiseless curve and are never reported by the fit; keeping them out
 # here lets the gate stay purely significance-based.
 MIN_AMPLITUDE_FRACTION = 1e-9
 
-# Lower frequency bound for free fits.  Physical lines sit at integers
-# >= 1; anything drifting below this is an offset alias, not a line.
-_LOW_FREQ_BOUND = 0.3
+# Fewest bootstrap replica rows whose spread is taken as an error; a curve
+# with fewer is priced by the fit covariance instead.
+_MIN_REPLICA_ROWS = 8
 
-# Physical lines are multiples of m-1 and so never closer than 2; two
-# model lines within this radius are one line plus its own noise
-# sidelobe, never two genuine lines.
-_MERGE_RADIUS = 1.2
-
-# Bootstrap replica rows projected for the free fit's errors: every
-# second of the estimator's 200.
-_REPLICA_ROWS = 96
-
-# (cos(f delta), sin(f delta)) for each line of a free-fit parameter vector
-_Trig = list[tuple[np.ndarray, np.ndarray]]
+# Residual periodogram grid points per Fourier resolution 2*pi/scan.
+_OVERSAMPLE = 4
 
 
 @dataclass(frozen=True)
 class GatePolicy:
-    """Thresholds separating real spectral lines from fit artifacts.
+    """Family-wise error rate of the line test.
 
-    A harmonic survives when A >= k_a * sigma_A, sigma_f <= sigma_f_max,
-    and the fitted frequency sits within eps_int of an integer >= 1.
+    A line is kept when its contrast c = a/A0 passes the two-sided test
+    |c| >= z* sigma_c, where z* = Phi^-1(1 - alpha/(2N)) over the N comb
+    lines tested (Bonferroni).
     """
 
-    k_a: float = 2.5
-    sigma_f_max: float = 0.1
-    eps_int: float = 0.15
+    alpha: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.k_a <= 0 or self.sigma_f_max <= 0 or not 0 < self.eps_int < 0.5:
-            raise ValueError(f"implausible gate policy {self}")
+        # below 1e-300 the per-test level alpha/(2N) could underflow to zero
+        if not 1e-300 <= self.alpha < 1:
+            raise ValueError(f"alpha must lie in [1e-300, 1), got {self.alpha}")
+
+    def threshold(self, n_tests: int) -> float:
+        """z* for a family of n_tests two-sided tests."""
+        # imported here: statistics loads decimal and fractions (0.4 MB),
+        # which no command but analyze needs
+        from statistics import NormalDist
+
+        return -NormalDist().inv_cdf(self.alpha / (2 * max(n_tests, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -85,50 +83,15 @@ def _weights(curve: CorrelationCurve) -> np.ndarray:
     return 1.0 / np.maximum(curve.sigma, floor)
 
 
-def _amplitude_floor(a0: float) -> float:
-    return MIN_AMPLITUDE_FRACTION * max(1.0, abs(a0))
-
-
-def _quadrature_amplitude(a: float, b: float, cov2: np.ndarray) -> tuple[float, float]:
-    """Amplitude hypot(a, b) and its error from the (a, b) covariance block."""
-    amp = math.hypot(a, b)
-    if amp == 0.0:
-        return 0.0, float(math.sqrt(max(cov2[0, 0], cov2[1, 1], 0.0)))
-    grad = np.array([a / amp, b / amp])
-    var = float(grad @ cov2 @ grad)
-    return amp, math.sqrt(max(var, 0.0))
-
-
-def _spectrum(
-    curve: CorrelationCurve,
-    kind: str,
-    a0: float,
-    sigma_a0: float,
-    harmonics: Sequence[Harmonic],
-    model: np.ndarray | float,
-) -> ModulationSpectrum:
-    """The fitted spectrum, with the rms residual of `model` against the curve."""
-    residual_rms = float(np.sqrt(np.mean((curve.values - model) ** 2)))
-    try:
-        return ModulationSpectrum(
-            m=curve.m,
-            a0=a0,
-            sigma_a0=sigma_a0,
-            harmonics=tuple(harmonics),
-            kind=kind,
-            residual_rms=residual_rms,
-        )
-    except ValueError as exc:
-        raise FitError(f"fit produced an invalid spectrum: {exc}") from exc
-
-
 def _linear_fit(
     delta: np.ndarray, y: np.ndarray, w: np.ndarray, freqs: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Offset plus (a, b) per frequency by weighted linear least squares.
 
-    Returns the coefficients and the unweighted design matrix; too few
-    samples or a rank-deficient design is a FitError.
+    y holds one curve per column, all fit through one factorization of the
+    weighted design.  Returns the coefficients (one column per curve) and
+    the unweighted design matrix; too few samples or a rank-deficient
+    design is a FitError.
     """
     columns = [np.ones_like(delta)]
     for f in freqs:
@@ -138,57 +101,48 @@ def _linear_fit(
     n_params = design.shape[1]
     if len(y) <= n_params:
         raise FitError(f"{len(y)} samples cannot constrain {n_params} parameters")
-    coef, _, rank, _ = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design * w[:, None], y * w[:, None], rcond=None)
     if rank < n_params:
         raise FitError(f"rank-deficient design matrix (rank {rank} < {n_params})")
     return coef, design
 
 
-def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectrum:
-    """Least-squares amplitudes on the filtered comb f = kappa*(m-1).
+def _replica_errors(coefs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Spread over replica fits (one per column) of A0 and, per line, of A, a/A0 and b/A0."""
+    a0, a, b = coefs[0], coefs[1::2], coefs[2::2]
+    if not np.all(a0 > 0):
+        raise FitError("a bootstrap replica fits a non-positive offset")
 
-    Fits offset plus cosine/sine pairs at every comb frequency up to
-    span_bound and reports each kappa's quadrature amplitude.  Amplitude
-    errors come from the parameter covariance, scaled by the reduced
-    chi-square so misestimated input sigmas do not propagate verbatim.
+    def spread(values: np.ndarray) -> np.ndarray:
+        return np.std(values, axis=-1, ddof=1)
+
+    return float(spread(a0)), spread(np.hypot(a, b)), spread(a / a0), spread(b / a0)
+
+
+def _covariance_errors(
+    design_w: np.ndarray, resid_w: np.ndarray, coef: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The same four errors, propagated to first order from the fit covariance.
+
+    The covariance is scaled by the reduced chi-square, so misestimated
+    input sigmas do not propagate verbatim.
     """
-    if span_bound < 1:
-        raise ValueError(f"span bound must be positive, got {span_bound}")
-    fundamental = curve.m - 1
-    delta = curve.delta1
-    y = curve.values
-    span_covered = float(delta[-1] - delta[0])
-    if span_covered < 2.0 * math.pi / fundamental - 1e-9:
-        raise FitError(
-            f"scan covers {span_covered:.3f} rad, less than one period "
-            f"{2.0 * math.pi / fundamental:.3f} of the order-{curve.m} comb"
-        )
-    n_harm = span_bound // fundamental
-    w = _weights(curve)
-    coef, design = _linear_fit(
-        delta, y, w, [kappa * fundamental for kappa in range(1, n_harm + 1)]
-    )
-    design_w = design * w[:, None]
-    resid_w = y * w - design_w @ coef
-    dof = len(y) - design.shape[1]
-    scale = float(resid_w @ resid_w) / dof
-    cov = np.linalg.inv(design_w.T @ design_w) * scale
+    dof = design_w.shape[0] - design_w.shape[1]
+    cov = np.linalg.inv(design_w.T @ design_w) * (float(resid_w @ resid_w) / dof)
 
-    a0 = float(coef[0])
-    sigma_a0 = math.sqrt(max(float(cov[0, 0]), 0.0))
-    floor = _amplitude_floor(a0)
-    harmonics = []
-    for kappa in range(1, n_harm + 1):
-        ia, ib = 2 * kappa - 1, 2 * kappa
-        amp, sigma_a = _quadrature_amplitude(
-            float(coef[ia]), float(coef[ib]), cov[np.ix_([ia, ib], [ia, ib])]
-        )
-        if amp < floor:
-            continue
-        harmonics.append(
-            Harmonic(kappa=kappa, f=float(kappa * fundamental), amplitude=amp, sigma_a=sigma_a)
-        )
-    return _spectrum(curve, "fixed", a0, sigma_a0, harmonics, design @ coef)
+    def sigma(idx: list[int], grad: list[float]) -> float:
+        g = np.array(grad)
+        return math.sqrt(max(float(g @ cov[np.ix_(idx, idx)] @ g), 0.0))
+
+    a0 = coef[0]
+    out: list[list[float]] = [[], [], []]
+    for ia in range(1, coef.size, 2):
+        a, b = coef[ia], coef[ia + 1]
+        amp = math.hypot(a, b) or 1.0
+        out[0].append(sigma([ia, ia + 1], [a / amp, b / amp]))
+        out[1].append(sigma([0, ia], [-a / a0**2, 1.0 / a0]))
+        out[2].append(sigma([0, ia + 1], [-b / a0**2, 1.0 / a0]))
+    return math.sqrt(max(float(cov[0, 0]), 0.0)), *map(np.array, out)
 
 
 def _phase_table(delta: np.ndarray, f_grid: np.ndarray) -> np.ndarray:
@@ -203,335 +157,93 @@ def _periodogram(phases: np.ndarray, resid: np.ndarray, w: np.ndarray) -> np.nda
     return 2.0 * np.abs(phases @ (weights * resid)) / wsum
 
 
-def _line_trig(p: np.ndarray, delta: np.ndarray) -> _Trig:
-    """cos and sin of f delta for each line of p = [A0, a_1, b_1, f_1, ...]."""
-    out = []
-    for i in range((p.size - 1) // 3):
-        f_delta = p[3 + 3 * i] * delta
-        out.append((np.cos(f_delta), np.sin(f_delta)))
-    return out
+def _off_comb_peak(delta: np.ndarray, resid: np.ndarray, w: np.ndarray, fundamental: int) -> float:
+    """Largest residual periodogram amplitude at least 1/2 from every comb frequency.
 
-
-def _cosine_model(p: np.ndarray, delta: np.ndarray, trig: _Trig | None = None) -> np.ndarray:
-    """Offset plus k cosine/sine pairs; p = [A0, a_1, b_1, f_1, ...]."""
-    if trig is None:
-        trig = _line_trig(p, delta)
-    out = np.full(delta.shape, p[0])
-    for i, (cos_fd, sin_fd) in enumerate(trig):
-        out += p[1 + 3 * i] * cos_fd + p[2 + 3 * i] * sin_fd
-    return out
-
-
-def _param_bounds(k: int, f_nyquist: float) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.full(1 + 3 * k, -np.inf)
-    hi = np.full(1 + 3 * k, np.inf)
-    lo[0] = 0.0
-    for i in range(k):
-        lo[3 + 3 * i] = _LOW_FREQ_BOUND
-        hi[3 + 3 * i] = f_nyquist
-    return lo, hi
-
-
-def _jacobian(
-    p: np.ndarray, delta: np.ndarray, w: np.ndarray, trig: _Trig | None = None
-) -> np.ndarray:
-    """Weighted derivative of the offset-plus-cosines model at p."""
-    if trig is None:
-        trig = _line_trig(p, delta)
-    jac = np.empty((delta.size, p.size))
-    jac[:, 0] = 1.0
-    for i, (cos_fd, sin_fd) in enumerate(trig):
-        a, b = p[1 + 3 * i], p[2 + 3 * i]
-        jac[:, 1 + 3 * i] = cos_fd
-        jac[:, 2 + 3 * i] = sin_fd
-        jac[:, 3 + 3 * i] = (-a * sin_fd + b * cos_fd) * delta
-    return jac * w[:, None]
-
-
-def _solve_bounded(
-    delta: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    x0: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-):
-    """Trust-region solve of the offset-plus-cosines model from x0."""
-    # imported here: it is most of the package's import time, and only fits need it
-    from scipy.optimize import least_squares
-
-    # TRF takes the Jacobian at the last point whose residual it took, so
-    # one memo of that point's cos/sin serves both
-    memo: dict[bytes, _Trig] = {}
-
-    def trig(p: np.ndarray) -> _Trig:
-        key = p.tobytes()
-        if key not in memo:
-            memo.clear()
-            memo[key] = _line_trig(p, delta)
-        return memo[key]
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        return (_cosine_model(p, delta, trig(p)) - y) * w
-
-    return least_squares(
-        residual,
-        x0,
-        jac=lambda p: _jacobian(p, delta, w, trig(p)),
-        bounds=(lo, hi),
-        method="trf",
-        max_nfev=400 * x0.size,
-    )
-
-
-def _nls_solve(
-    curve: CorrelationCurve,
-    seed_freqs: list[float],
-    w: np.ndarray,
-    f_nyquist: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jointly fit offset, quadrature pairs and frequencies.
-
-    Returns the parameter vector and its covariance, the latter scaled by
-    the reduced chi-square so over- or under-stated input sigmas do not
-    propagate verbatim.
+    The filter passes only multiples of m-1, so a peak here is content the
+    model says cannot exist: misplaced detectors or a wrong model.
     """
-    delta = curve.delta1
-    y = curve.values
-    coef, _ = _linear_fit(delta, y, w, seed_freqs)
-    k = len(seed_freqs)
-
-    x0 = np.empty(1 + 3 * k)
-    x0[0] = max(coef[0], 0.0)
-    lo, hi = _param_bounds(k, f_nyquist)
-    for i, f in enumerate(seed_freqs):
-        x0[1 + 3 * i] = coef[1 + 2 * i]
-        x0[2 + 3 * i] = coef[2 + 2 * i]
-        x0[3 + 3 * i] = min(max(f, _LOW_FREQ_BOUND), f_nyquist)
-
-    n_params = x0.size
-    if len(y) <= n_params:
-        raise FitError(f"{len(y)} samples cannot constrain {n_params} parameters")
-    result = _solve_bounded(delta, y, w, x0, lo, hi)
-    if not result.success:
-        raise FitError(f"free fit did not converge: {result.message}")
-
-    dof = len(y) - n_params
-    scale = 2.0 * float(result.cost) / dof
-    jac = result.jac
-    cov = np.linalg.pinv(jac.T @ jac) * scale
-    return result.x, cov
-
-
-def _replica_sigmas(
-    curve: CorrelationCurve, params: np.ndarray, w: np.ndarray
-) -> tuple[float, list[float], list[float]] | None:
-    """Amplitude/frequency errors from the bootstrap replica curves.
-
-    Estimator noise is coherent across the scan, which the independent-pixel
-    covariance cannot see.  Each replica y_b is fit by one Gauss-Newton step
-    from the converged params, all in one solve: p_b = params + lstsq(J_w,
-    w * (y_b - y_hat)), the delta-method bootstrap (Efron & Tibshirani, An
-    Introduction to the Bootstrap, 1993).  Sigmas are the spread of A0, of
-    each hypot(a, b) and of each f over the rows; None when under 8 rows.
-    """
-    replicas = curve.replicas
-    if replicas is None:
-        return None
-    step = max(1, replicas.shape[0] // _REPLICA_ROWS)
-    rows = replicas[::step][:_REPLICA_ROWS]
-    if rows.shape[0] < 8:
-        return None
-    resid_w = (rows - _cosine_model(params, curve.delta1)).T * w[:, None]
-    shift, *_ = np.linalg.lstsq(_jacobian(params, curve.delta1, w), resid_w, rcond=None)
-    p = params + shift.T
-    sigma_a = np.std(np.hypot(p[:, 1::3], p[:, 2::3]), axis=0, ddof=1)
-    sigma_f = np.std(p[:, 3::3], axis=0, ddof=1)
-    return float(np.std(p[:, 0], ddof=1)), sigma_a.tolist(), sigma_f.tolist()
-
-
-def _spectrum_from_fit(
-    curve: CorrelationCurve,
-    p: np.ndarray,
-    cov: np.ndarray,
-    replica_sig: tuple[float, list[float], list[float]] | None = None,
-) -> ModulationSpectrum:
-    k = (p.size - 1) // 3
-    a0 = float(p[0])
-    sigma_a0 = math.sqrt(max(float(cov[0, 0]), 0.0))
-    if replica_sig is not None:
-        sigma_a0 = replica_sig[0]
-    floor = _amplitude_floor(a0)
-    fundamental = curve.m - 1
-    harmonics = []
-    for i in range(k):
-        ia, ib, jf = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
-        amp, sigma_a = _quadrature_amplitude(
-            float(p[ia]), float(p[ib]), cov[np.ix_([ia, ib], [ia, ib])]
-        )
-        f = float(p[jf])
-        sigma_f = math.sqrt(max(float(cov[jf, jf]), 0.0))
-        if replica_sig is not None:
-            sigma_a = replica_sig[1][i]
-            sigma_f = replica_sig[2][i]
-        if amp < floor:
-            continue
-        kappa = max(1, round(f / fundamental))
-        harmonics.append(
-            Harmonic(kappa=kappa, f=f, amplitude=amp, sigma_a=sigma_a, sigma_f=sigma_f)
-        )
-    harmonics.sort(key=lambda h: h.f)
-    return _spectrum(curve, "free", a0, sigma_a0, harmonics, _cosine_model(p, curve.delta1))
-
-
-def fit_free(
-    curve: CorrelationCurve,
-    max_harmonics: int = 6,
-    oversample: int = 8,
-    stop_snr: float = 4.0,
-) -> ModulationSpectrum:
-    """Joint fit of offset, amplitudes and unconstrained frequencies.
-
-    Lines are harvested one at a time from the periodogram of the current
-    residual; after each harvest all lines found so far are refit jointly
-    (nonlinearly, frequencies included) so the next residual carries no
-    sidelobe leftovers of a slightly misplaced seed.  Lines that collapse
-    onto each other or pin to a frequency bound during the joint solve
-    are thinned out and the remainder re-solved.  Harvesting stops when
-    the strongest remaining peak drops below stop_snr times the robust
-    periodogram floor, or below an absolute machine-noise floor, or when
-    it lands on an already-fitted (or already-abandoned) line.
-
-    Errors: when the curve carries bootstrap replicas, up to 96 of them
-    are projected through the converged fit's Jacobian (the
-    delta-method bootstrap of Efron & Tibshirani, 1993) and sigma values
-    are the spread of the projected parameters; otherwise the fit
-    covariance (scaled by reduced chi-square) is used.  Zero harvested
-    lines is a legitimate outcome and yields an offset-only spectrum.
-    """
-    delta = curve.delta1
-    y = curve.values
-    n = len(y)
-    if n < 8:
-        raise FitError(f"free fit needs at least 8 samples, got {n}")
-    w = _weights(curve)
-
     pitch = float(np.median(np.diff(delta)))
-    f_nyquist = math.pi / pitch
-    scan_span = float(delta[-1] - delta[0])
-    df = 2.0 * math.pi / (oversample * scan_span)
-    f_grid = np.arange(0.5, f_nyquist, df)
-    if f_grid.size < 4:
-        raise FitError("scan too short to resolve any frequency")
-    phases = _phase_table(delta, f_grid)
-
-    a0 = float(np.average(y, weights=w**2))
-    floor_abs = _amplitude_floor(a0)
-    resid = y - a0
-    params: np.ndarray | None = None
-    cov: np.ndarray | None = None
-    freqs: list[float] = []
-    masked = np.zeros(f_grid.size, dtype=bool)
-    while len(freqs) < max_harmonics:
-        amps = _periodogram(phases, resid, w)
-        robust_floor = 1.4826 * float(np.median(amps))
-        threshold = max(stop_snr * robust_floor, floor_abs)
-        # a peak within the merge radius of a fitted line would merge
-        # right back into it, so only look outside those windows (and
-        # outside regions already harvested without lasting effect)
-        allowed = ~masked
-        for f in freqs:
-            allowed &= np.abs(f_grid - f) >= _MERGE_RADIUS
-        if not allowed.any():
-            break
-        peak = int(np.argmax(np.where(allowed, amps, -np.inf)))
-        if amps[peak] < threshold:
-            break
-        f_hat = float(f_grid[peak])
-        k_before = len(freqs)
-        prev_params, prev_cov = params, cov
-        try:
-            params, cov = _nls_solve(curve, freqs + [f_hat], w, f_nyquist)
-            lines = _line_state(params)
-            for _ in range(len(lines)):
-                pruned = _prune_lines(lines, f_nyquist)
-                if pruned is None:
-                    break
-                if not pruned:
-                    params = cov = None
-                    lines = []
-                    break
-                params, cov = _nls_solve(curve, pruned, w, f_nyquist)
-                lines = _line_state(params)
-        except FitError:
-            # this candidate cannot be fit jointly; drop it and keep the
-            # model from the previous harvest (resid still matches it)
-            masked |= np.abs(f_grid - f_hat) < 0.5
-            params, cov = prev_params, prev_cov
-            continue
-        freqs = [f for f, _ in lines]
-        # a harvest that failed to durably grow the line set would repeat
-        # forever (the residual, hence the periodogram peak, is unchanged);
-        # mask the peak's neighbourhood so it cannot be harvested again
-        if params is None:
-            masked |= np.abs(f_grid - f_hat) < 0.5
-            a0 = float(np.average(y, weights=w**2))
-            resid = y - a0
-        else:
-            if len(freqs) <= k_before:
-                masked |= np.abs(f_grid - f_hat) < 0.5
-            resid = y - _cosine_model(params, delta)
-            a0 = float(params[0])
-        floor_abs = _amplitude_floor(a0)
-
-    if params is None:
-        if curve.replicas is not None and curve.replicas.shape[0] > 1:
-            rep_means = np.average(curve.replicas, axis=1, weights=w**2)
-            sigma_a0 = float(np.std(rep_means, ddof=1))
-        else:
-            sigma_a0 = float(np.std(y, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return _spectrum(curve, "free", a0, sigma_a0, (), a0)
-
-    replica_sig = _replica_sigmas(curve, params, w)
-    return _spectrum_from_fit(curve, params, cov, replica_sig)
+    df = 2.0 * math.pi / (_OVERSAMPLE * float(delta[-1] - delta[0]))
+    f_grid = np.arange(0.5, math.pi / pitch, df)
+    f_grid = f_grid[np.abs(f_grid - fundamental * np.round(f_grid / fundamental)) >= 0.5]
+    if f_grid.size == 0:
+        return 0.0
+    return float(np.max(_periodogram(_phase_table(delta, f_grid), resid, w)))
 
 
-def _line_state(params: np.ndarray) -> list[tuple[float, float]]:
-    """(frequency, amplitude) per fitted line."""
-    return [
-        (
-            float(params[3 + 3 * i]),
-            float(math.hypot(params[1 + 3 * i], params[2 + 3 * i])),
-        )
-        for i in range((params.size - 1) // 3)
-    ]
+def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectrum:
+    """Least-squares lines on the filtered comb f = kappa*(m-1), f <= span_bound.
 
+    Fits the offset A0 plus a cosine/sine pair (a, b) at every comb
+    frequency and reports per line A = hypot(a, b), the contrast a/A0 and
+    the null channel b/A0, which vanishes at the magic placement (the
+    curve is then even in delta).  Lines below machine noise are left out.
 
-def _prune_lines(
-    lines: list[tuple[float, float]], f_nyquist: float
-) -> list[float] | None:
-    """Thin lines that pinned to a frequency bound or crowded together.
-
-    Lines within the merge radius are one physical line that the solver
-    split across its own noise sidelobes (coincident ones additionally
-    degenerate into huge cancelling quadrature pairs); keep the stronger
-    frequency of each cluster and let the joint re-solve relocate it.
-    Bound-pinned lines are offset or alias artifacts and are dropped.
-    Returns None when the set is already clean.
+    Errors: the bootstrap replica curves go through the same weighted
+    design in the same solve as the curve itself.  For a linear model that
+    is the exact refit of every replica (Efron & Tibshirani, An
+    Introduction to the Bootstrap, 1993), and each sigma is the spread of
+    its quantity over the replicas.  A curve without replicas (or with
+    fewer than 8) falls back to the fit covariance.  `leakage` records the
+    strongest off-comb peak of the residual periodogram.
     """
-    cleaned: list[tuple[float, float]] = []
-    changed = False
-    for f, amp in sorted(lines):
-        if f < _LOW_FREQ_BOUND + 0.02 or f > 0.999 * f_nyquist:
-            changed = True
-            continue
-        if cleaned and f - cleaned[-1][0] < _MERGE_RADIUS:
-            if amp > cleaned[-1][1]:
-                cleaned[-1] = (f, amp)
-            changed = True
-            continue
-        cleaned.append((f, amp))
-    return [f for f, _ in cleaned] if changed else None
+    if span_bound < 1:
+        raise ValueError(f"span bound must be positive, got {span_bound}")
+    fundamental = curve.m - 1
+    delta = curve.delta1
+    y = curve.values
+    span_covered = float(delta[-1] - delta[0])
+    if span_covered < 2.0 * math.pi / fundamental - 1e-9:
+        raise FitError(
+            f"scan covers {span_covered:.3f} rad, less than one period "
+            f"{2.0 * math.pi / fundamental:.3f} of the order-{curve.m} comb"
+        )
+    freqs = [kappa * fundamental for kappa in range(1, span_bound // fundamental + 1)]
+    w = _weights(curve)
+    replicas = curve.replicas
+    if replicas is not None and replicas.shape[0] < _MIN_REPLICA_ROWS:
+        replicas = None
+    columns = y[:, None] if replicas is None else np.column_stack([y, replicas.T])
+    coefs, design = _linear_fit(delta, columns, w, freqs)
+    coef = coefs[:, 0]
+    a0 = float(coef[0])
+    if not a0 > 0:
+        raise FitError(f"fitted offset {a0:.3g} is not positive, so contrasts are undefined")
+    resid = y - design @ coef
+    if replicas is None:
+        sigma_a0, sigma_amp, sigma_c, sigma_q = _covariance_errors(
+            design * w[:, None], resid * w, coef
+        )
+    else:
+        sigma_a0, sigma_amp, sigma_c, sigma_q = _replica_errors(coefs[:, 1:])
+
+    floor = MIN_AMPLITUDE_FRACTION * max(1.0, a0)
+    try:
+        harmonics = [
+            Harmonic(
+                kappa=i + 1,
+                f=float(f),
+                amplitude=math.hypot(coef[1 + 2 * i], coef[2 + 2 * i]),
+                sigma_a=float(sigma_amp[i]),
+                contrast=float(coef[1 + 2 * i]) / a0,
+                sigma_contrast=float(sigma_c[i]),
+                quadrature=float(coef[2 + 2 * i]) / a0,
+                sigma_quadrature=float(sigma_q[i]),
+            )
+            for i, f in enumerate(freqs)
+        ]
+        return ModulationSpectrum(
+            m=curve.m,
+            a0=a0,
+            sigma_a0=sigma_a0,
+            harmonics=tuple(h for h in harmonics if h.amplitude >= floor),
+            kind="fixed",
+            residual_rms=float(np.sqrt(np.mean(resid**2))),
+            leakage=_off_comb_peak(delta, resid, w, fundamental),
+        )
+    except ValueError as exc:
+        raise FitError(f"fit produced an invalid spectrum: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -539,30 +251,19 @@ def _prune_lines(
 # ---------------------------------------------------------------------------
 
 
-def gate(spectrum: ModulationSpectrum, policy: GatePolicy | None = None) -> ModulationSpectrum:
-    """Drop insignificant or non-integer lines; snap survivors to integers.
+def gate(
+    spectrum: ModulationSpectrum, policy: GatePolicy | None = None, n_tests: int | None = None
+) -> ModulationSpectrum:
+    """Keep the lines whose contrast a/A0 passes the two-sided test.
 
-    Survivors must satisfy every rule in `policy`; among survivors that
-    round to the same integer frequency only the strongest is kept.  The
-    offset and bookkeeping fields pass through unchanged.
+    A line survives when |a/A0| >= z* sigma(a/A0), with z* from `policy`
+    for a family of n_tests lines: every comb line tested in the run, by
+    default this spectrum's lines.  The offset and bookkeeping fields
+    pass through unchanged.
     """
     policy = policy or GatePolicy()
-    best: dict[int, Harmonic] = {}
-    for h in spectrum.harmonics:
-        f_int = round(h.f)
-        if f_int < 1:
-            continue
-        if abs(h.f - f_int) > policy.eps_int:
-            continue
-        if h.sigma_f > policy.sigma_f_max:
-            continue
-        if h.amplitude < policy.k_a * h.sigma_a:
-            continue
-        snapped = replace(h, f=float(f_int))
-        prior = best.get(f_int)
-        if prior is None or snapped.amplitude > prior.amplitude:
-            best[f_int] = snapped
-    kept = tuple(best[f] for f in sorted(best))
+    z = policy.threshold(len(spectrum.harmonics) if n_tests is None else n_tests)
+    kept = tuple(h for h in spectrum.harmonics if abs(h.contrast) >= z * h.sigma_contrast)
     return replace(spectrum, harmonics=kept)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specklescope import (
+    CorrelationCurve,
     DetectorArray,
     EvidenceTable,
     SourceGeometry,
@@ -22,6 +23,20 @@ def magic_curve(x, m, samples=None):
     if samples is None:
         samples = max(8 * (geometry.span + 1), 64)
     return g_m_analytic(geometry, DetectorArray.magic_scan(m, samples))
+
+
+def noisy_curve(x, m, sigma, rows, seed=0):
+    """magic_curve plus white noise of known sigma, with `rows` noisy replicas."""
+    exact = magic_curve(x, m)
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, sigma, size=(rows + 1, len(exact)))
+    return CorrelationCurve(
+        m=m,
+        delta1=exact.delta1,
+        values=exact.values + noise[0],
+        sigma=np.full(len(exact), sigma),
+        replicas=exact.values + noise[1:] if rows else None,
+    )
 
 
 def evidence_for(x, orders):

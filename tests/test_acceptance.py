@@ -6,11 +6,13 @@ reads as a checklist.  Workloads and tolerances are pinned; none of the
 checks is statistical enough to flake under the fixed seeds used here.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import time
 
 import numpy as np
-import pytest
 
 from conftest import evidence_for, magic_curve
 from search_oracle import oracle_search
@@ -22,10 +24,11 @@ from specklescope import (
     SpeckleRun,
     aggregate,
     aperture_report,
+    canonical,
     disambiguate,
+    distinct_frequencies,
     estimate_g_m,
     fit_fixed,
-    fit_free,
     g_m_analytic,
     gate,
     nearest_magic_pixels,
@@ -36,6 +39,18 @@ from specklescope import (
     surviving_frequencies,
     uniform_grid,
 )
+from specklescope.cli import main
+
+# the comb analyze fits: every multiple of m-1 up to the default max_span
+SPAN_BOUND = SearchBounds().max_span
+
+
+def gated_comb_fits(curves):
+    """Each curve fit on its comb and gated as analyze does: one family-wise
+    threshold over every comb line tested across the curves."""
+    fits = [fit_fixed(curve, SPAN_BOUND) for curve in curves]
+    n_tests = sum(SPAN_BOUND // (fit.m - 1) for fit in fits)
+    return fits, [gate(fit, n_tests=n_tests) for fit in fits]
 
 
 def verdict(number, label, ok, detail=""):
@@ -148,7 +163,8 @@ def test_3_monte_carlo_tracks_analytic():
 
 
 def test_4_rich_evidence_single_candidate():
-    gated = [gate(fit_free(magic_curve((3, 1, 4), m))) for m in range(3, 10)]
+    # analytic curves carry no replicas: the errors come from the covariance
+    _, gated = gated_comb_fits([magic_curve((3, 1, 4), m) for m in range(3, 10)])
     result = search(aggregate(gated))
     ok = (
         tuple(c.geometry.x for c in result.candidates) == ((3, 1, 4),)
@@ -197,40 +213,37 @@ def test_5_sparse_evidence_disambiguation():
 
 def test_6_gated_lines_match_theory_at_low_frames():
     failures = []
-    drifts = []
-    rejected_cell_lines = None
+    rejected_cell = None
+    orders = (3, 4, 5, 6)
     for x in ((1, 3), (1, 3, 2), (2, 1, 3)):
         geometry = SourceGeometry(x)
         run = SpeckleRun(
             geometry=geometry, frames=1000, seed=1, delta_axis=uniform_grid(240)
         )
         stack = sample_frames(run)
-        for m in (3, 4, 5, 6):
+        curves = []
+        for m in orders:
             fixed, _ = nearest_magic_pixels(stack.delta_axis, m)
-            raw = fit_free(estimate_g_m(stack, (fixed,))[0])
-            kept = gate(raw)
+            curves.append(estimate_g_m(stack, (fixed,))[0])
+        fits, gated = gated_comb_fits(curves)
+        for m, raw, kept in zip(orders, fits, gated):
             got = tuple(int(f) for f in kept.frequencies)
             want = surviving_frequencies(geometry, m)
             if got != want:
                 failures.append((x, m, got, want))
-            accepted = {round(h.f) for h in kept.harmonics}
-            drifts.extend(
-                abs(h.f - round(h.f))
-                for h in raw.harmonics
-                if round(h.f) in accepted
-            )
             if x == (1, 3) and m == 6:
-                rejected_cell_lines = len(raw.harmonics)
-    worst_drift = max(drifts, default=0.0)
-    # the curve with no surviving frequency must yield fits the gate rejects
-    rejection_ok = rejected_cell_lines is not None and rejected_cell_lines > 0
-    ok = not failures and worst_drift <= 0.15 and rejection_ok
+                rejected_cell = (raw.frequencies, kept.frequencies)
+    # the curve with no surviving frequency tests its whole comb and the
+    # gate rejects every line of it
+    comb = tuple(float(f) for f in range(5, SPAN_BOUND + 1, 5))
+    rejection_ok = rejected_cell == (comb, ())
+    ok = not failures and rejection_ok
     verdict(
         6,
         "low-frame pipeline recovers the line pattern",
         ok,
-        f"{12 - len(failures)}/12 cells, worst drift {worst_drift:.3f}, "
-        f"empty cell rejected {rejected_cell_lines} raw lines",
+        f"{12 - len(failures)}/12 cells, empty cell tested and rejected "
+        f"{rejected_cell[0] if rejected_cell else None}",
     )
 
 
@@ -283,3 +296,74 @@ def test_8_search_equals_oracle():
         ok,
         f"{len(unique_tables)} evidence tables, {mismatches} mismatches, {elapsed:.1f}s",
     )
+
+
+def run_cli(tmp_path, config):
+    """simulate, analyze and reconstruct through the CLI; the run's JSON results."""
+    (tmp_path / "run.ini").write_text(config)
+    args = ["--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("simulate", "analyze", "reconstruct"):
+            assert main([command, *args]) == 0, command
+    return (json.loads((tmp_path / "out" / name).read_text())
+            for name in ("evidence.json", "reconstruction.json"))
+
+
+def truth_verdict(x, evidence, report):
+    """(false Absent rows, the truth's rank, the number of winners)."""
+    truth = canonical(SourceGeometry(x))
+    distances = set(distinct_frequencies(truth))
+    false_absent = [r["f"] for r in evidence["rows"]
+                    if r["status"] == "absent" and r["f"] in distances]
+    scores = [c["score"] for c in report["candidates"]]
+    ranks = [i for i, c in enumerate(report["candidates"])
+             if canonical(SourceGeometry(c["x"])) == truth]
+    winners = sum(s - min(scores) < 1.0 for s in scores) if scores else 0
+    return false_absent, (ranks[0] if ranks else None), winners
+
+
+def test_9_demo_seed_11_picks_the_truth(tmp_path):
+    # the README session at a seed where the order-6 line at f = 5 is the
+    # weakest (a/A0 about 0.6 +- 0.1): dropping it turns f = 5 Absent, and
+    # then only [1, 3, 4] fits the evidence
+    evidence, report = run_cli(tmp_path, """\
+[geometry]
+x = [3, 1, 4]
+
+[simulate]
+frames = 20000
+seed = 11
+pixels = 240
+orders = [3, 4, 5, 6]
+save_frames = False
+""")
+    false_absent, rank, winners = truth_verdict((3, 1, 4), evidence, report)
+    ok = not false_absent and rank == 0 and winners == 1
+    verdict(9, "demo seed 11 names the truth", ok,
+            f"false absent {false_absent}, truth rank {rank}, {winners} winner(s)")
+
+
+def test_10_eight_sources_end_to_end(tmp_path):
+    # order 3 alone carries 11 true lines; any one left untested turns a
+    # true distance Absent, and the truth leaves the search
+    evidence, report = run_cli(tmp_path, """\
+[geometry]
+x = [1, 4, 2, 6, 3, 5, 2]
+
+[simulate]
+frames = 100000
+seed = 1
+pixels = 240
+orders = [3, 4, 5, 6]
+save_frames = False
+
+[reconstruct]
+max_sources = 8
+max_span = 25
+allow_unknown_span = True
+""")
+    false_absent, rank, winners = truth_verdict((1, 4, 2, 6, 3, 5, 2), evidence, report)
+    ok = not false_absent and rank == 0 and winners == 1
+    verdict(10, "eight sources end to end", ok,
+            f"false absent {false_absent}, truth rank {rank} of "
+            f"{len(report['candidates'])}, {winners} winner(s)")

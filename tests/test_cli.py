@@ -85,9 +85,13 @@ def test_fit_table_lists_lines(run_dir):
     with open(run_dir / "table.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert rows, "no fitted lines at all"
-    assert set(rows[0]) == {"m", "f_fit", "sigma_f", "A", "sigma_A", "accepted"}
+    assert set(rows[0]) == {"m", "f", "A", "sigma_A", "a_A0", "sigma_a_A0", "accepted"}
+    # every comb line up to max_span = 20 is tested: 10 at order 3, 6 at order 4
+    assert [(int(r["m"]), float(r["f"])) for r in rows] == (
+        [(3, 2.0 * k) for k in range(1, 11)] + [(4, 3.0 * k) for k in range(1, 7)]
+    )
     accepted = {
-        (int(r["m"]), round(float(r["f_fit"]))) for r in rows if r["accepted"] == "True"
+        (int(r["m"]), round(float(r["f"]))) for r in rows if r["accepted"] == "True"
     }
     assert accepted == {(3, 4), (4, 3)}
 
@@ -134,7 +138,7 @@ def test_analyze_accepts_bare_curve_files(tmp_path, capsys):
     code = main(["analyze", "--out", str(tmp_path), "--format", "json"])
     assert code == 0
     table = json.loads((tmp_path / "table.json").read_text())
-    kept = [round(r["f_fit"]) for r in table["rows"] if r["accepted"]]
+    kept = [round(r["f"]) for r in table["rows"] if r["accepted"]]
     assert kept == [4]
     # without replicas the sigmas come from the covariance, and analyze says so
     err = capsys.readouterr().err
@@ -171,7 +175,7 @@ def test_analyze_takes_orders_from_the_manifest(tmp_path):
 def test_bare_analyze_takes_the_whole_config_from_the_manifest(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[geometry]\nx = [1, 3]\n\n[simulate]\nframes = 300\norders = [3, 4]\n\n"
-                   "[gate]\nk_A = 50.0\n")
+                   "[gate]\nalpha = 1e-300\n")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
@@ -251,15 +255,15 @@ def scipy_modules_loaded(*argv):
     return done.stdout.splitlines()[-1]
 
 
-def test_only_analyze_loads_scipy(tmp_path):
-    # scipy.optimize takes about half a second to import; only the free fit needs it
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is a test-only dependency; scipy.optimize alone takes half a second to import
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG.replace("frames = 1000", "frames = 200"))
     out = str(tmp_path / "out")
     assert scipy_modules_loaded() == "[]"
     assert scipy_modules_loaded("simulate", "--config", str(cfg), "--out", out) == "[]"
-    assert main(["analyze", "--config", str(cfg), "--out", out]) == 0
-    for argv in (["reconstruct", "--config", str(cfg), "--out", out],
+    for argv in (["analyze", "--config", str(cfg), "--out", out],
+                 ["reconstruct", "--config", str(cfg), "--out", out],
                  ["report", "--out", out],
                  ["aperture", "--orders", "3..5", "--out", str(tmp_path / "ap.csv")]):
         assert scipy_modules_loaded(*argv) == "[]", argv[0]
@@ -283,9 +287,9 @@ def test_config_errors_exit_2(tmp_path):
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, text
     assert not (tmp_path / "o").exists()
     write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
-    for text in ("max_harmonics = 0", "max_harmonics = -2", "oversample = 0",
-                 "stop_snr = -1", "stop_snr = 1e999"):
-        bad.write_text(f"[fit]\n{text}\n")
+    for text in ("[gate]\nalpha = 0", "[gate]\nalpha = 1.5", "[gate]\nk_A = 2.5",
+                 "[fit]\nmax_harmonics = 6"):
+        bad.write_text(f"{text}\n")
         assert main(["analyze", "--config", str(bad), "--orders", "3",
                      "--out", str(tmp_path)]) == 2, text
     assert not (tmp_path / "spectra.json").exists()
@@ -358,7 +362,22 @@ def _drop_sigmas(spectra):
     for spectrum in spectra["gated"]:
         del spectrum["sigma_A0"]
         for line in spectrum["harmonics"]:
-            del line["sigma_A"], line["sigma_f"]
+            del line["sigma_A"], line["sigma_a_A0"]
+    return spectra
+
+
+def _free_kind(spectra):
+    spectra["gated"][0]["kind"] = "free"
+    return spectra
+
+
+def _old_line_keys(spectra):
+    # a spectra.json from the free fit: frequency errors, no contrasts
+    for spectrum in spectra["gated"]:
+        for line in spectrum["harmonics"]:
+            line["sigma_f"] = 0.01
+            for key in ("a_A0", "sigma_a_A0", "b_A0", "sigma_b_A0"):
+                del line[key]
     return spectra
 
 
@@ -380,6 +399,8 @@ MALFORMED_ARTIFACTS = {
     "spectra-zero-offset": ("spectra.json", "reconstruct", _json_edit(_zero_offset)),
     "spectra-nan-offset": ("spectra.json", "reconstruct", _json_edit(_nan_offset)),
     "spectra-without-sigmas": ("spectra.json", "reconstruct", _json_edit(_drop_sigmas)),
+    "spectra-free-kind": ("spectra.json", "reconstruct", _json_edit(_free_kind)),
+    "spectra-old-lines": ("spectra.json", "reconstruct", _json_edit(_old_line_keys)),
     "report-without-evidence": ("reconstruction.json", "report", _json_edit(_drop_evidence)),
     "manifest-as-list": ("manifest.json", "report", _json_edit(list)),
 }
@@ -414,3 +435,51 @@ def test_fit_failure_exits_4(tmp_path):
     # failures are still recorded for inspection
     spectra = json.loads((tmp_path / "spectra.json").read_text())
     assert spectra["failures"][0]["m"] == 3
+
+
+def test_an_old_manifest_exits_2_and_names_the_removed_keys(run_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    old_sections = ("[gate]\nk_A = 2.5\nsigma_f_max = 0.1\neps_int = 0.15\n\n"
+                    "[fit]\nmax_harmonics = 6\noversample = 8\nstop_snr = 4.0\n")
+    assert "[gate]\nalpha = 0.01\n" in manifest["config"]
+    manifest["config"] = manifest["config"].replace("[gate]\nalpha = 0.01\n", old_sections)
+    write_json(out / "manifest.json", manifest)
+    for command in ("analyze", "reconstruct"):
+        assert main([command, "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        for key in ("k_A", "sigma_f_max", "eps_int", "[fit]", "max_harmonics", "stop_snr"):
+            assert key in err, (command, key)
+
+
+def test_only_simulate_creates_the_out_directory(tmp_path):
+    for command in ("analyze", "reconstruct"):
+        assert main([command, "--out", str(tmp_path / command / "a" / "b")]) == 2, command
+        assert not (tmp_path / command).exists(), command
+
+
+# ---------------------------------------------------------------------------
+# a closed standard output
+# ---------------------------------------------------------------------------
+
+
+def test_a_closed_pipe_exits_1_without_traceback(tmp_path):
+    # 7477 candidates print about 160 kB, more than a pipe holds, so the
+    # command is still writing when its reader goes away, as under `| head -1`
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[reconstruct]\nmax_span = 20\nallow_unknown_span = True\n")
+    table = EvidenceTable.from_sets((4,), orders_measured=(5,))
+    write_json(tmp_path / "evidence.json", evidence_to_dict(table))
+    for argv in (["reconstruct", "--config", str(cfg)], ["report"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "specklescope.cli", *argv, "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_interpreter_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1, (argv[0], err)
+        assert first and "Traceback" not in err, argv[0]
+        assert (tmp_path / "reconstruction.json").exists()

@@ -23,7 +23,7 @@ def test_empty_text_gives_defaults():
     assert cfg == Config()
     assert cfg.geometry.x == (3, 1, 4)
     assert cfg.simulate.frames == 1000
-    assert cfg.gate.k_a == 2.5
+    assert cfg.gate.alpha == 0.01
     assert cfg.reconstruct.max_span == 20
 
 
@@ -48,7 +48,7 @@ weights = [1.0, 2.0, 1.0, 0.5]
 save_frames = False
 
 [gate]
-k_A = 3.0
+alpha = 0.05
 
 [reconstruct]
 max_span = 12
@@ -58,7 +58,7 @@ max_span = 12
     assert cfg.simulate.bits == 12
     assert cfg.simulate.weights == (1.0, 2.0, 1.0, 0.5)
     assert cfg.simulate.save_frames is False
-    assert cfg.gate.k_a == 3.0
+    assert cfg.gate.alpha == 0.05
     assert cfg.reconstruct.max_span == 12
     assert parse_config(emit_config(cfg)) == cfg
 
@@ -80,8 +80,11 @@ def test_optional_keys_accept_none():
         "[simulate]\nframes = None\n",  # None where required
         "[geometry]\nx = [0, 2]\n",  # zero gap
         "[geometry]\nx = [1.5]\n",  # non-integer gap
-        "[gate]\nk_A = None\n",
-        "[gate]\nk_A = -1.0\n",  # GatePolicy rejects it
+        "[gate]\nk_A = None\n",  # not a key: [gate] alpha sets the line test
+        "[gate]\nk_A = -1.0\n",
+        "[gate]\nalpha = None\n",
+        "[gate]\nalpha = 0.0\n",  # GatePolicy rejects it
+        "[gate]\nalpha = 1.0\n",
         "[simulate]\nsave_frames = 1\n",  # int for bool
         "[geometry]\nx = 3\n",  # scalar for tuple
         "[fit]\nspan_bound = 16\n",  # removed: no stage read it
@@ -92,7 +95,7 @@ def test_optional_keys_accept_none():
         "[simulate]\norders = []\n",
         "[simulate]\norders = [3, 3]\n",
         "[simulate]\norders = [1, 3]\n",
-        "[fit]\nmax_harmonics = 0\n",
+        "[fit]\nmax_harmonics = 0\n",  # no [fit] section: the comb fit has no knobs
         "[fit]\nmax_harmonics = -2\n",
         "[fit]\noversample = 0\n",
         "[fit]\nstop_snr = 0.0\n",

@@ -6,6 +6,7 @@ few, so the suite stays fast and every failure reproduces.
 """
 
 import contextlib
+import copy
 import io
 import json
 import shutil
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specklescope import RunManifest, SpeckleScopeError
+from specklescope import FormatError, RunManifest, SpeckleScopeError
 from specklescope.cli import main
 from specklescope.serialize import (
     evidence_from_dict,
@@ -149,5 +150,40 @@ def test_commands_return_a_code_on_damaged_artifacts(run_dir, name):
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                     code = main([command, "--out", str(out)])
                 assert isinstance(code, int), command
+
+    check()
+
+
+# the per-line record of spectra.json, contrast fields included
+LINE_KEYS = ("kappa", "f", "A", "sigma_A", "a_A0", "sigma_a_A0", "b_A0", "sigma_b_A0")
+DROP = object()
+
+
+def test_spectra_reader_checks_every_line_field(run_dir):
+    data = json.loads((run_dir / "spectra.json").read_text())
+    lines = [(i, j) for i, s in enumerate(data["gated"]) for j in range(len(s["harmonics"]))]
+    assert lines, "the run gated no line"
+    values = st.one_of(
+        st.just(DROP), st.none(), st.booleans(), st.text(max_size=3),
+        st.floats(allow_nan=True, allow_infinity=True), st.lists(st.integers(), max_size=2),
+    )
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from(lines), st.sampled_from(LINE_KEYS), values)
+    def check(at, key, value):
+        broken = copy.deepcopy(data)
+        line = broken["gated"][at[0]]["harmonics"][at[1]]
+        if value is DROP:
+            del line[key]
+        else:
+            line[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spectra.json"
+            path.write_text(json.dumps(broken))
+            try:
+                read_json(path, gated_from_dict)
+            except FormatError:
+                return
+            assert value is not DROP, f"a line without {key} was read"
 
     check()

@@ -29,8 +29,8 @@ from specklescope import (
 
 def measured_spectrum(truth, m, sigma_a=0.02):
     exact = predicted_spectrum((truth,), m)[0]
-    noisy = tuple(replace(h, sigma_a=sigma_a, sigma_f=0.01) for h in exact.harmonics)
-    return ModulationSpectrum(m=m, a0=exact.a0, harmonics=noisy, kind="free")
+    noisy = tuple(replace(h, sigma_a=sigma_a) for h in exact.harmonics)
+    return ModulationSpectrum(m=m, a0=exact.a0, harmonics=noisy, kind="fixed")
 
 
 AMBIGUOUS = EvidenceTable.from_sets(
@@ -183,7 +183,7 @@ def test_disambiguation_input_checks():
     candidates = search(AMBIGUOUS)
     with pytest.raises(ValueError):
         disambiguate(candidates, [measured_spectrum(truth, 3)] * 2)
-    flat = ModulationSpectrum(m=3, a0=0.0, harmonics=(), kind="free")
+    flat = ModulationSpectrum(m=3, a0=0.0, harmonics=(), kind="fixed")
     with pytest.raises(ValueError):
         disambiguate(candidates, [flat])
     exact = [predicted_spectrum((truth,), m)[0] for m in (3, 5)]
@@ -204,7 +204,7 @@ def test_disambiguate_predicts_once_per_measured_order(monkeypatch):
     monkeypatch.setattr(reconstruct, "predicted_spectrum", counting)
     truth = SourceGeometry((1, 3, 5))
     candidates = search(AMBIGUOUS)
-    lineless = ModulationSpectrum(m=4, a0=1.0, harmonics=(), kind="free")
+    lineless = ModulationSpectrum(m=4, a0=1.0, harmonics=(), kind="fixed")
     spectra = [measured_spectrum(truth, 3), lineless, measured_spectrum(truth, 5)]
     ranked = disambiguate(candidates, spectra)
     assert [m for _, m in calls] == [3, 5]
@@ -219,13 +219,13 @@ def test_equal_spectra_fall_back_on_the_search_order():
     # lines, fitted from 100000 frames of x=(1, 3, 5), the bits differ
     lines = (
         Harmonic(kappa=1, f=4.0, amplitude=1.4067580071859833,
-                 sigma_a=0.05988458346151628, sigma_f=0.01),
+                 sigma_a=0.05988458346151628),
         Harmonic(kappa=2, f=8.0, amplitude=1.4157072190937008,
-                 sigma_a=0.07236950067110268, sigma_f=0.01),
+                 sigma_a=0.07236950067110268),
     )
     measured = ModulationSpectrum(
         m=5, a0=5.795499453322755, sigma_a0=0.14567705295292302, harmonics=lines,
-        kind="free",
+        kind="fixed",
     )
     pair = CandidateSet(
         candidates=(Candidate(SourceGeometry((3, 1, 8, 3))),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import magic_curve
+from conftest import magic_curve, noisy_curve
 from specklescope import (
     CorrelationCurve,
     EvidenceRow,
@@ -20,19 +20,21 @@ from specklescope import (
     aggregate,
     calibrate_d,
     fit_fixed,
-    fit_free,
     gate,
     predicted_spectrum,
     surviving_frequencies,
 )
 
 
-def free_spectrum(*harmonics, m=3, a0=2.0):
-    return ModulationSpectrum(m=m, a0=a0, harmonics=tuple(harmonics), kind="free")
+def line_spectrum(*harmonics, m=3, a0=2.0):
+    # "reference" puts no constraint on where lines sit, so these spectra
+    # may carry lines an order-m filter cannot transmit
+    return ModulationSpectrum(m=m, a0=a0, harmonics=tuple(harmonics), kind="reference")
 
 
-def line(f, amplitude=0.5, sigma_a=0.05, sigma_f=0.02, kappa=1):
-    return Harmonic(kappa=kappa, f=f, amplitude=amplitude, sigma_a=sigma_a, sigma_f=sigma_f)
+def line(f, amplitude=0.5, sigma_a=0.05, kappa=1, contrast=0.25, sigma_contrast=0.02):
+    return Harmonic(kappa=kappa, f=f, amplitude=amplitude, sigma_a=sigma_a,
+                    contrast=contrast, sigma_contrast=sigma_contrast)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +52,13 @@ def test_fixed_fit_recovers_exact_amplitudes(x, m):
     assert fitted.frequencies == exact.frequencies
     for got, want in zip(fitted.harmonics, exact.harmonics):
         assert got.amplitude == pytest.approx(want.amplitude, abs=1e-8)
+        # at the magic placement every line is a pure cosine
+        assert got.contrast == pytest.approx(want.amplitude / exact.a0, abs=1e-8)
+        assert got.quadrature == pytest.approx(0.0, abs=1e-8)
+        # no replicas: the covariance errors are rounding-sized
+        assert 0.0 <= got.sigma_contrast < 1e-12 and 0.0 <= got.sigma_a < 1e-12
     assert fitted.residual_rms < 1e-8
+    assert fitted.leakage < 1e-8
 
 
 def test_fixed_fit_needs_one_comb_period():
@@ -69,35 +77,14 @@ def test_fixed_fit_needs_enough_samples():
         fit_fixed(magic_curve((1, 3), 3), span_bound=0)
 
 
-# ---------------------------------------------------------------------------
-# free-frequency fitting
-# ---------------------------------------------------------------------------
-
-
-def test_free_fit_of_flat_curve_is_offset_only():
-    fitted = fit_free(magic_curve((), 4))
-    assert fitted.harmonics == ()
-    assert fitted.a0 == pytest.approx(math.factorial(4), abs=1e-6)
-
-
-def test_free_fit_recovers_single_line():
-    fitted = fit_free(magic_curve((4,), 3))
-    exact = predicted_spectrum((SourceGeometry((4,)),), 3)[0]
-    assert len(fitted.harmonics) == 1
-    h = fitted.harmonics[0]
-    assert h.f == pytest.approx(4.0, abs=1e-6)
-    assert h.amplitude == pytest.approx(exact.amplitude_at(4.0), rel=1e-6)
-
-
-def test_free_fit_needs_enough_points():
-    axis = np.linspace(0, 2 * math.pi, 7)
-    curve = CorrelationCurve(m=3, delta1=axis, values=np.full(7, 2.0))
-    with pytest.raises(FitError):
-        fit_free(curve)
+def test_fixed_fit_needs_a_positive_offset():
+    axis = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+    with pytest.raises(FitError, match="offset"):
+        fit_fixed(CorrelationCurve(m=3, delta1=axis, values=np.zeros(64)))
 
 
 def test_replica_scatter_sets_amplitude_errors():
-    # coherent amplitude wobble across replicas must show up in sigma_a
+    # coherent amplitude wobble across replicas must show up in the sigmas
     axis = np.linspace(0, 2 * math.pi, 160, endpoint=False)
     base = 2.0 + np.cos(4.0 * axis)
     rng = np.random.default_rng(0)
@@ -110,12 +97,25 @@ def test_replica_scatter_sets_amplitude_errors():
         sigma=np.full(axis.size, 0.05),
         replicas=replicas,
     )
-    fitted = fit_free(curve)
-    h = fitted.harmonics[0]
-    assert h.f == pytest.approx(4.0, abs=0.01)
-    assert h.amplitude == pytest.approx(1.0, abs=0.02)
+    fitted = fit_fixed(curve, span_bound=8)
+    h = fitted.harmonics[fitted.frequencies.index(4.0)]
+    assert h.amplitude == pytest.approx(1.0, abs=1e-12)
     wobble = float(np.std(eps, ddof=1))
-    assert 0.3 * wobble < h.sigma_a < 3.0 * wobble
+    assert h.sigma_a == pytest.approx(wobble, rel=1e-9)
+    assert h.sigma_contrast == pytest.approx(wobble / 2.0, rel=1e-9)
+    assert fitted.sigma_a0 == pytest.approx(0.0, abs=1e-12)
+
+
+def test_covariance_fallback_prices_white_noise():
+    # without replicas the contrast error is the first-order propagation of
+    # the fit covariance; on white noise it must match the scatter of fits
+    contrasts, sigmas = [], []
+    for seed in range(300):
+        fitted = fit_fixed(noisy_curve((1, 3), 3, sigma=0.02, rows=0, seed=seed), span_bound=8)
+        h = fitted.harmonics[fitted.frequencies.index(4.0)]
+        contrasts.append(h.contrast)
+        sigmas.append(h.sigma_contrast)
+    assert float(np.mean(sigmas)) == pytest.approx(float(np.std(contrasts, ddof=1)), rel=0.1)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -124,7 +124,7 @@ def test_noiseless_pipeline_finds_exactly_the_surviving_lines(m):
         x for n in (1, 2, 3) for x in itertools.product(range(1, 5), repeat=n)
     ]
     for x in gap_tuples:
-        kept = gate(fit_free(magic_curve(x, m)))
+        kept = gate(fit_fixed(magic_curve(x, m)))
         got = tuple(int(f) for f in kept.frequencies)
         want = surviving_frequencies(SourceGeometry(x), m)
         assert got == want, f"x={x} m={m}: gated {got}, expected {want}"
@@ -136,40 +136,50 @@ def test_noiseless_pipeline_finds_exactly_the_surviving_lines(m):
 
 
 def test_gate_snaps_significant_lines():
-    kept = gate(free_spectrum(line(3.02, amplitude=0.51, sigma_a=0.19, sigma_f=0.04)))
-    assert kept.frequencies == (3.0,)
-    assert kept.harmonics[0].amplitude == pytest.approx(0.51)
+    # comb lines already sit on integers; a significant one passes untouched
+    significant = line(4.0, kappa=2, contrast=0.30, sigma_contrast=0.02)
+    kept = gate(line_spectrum(significant), n_tests=25)
+    assert kept.frequencies == (4.0,)
+    assert kept.harmonics[0] == significant
 
 
 @pytest.mark.parametrize(
     "bad",
-    [
-        line(3.90, sigma_f=0.31),  # frequency too uncertain
-        line(3.30, sigma_f=0.02),  # not near an integer
-        line(3.02, amplitude=0.30, sigma_a=0.19),  # below 2.5 sigma
-        line(0.40, sigma_f=0.01),  # rounds to zero
+    [  # (line, lines tested)
+        (line(4.0, contrast=0.05, sigma_contrast=0.02), 1),  # 2.5 sigma < z*(1) = 2.58
+        (line(4.0, contrast=-0.05, sigma_contrast=0.02), 1),  # the same, negative
+        (line(4.0, contrast=0.06, sigma_contrast=0.02), 25),  # 3 sigma < z*(25) = 3.54
+        # all of the amplitude in the null channel b/A0, none in a/A0
+        (Harmonic(kappa=1, f=4.0, amplitude=0.5, sigma_a=0.01, sigma_contrast=0.02,
+                  quadrature=0.25, sigma_quadrature=0.02), 1),
     ],
 )
 def test_gate_rejects_weak_or_non_integer_lines(bad):
-    assert gate(free_spectrum(bad)).harmonics == ()
+    harmonic, n_tests = bad
+    assert gate(line_spectrum(harmonic), n_tests=n_tests).harmonics == ()
 
 
-def test_gate_keeps_strongest_per_integer():
-    kept = gate(
-        free_spectrum(
-            line(3.95, amplitude=0.40, kappa=1),
-            line(4.05, amplitude=0.60, kappa=2),
-        )
-    )
-    assert kept.frequencies == (4.0,)
-    assert kept.harmonics[0].amplitude == pytest.approx(0.60)
+def test_gate_threshold_moves_with_the_number_of_tests():
+    policy = GatePolicy()
+    assert policy.threshold(1) == pytest.approx(2.5758293035489, rel=1e-12)
+    assert policy.threshold(25) == pytest.approx(3.5400837992061, rel=1e-12)
+    assert GatePolicy(alpha=0.05).threshold(25) < policy.threshold(25)
+    three_sigma = line_spectrum(line(4.0, contrast=0.06, sigma_contrast=0.02))
+    assert gate(three_sigma, n_tests=1).frequencies == (4.0,)
+    assert gate(three_sigma, n_tests=25).frequencies == ()
+    assert gate(three_sigma).frequencies == (4.0,)  # N defaults to the spectrum's lines
+
+
+def test_gate_is_two_sided():
+    negative = line(4.0, contrast=-0.30, sigma_contrast=0.02)
+    assert gate(line_spectrum(negative), n_tests=25).harmonics == (negative,)
 
 
 def test_gate_policy_validation():
-    gate(free_spectrum(line(3.0)), GatePolicy(k_a=1.0, sigma_f_max=0.2, eps_int=0.3))
-    for kwargs in (dict(k_a=0.0), dict(sigma_f_max=-1.0), dict(eps_int=0.5)):
+    gate(line_spectrum(line(4.0)), GatePolicy(alpha=0.2))
+    for alpha in (0.0, 1.0, -0.1, math.nan, 1e-301):
         with pytest.raises(ValueError):
-            GatePolicy(**kwargs)
+            GatePolicy(alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +188,7 @@ def test_gate_policy_validation():
 
 
 def gated_lines(m, fs):
-    return ModulationSpectrum(
-        m=m,
-        a0=2.0,
-        harmonics=tuple(line(float(f), kappa=i + 1) for i, f in enumerate(sorted(fs))),
-        kind="free",
-    )
+    return line_spectrum(*(line(float(f), kappa=i + 1) for i, f in enumerate(sorted(fs))), m=m)
 
 
 def test_aggregate_merges_three_state_evidence():
@@ -226,16 +231,12 @@ def test_aggregate_input_checks():
     with pytest.raises(ValueError):
         aggregate([gated_lines(3, [4]), gated_lines(3, [2])])
     with pytest.raises(ValueError):
-        aggregate([free_spectrum(line(3.3))])
+        aggregate([line_spectrum(line(3.3))])
 
 
 def test_aggregate_keeps_best_sighting():
-    strong = ModulationSpectrum(
-        m=5, a0=2.0, harmonics=(line(4.0, amplitude=0.9, sigma_a=0.01),), kind="free"
-    )
-    weak = ModulationSpectrum(
-        m=3, a0=2.0, harmonics=(line(4.0, amplitude=0.5, sigma_a=0.20),), kind="free"
-    )
+    strong = line_spectrum(line(4.0, amplitude=0.9, sigma_a=0.01), m=5)
+    weak = line_spectrum(line(4.0, amplitude=0.5, sigma_a=0.20), m=3)
     table = aggregate([weak, strong])
     assert table.rows[4].amplitude == pytest.approx(0.9)
 
