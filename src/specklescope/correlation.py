@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AliasingError,
-    GeometryError,
-    MatrixSizeError,
-    OrderError,
-)
+from .errors import GeometryError, MatrixSizeError, OrderError
 from .geometry import SourceGeometry, distinct_frequencies, phase_prefactors
 
 __all__ = [
@@ -251,16 +246,14 @@ def _ryser_batch(mats: np.ndarray) -> np.ndarray:
     return total
 
 
-def _normalized_curve(
-    perms: np.ndarray, n_sources: int, detectors: DetectorArray
-) -> CorrelationCurve:
-    """perm(J)/prod(diag J) over the scan, after checking the imaginary residue."""
-    norm = float(n_sources) ** detectors.m
+def _normalized(perms: np.ndarray, n_sources: int, m: int) -> np.ndarray:
+    """Rows of perm(J)/prod(diag J), clamped at 0, after checking each row's imaginary residue."""
+    norm = float(n_sources) ** m
     values = perms.real / norm
-    residue = np.max(np.abs(perms.imag)) / norm
-    if residue > 1e-8 * max(1.0, float(np.max(np.abs(values)))):
-        raise ArithmeticError(f"permanent imaginary residue too large: {residue:g}")
-    return CorrelationCurve(m=detectors.m, delta1=detectors.scan, values=values)
+    residue = np.max(np.abs(perms.imag), axis=-1) / norm
+    if np.any(residue > 1e-8 * np.maximum(1.0, np.max(np.abs(values), axis=-1))):
+        raise ArithmeticError(f"permanent imaginary residue too large: {np.max(residue):g}")
+    return np.maximum(values, 0.0)
 
 
 def g_m_analytic(geometry: SourceGeometry, detectors: DetectorArray) -> CorrelationCurve:
@@ -272,7 +265,8 @@ def g_m_analytic(geometry: SourceGeometry, detectors: DetectorArray) -> Correlat
     """
     table = _phase_table(phase_prefactors(geometry), detectors)
     mats = _coherence_stack(table, np.arange(geometry.n_sources)[None])[0]
-    return _normalized_curve(_ryser_batch(mats), geometry.n_sources, detectors)
+    values = _normalized(_ryser_batch(mats), geometry.n_sources, detectors.m)
+    return CorrelationCurve(m=detectors.m, delta1=detectors.scan, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +294,10 @@ def surviving_frequencies(geometry: SourceGeometry, m: int) -> tuple[int, ...]:
 class Harmonic:
     """One cosine component a cos(f delta) + b sin(f delta) of a correlation curve.
 
-    kappa counts multiples of the filter fundamental; f is the spatial
-    frequency in lattice units (f = kappa*(m-1) for filtered curves).
-    amplitude is hypot(a, b).  A fitted line also carries its contrast
-    a/A0 and the null channel b/A0 relative to the curve's offset A0,
-    each with its error.
+    kappa counts multiples of the filter fundamental; f = kappa*(m-1) is
+    the spatial frequency in lattice units, and amplitude is hypot(a, b).
+    A fitted line also carries its contrast a/A0 and the null channel
+    b/A0 relative to the curve's offset A0, each with its error.
     """
 
     kappa: int
@@ -331,42 +324,33 @@ class Harmonic:
 
 @dataclass(frozen=True)
 class ModulationSpectrum:
-    """Offset plus cosine amplitudes describing one correlation curve.
+    """Offset plus comb lines fitted to one order-m correlation curve.
 
-    kind records how the numbers were obtained: "analytic" (exact DFT of
-    a noiseless curve), "fixed" (least squares on the filtered comb), or
-    "reference" (regular-array fixed-at-zero configuration, where
-    f = kappa instead of kappa*(m-1)).  leakage is the largest amplitude
-    away from the reported lines: of the DFT for "analytic" and
-    "reference", of the fit residual's periodogram for "fixed".
+    Every line sits on the filtered comb, f = kappa*(m-1), since the
+    magic placement transmits nothing else (fit_fixed).  residual_rms is
+    the rms of the fit residual, and leakage the largest amplitude of its
+    periodogram away from the comb.
     """
 
     m: int
     a0: float
     harmonics: tuple[Harmonic, ...]
     sigma_a0: float = 0.0
-    kind: str = "analytic"
     residual_rms: float = 0.0
-    leakage: float | None = None
+    leakage: float = 0.0
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise OrderError(f"correlation order must be at least 2, got {self.m}")
-        if self.kind not in ("analytic", "fixed", "reference"):
-            raise ValueError(f"unknown spectrum kind {self.kind!r}")
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
-        numbers = [self.a0, self.sigma_a0, self.residual_rms]
-        if self.leakage is not None:
-            numbers.append(self.leakage)
-        if not all(map(math.isfinite, numbers)):
+        if not all(map(math.isfinite, (self.a0, self.sigma_a0, self.residual_rms, self.leakage))):
             raise ValueError("spectrum contains non-finite fields")
         if self.a0 < 0 or self.sigma_a0 < 0:
             raise ValueError("offset and its uncertainty must be non-negative")
-        fundamental = self.m - 1
         for h in self.harmonics:
-            if self.kind in ("analytic", "fixed") and h.f != h.kappa * fundamental:
+            if h.f != h.kappa * (self.m - 1):
                 raise ValueError(
-                    f"kind={self.kind!r} requires f = kappa*(m-1), "
+                    "lines must sit on the comb f = kappa*(m-1), "
                     f"got f={h.f} kappa={h.kappa} at m={self.m}"
                 )
 
@@ -374,117 +358,83 @@ class ModulationSpectrum:
     def frequencies(self) -> tuple[float, ...]:
         return tuple(h.f for h in self.harmonics)
 
-    def amplitude_at(self, f: float, tol: float = 1e-6) -> float:
-        """Amplitude of the harmonic at frequency f, or 0.0 if absent."""
-        for h in self.harmonics:
-            if abs(h.f - f) <= tol:
-                return h.amplitude
-        return 0.0
 
+def _scan_samples(span: int) -> int:
+    """Uniform full-period samples for a span-`span` array.
 
-def _dft_spectrum(
-    curve: CorrelationCurve,
-    keep: tuple[int, ...],
-    kind: str,
-    fundamental: int,
-) -> ModulationSpectrum:
-    """Exact single-bin DFT amplitudes of a uniformly sampled curve."""
-    s = len(curve)
-    coeff = np.fft.rfft(curve.values) / s
-    a0 = float(coeff[0].real)
-    harmonics = []
-    for f in keep:
-        kappa = f // fundamental
-        harmonics.append(Harmonic(kappa=kappa, f=float(f), amplitude=float(2.0 * abs(coeff[f]))))
-    keep_bins = {0, *keep}
-    other = [2.0 * abs(coeff[q]) for q in range(1, coeff.size) if q not in keep_bins]
-    leakage = float(max(other)) if other else 0.0
-    model = np.full(s, a0)
-    delta = curve.delta1
-    for h in harmonics:
-        bin_ = int(round(h.f))
-        model += 2.0 * (coeff[bin_] * np.exp(1j * h.f * delta)).real
-    residual_rms = float(np.sqrt(np.mean((curve.values - model) ** 2)))
-    return ModulationSpectrum(
-        m=curve.m,
-        a0=a0,
-        harmonics=tuple(harmonics),
-        kind=kind,
-        residual_rms=residual_rms,
-        leakage=leakage,
-    )
-
-
-def _scan_samples(span: int, samples: int | None) -> int:
-    """Scan samples for a span-`span` array, refusing a grid that aliases it."""
-    s = max(4 * (span + 1), 8) if samples is None else int(samples)
-    if s < 2 * span + 1:
-        raise AliasingError(
-            f"{s} samples alias a span-{span} array; need at least {2 * span + 1}"
-        )
-    return s
+    4*(span+1), at least 8: more than the 2*span+1 that keep its highest
+    pair frequency from aliasing.
+    """
+    return max(4 * (span + 1), 8)
 
 
 def predicted_spectrum(
-    geometries: Sequence[SourceGeometry], m: int, samples: int | None = None
-) -> tuple[ModulationSpectrum, ...]:
-    """Exact filtered spectra of geometries at order m (magic positions).
+    geometries: Sequence[SourceGeometry], m: int, freqs: Sequence[int]
+) -> np.ndarray:
+    """Exact contrasts A_f/A0 of geometries at order m (magic positions).
 
-    Samples each analytic curve on a uniform full-period grid and reads the
-    surviving amplitudes off single DFT bins.  Geometries of equal span and
-    source count share one phase table and one Gray-code walk per chunk;
-    each spectrum is the one its geometry gets alone, bit for bit.  A
-    single source has a flat curve at m!, reported as an offset with no
-    harmonics.
+    Returns a (len(geometries), len(freqs)) array: row g holds geometry g's
+    contrast at each requested frequency, exactly 0.0 where f is not among
+    its surviving frequencies.  Each analytic curve is sampled on a uniform
+    full-period grid, and A_f and A0 are read off single DFT bins; at the
+    magic placement every line is a pure cosine, so A_f/A0 is the whole
+    prediction.  Geometries of equal span and source count share one phase
+    table and one Gray-code walk per chunk; each row is the one its
+    geometry gets alone, bit for bit.
     """
     if m < 3:
         raise OrderError(f"filtered spectra need m >= 3, got m={m}")
     geometries = tuple(geometries)
+    freqs = np.array(freqs, dtype=int)
+    passed = freqs % (m - 1) == 0  # what the magic placement transmits
     groups: dict[tuple[int, int], list[int]] = {}
     for i, geometry in enumerate(geometries):
         groups.setdefault((geometry.span, geometry.n_sources), []).append(i)
 
-    spectra: list[ModulationSpectrum | None] = [None] * len(geometries)
-    tables: dict[int, tuple[DetectorArray, np.ndarray]] = {}
+    contrasts = np.zeros((len(geometries), len(freqs)))
+    tables: dict[int, np.ndarray] = {}
     for (span, n), members in groups.items():
         if span not in tables:
-            detectors = DetectorArray.magic_scan(m, _scan_samples(span, samples))
-            tables[span] = detectors, _phase_table(range(span + 1), detectors)
-        detectors, table = tables[span]
+            detectors = DetectorArray.magic_scan(m, _scan_samples(span))
+            tables[span] = _phase_table(range(span + 1), detectors)
+        table = tables[span]
+        samples = table.shape[1]
+        # a frequency past the span reads the last bin and is masked out below
+        bins = np.minimum(freqs, samples // 2)
+        lo, hi = np.triu_indices(n, 1)  # every source pair once
         per_walk = max(1, _CHUNK_ELEMENTS // (n * table[0].size))
         for start in range(0, len(members), per_walk):
             chunk = members[start : start + per_walk]
             rows = np.array([phase_prefactors(geometries[i]) for i in chunk])
             mats = _coherence_stack(table, rows).reshape(-1, m, m)
             perms = _ryser_batch(mats).reshape(len(chunk), -1)
-            for i, row in zip(chunk, perms):
-                curve = _normalized_curve(row, n, detectors)
-                if n == 1:
-                    spectra[i] = ModulationSpectrum(
-                        m=m, a0=float(np.mean(curve.values)), harmonics=()
-                    )
-                else:
-                    keep = surviving_frequencies(geometries[i], m)
-                    spectra[i] = _dft_spectrum(curve, keep, kind="analytic", fundamental=m - 1)
-    return tuple(spectra)
+            coeff = np.fft.rfft(_normalized(perms, n, m), axis=-1) / samples
+            # np.hypot, not np.abs: it rounds exactly as abs() of one coefficient
+            lines = 2.0 * np.hypot(coeff.real[:, bins], coeff.imag[:, bins])
+            ratio = lines / coeff.real[:, :1]
+            # a line survives where f is a pair distance and the filter passes it
+            distances = rows[:, hi] - rows[:, lo]
+            present = (distances[:, :, None] == freqs).any(axis=1)
+            contrasts[chunk] = np.where(present & passed, ratio, 0.0)
+    return contrasts
 
 
-def regular_array_reference(
-    n_sources: int, m: int, samples: int | None = None
-) -> ModulationSpectrum:
-    """Spectrum of an equally spaced N-source array, all fixed detectors at 0.
+def regular_array_reference(n_sources: int, m: int) -> np.ndarray:
+    """Line amplitudes A_l, l = 1..N-1, of an equally spaced N-source array.
 
-    In this configuration every pair distance l = 1..N-1 contributes and
-    the amplitudes fall off linearly, A_l proportional to N - l; the
-    returned spectrum uses f = kappa = l (kind "reference").
+    All m-1 fixed detectors sit at offset 0, so nothing is filtered: every
+    pair distance l contributes, and the amplitudes fall off linearly,
+    A_l proportional to N - l.  That is the regular-array claim of the
+    earlier work this paper extends (Phys. Rev. Lett. 109, 233603 (2012)).
+    The amplitudes are read off the DFT of the analytic curve.
     """
     if n_sources < 2:
         raise GeometryError(f"reference array needs at least 2 sources, got {n_sources}")
     if m < 2:
         raise OrderError(f"correlation order must be at least 2, got {m}")
     geometry = SourceGeometry((1,) * (n_sources - 1))
-    s = _scan_samples(geometry.span, samples)
-    detectors = DetectorArray(m, (0.0,) * (m - 1), np.linspace(0, 2 * math.pi, s, endpoint=False))
-    curve = g_m_analytic(geometry, detectors)
-    keep = tuple(range(1, n_sources))
-    return _dft_spectrum(curve, keep, kind="reference", fundamental=1)
+    samples = _scan_samples(geometry.span)
+    scan = np.linspace(0, 2 * math.pi, samples, endpoint=False)
+    curve = g_m_analytic(geometry, DetectorArray(m, (0.0,) * (m - 1), scan))
+    coeff = np.fft.rfft(curve.values) / samples
+    return 2.0 * np.abs(coeff[1:n_sources])

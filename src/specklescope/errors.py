@@ -12,7 +12,6 @@ __all__ = [
     "GeometryError",
     "OrderError",
     "MatrixSizeError",
-    "AliasingError",
     "GridCoverageError",
     "DegeneratePixelError",
     "FitError",
@@ -37,10 +36,6 @@ class OrderError(SpeckleScopeError, ValueError):
 
 class MatrixSizeError(SpeckleScopeError, ValueError):
     """Permanent requested for a matrix past the configured size cap."""
-
-
-class AliasingError(SpeckleScopeError, ValueError):
-    """Requested sampling is too coarse for the spectral content."""
 
 
 class GridCoverageError(SpeckleScopeError, ValueError):

@@ -275,30 +275,32 @@ def disambiguate(
     if len(set(orders)) != len(orders):
         raise ValueError(f"duplicate correlation orders in {sorted(orders)}")
 
-    measured: list[tuple[int, float, float, float]] = []  # (m, f, ratio, sigma)
+    measured: list[tuple[int, int, float, float]] = []  # (m, line index, ratio, sigma)
     for s in spectra:
         if s.a0 <= 0:
             raise ValueError(f"order-{s.m} spectrum has non-positive offset")
-        for h in s.harmonics:
+        for j, h in enumerate(s.harmonics):
             ratio = h.amplitude / s.a0
             var = (h.sigma_a / s.a0) ** 2 + (h.amplitude * s.sigma_a0 / s.a0**2) ** 2
-            measured.append((s.m, h.f, ratio, math.sqrt(var)))
+            measured.append((s.m, j, ratio, math.sqrt(var)))
     if measured and all(sig == 0.0 for _, _, _, sig in measured):
         raise ValueError("all measured amplitude errors are zero; weighting degenerate")
 
-    # one batched prediction of every candidate per order with measured lines
+    # one contrast table of every candidate per order with measured lines,
+    # one column per measured line of that order
     geometries = candidate_set.geometries()
-    predictions = {
-        m: predicted_spectrum(geometries, m) for m in dict.fromkeys(m for m, *_ in measured)
+    tables = {
+        s.m: predicted_spectrum(geometries, s.m, [int(h.f) for h in s.harmonics]).tolist()
+        for s in spectra
+        if s.harmonics
     }
 
     sigma_floor = 1e-12
     rescored = []
     for k, cand in enumerate(candidate_set.candidates):
         chi2_by_order: dict[int, float] = {m: 0.0 for m in orders}
-        for m, f, ratio, sig in measured:
-            pred = predictions[m][k]
-            pred_ratio = pred.amplitude_at(f) / pred.a0
+        for m, j, ratio, sig in measured:
+            pred_ratio = tables[m][k][j]
             chi2_by_order[m] += ((ratio - pred_ratio) / max(sig, sigma_floor)) ** 2
         score = float(sum(chi2_by_order.values()))
         rescored.append(
@@ -328,14 +330,6 @@ class ApertureReport:
     m: int
     moving: float
     total: float
-
-    @property
-    def moving_span_rad(self) -> float:
-        return 2.0 * math.pi * self.moving
-
-    @property
-    def total_span_rad(self) -> float:
-        return 2.0 * math.pi * self.total
 
 
 def aperture_report(m: int) -> ApertureReport:

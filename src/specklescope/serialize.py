@@ -185,9 +185,8 @@ _SPECTRUM = {
     "m": ("m", int),
     "A0": ("a0", float),
     "sigma_A0": ("sigma_a0", float),
-    "kind": ("kind", str),
     "residual_rms": ("residual_rms", float),
-    "leakage": ("leakage", _optional_float),
+    "leakage": ("leakage", float),
 }
 _EVIDENCE_ROW = {
     "f": ("f", int),
@@ -337,9 +336,9 @@ def write_frames(stack: FrameStack, path: str | Path) -> None:
 
 
 def read_frames(path: str | Path) -> FrameStack:
-    """Read a frame container; a truncated or malformed file is a FormatError."""
-    size = os.path.getsize(path)
+    """Read a frame container; a missing, truncated or malformed file is a FormatError."""
     with _parsing(path, "malformed frame container"), open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_FRAME_MAGIC))
         if magic != _FRAME_MAGIC:
             raise FormatError(f"{path}: not a frame container (magic {magic!r})")

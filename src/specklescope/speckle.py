@@ -25,9 +25,7 @@ __all__ = [
     "SpeckleRun",
     "FrameStack",
     "uniform_grid",
-    "frame_amplitudes",
     "sample_frames",
-    "quantize",
     "nearest_magic_pixels",
     "estimate_g_m",
 ]
@@ -168,18 +166,6 @@ def _draw_amplitudes(run: SpeckleRun, frames: Sequence[int]) -> np.ndarray:
     return np.sqrt(w / 2.0) * (xi[..., 0] + 1j * xi[..., 1])
 
 
-def frame_amplitudes(run: SpeckleRun, frame: int) -> np.ndarray:
-    """Complex source amplitudes of one frame, reproducible in isolation.
-
-    Each frame owns a counter-partitioned Philox stream keyed by
-    (run.seed, frame index), so frame 57 of a million-frame run can be
-    regenerated without touching the other 999999.
-    """
-    if not 0 <= frame < run.frames:
-        raise ValueError(f"frame index {frame} outside 0..{run.frames - 1}")
-    return _draw_amplitudes(run, [frame])[0]
-
-
 def _frame_chunks(n_frames: int) -> Iterator[tuple[int, int]]:
     """(start, stop) of each sampling chunk; none holds a single frame of several.
 
@@ -194,8 +180,6 @@ def _frame_chunks(n_frames: int) -> Iterator[tuple[int, int]]:
 
 def _quantize_in_place(inten: np.ndarray, bits: int) -> None:
     """Round intensities to ADC counts; the maximum maps to 2^bits - 1."""
-    if not 1 <= bits <= 16:
-        raise ValueError(f"quantization bits must be in 1..16, got {bits}")
     top = float(inten.max())
     if top:
         inten *= float(2**bits - 1) / top
@@ -231,25 +215,6 @@ def sample_frames(run: SpeckleRun) -> FrameStack:
         n_sources=run.geometry.n_sources,
         seed=run.seed,
         bits=run.quantization_bits,
-    )
-
-
-def quantize(stack: FrameStack, bits: int) -> FrameStack:
-    """Quantize intensities to ADC counts at the given bit depth.
-
-    The stack maximum maps to the top level 2^bits - 1; values are stored
-    as float counts.  Idempotent: quantizing an already quantized stack
-    at the same depth returns identical counts.
-    """
-    counts = np.array(stack.intensities)
-    _quantize_in_place(counts, bits)
-    counts.flags.writeable = False  # the new stack adopts it
-    return FrameStack(
-        intensities=counts,
-        delta_axis=stack.delta_axis,
-        n_sources=stack.n_sources,
-        seed=stack.seed,
-        bits=bits,
     )
 
 

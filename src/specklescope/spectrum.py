@@ -238,7 +238,6 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectr
             a0=a0,
             sigma_a0=sigma_a0,
             harmonics=tuple(h for h in harmonics if h.amplitude >= floor),
-            kind="fixed",
             residual_rms=float(np.sqrt(np.mean(resid**2))),
             leakage=_off_comb_peak(delta, resid, w, fundamental),
         )
@@ -362,42 +361,22 @@ def aggregate(spectra: Sequence[ModulationSpectrum]) -> EvidenceTable:
 
     A frequency is Present when an order whose filter passes it (f
     divisible by m-1) shows it; Absent when such an order shows nothing
-    there; Unknown otherwise.  A line an order could not physically have
-    transmitted is leaked estimator noise and never counts as presence.
-    Present is never demoted by new absences; such rows are only flagged
-    as conflicts.
+    there; Unknown otherwise.  Lines sit on their order's comb (a
+    ModulationSpectrum holds no other), so every sighting is one the
+    order could transmit.  Present is never demoted by new absences; such
+    rows are only flagged as conflicts.
     """
     orders = [s.m for s in spectra]
     if len(set(orders)) != len(orders):
         raise ValueError(f"duplicate correlation orders in {sorted(orders)}")
-    accepted: dict[int, dict[int, Harmonic]] = {}
-    for s in spectra:
-        lines = {}
-        for h in s.harmonics:
-            f_int = round(h.f)
-            if abs(h.f - f_int) > 1e-6:
-                raise ValueError(
-                    f"aggregate needs gated spectra; got non-integer line f={h.f}"
-                )
-            lines[f_int] = h
-        accepted[s.m] = lines
+    accepted = {s.m: {int(h.f): h for h in s.harmonics} for s in spectra}
 
     span_hint = max((f for lines in accepted.values() for f in lines), default=0)
     rows: dict[int, EvidenceRow] = {}
     for f in range(1, span_hint + 1):
-        present_orders = tuple(
-            sorted(
-                m
-                for m, lines in accepted.items()
-                if f % (m - 1) == 0 and f in lines
-            )
-        )
+        present_orders = tuple(sorted(m for m, lines in accepted.items() if f in lines))
         absent_orders = tuple(
-            sorted(
-                m
-                for m, lines in accepted.items()
-                if f % (m - 1) == 0 and f not in lines
-            )
+            sorted(m for m, lines in accepted.items() if f % (m - 1) == 0 and f not in lines)
         )
         if present_orders:
             # report the most significant sighting

@@ -33,7 +33,6 @@ from specklescope import (
     gate,
     nearest_magic_pixels,
     permanent,
-    predicted_spectrum,
     sample_frames,
     search,
     surviving_frequencies,
@@ -79,30 +78,28 @@ def naive_permanent(a):
 
 
 def test_1_filtering_theorem():
-    # every geometry with up to 5 sources and gaps up to 4, orders 3..6:
-    # non-surviving integer frequencies below 1e-9, surviving above 1e-6
+    # every geometry with up to 5 sources and gaps up to 4, orders 3..6: the
+    # DFT of the analytic curve at the magic placement, against the rule
+    # that only pair distances divisible by m-1 survive.  Non-surviving
+    # integer frequencies stay below 1e-9, surviving ones above 1e-6
     started = time.time()
     worst_leak = 0.0
     weakest_line = float("inf")
-    wrong_sets = 0
     n_geometries = 0
     for n_gaps in (1, 2, 3, 4):
         for x in itertools.product(range(1, 5), repeat=n_gaps):
             n_geometries += 1
             geometry = SourceGeometry(x)
             for m in (3, 4, 5, 6):
-                spectrum = predicted_spectrum((geometry,), m)[0]
-                expected = tuple(float(f) for f in surviving_frequencies(geometry, m))
-                if spectrum.frequencies != expected:
-                    wrong_sets += 1
-                if spectrum.leakage is not None:
-                    worst_leak = max(worst_leak, spectrum.leakage)
-                for h in spectrum.harmonics:
-                    weakest_line = min(weakest_line, h.amplitude)
+                curve = magic_curve(x, m)
+                amplitudes = 2.0 * np.abs(np.fft.rfft(curve.values)) / len(curve)
+                surviving = list(surviving_frequencies(geometry, m))
+                weakest_line = float(amplitudes[surviving].min(initial=weakest_line))
+                leaked = np.delete(amplitudes, [0, *surviving])
+                worst_leak = max(worst_leak, float(np.max(leaked)))
     elapsed = time.time() - started
     ok = (
         n_geometries >= 120
-        and wrong_sets == 0
         and worst_leak < 1e-9
         and weakest_line > 1e-6
         and elapsed < 120.0

@@ -366,8 +366,10 @@ def _drop_sigmas(spectra):
     return spectra
 
 
-def _free_kind(spectra):
-    spectra["gated"][0]["kind"] = "free"
+def _off_comb_line(spectra):
+    # order 4 transmits only multiples of 3, so no order-4 line sits at f = 4
+    (order_4,) = [s for s in spectra["gated"] if s["m"] == 4]
+    order_4["harmonics"][0]["f"] = 4.0
     return spectra
 
 
@@ -399,7 +401,7 @@ MALFORMED_ARTIFACTS = {
     "spectra-zero-offset": ("spectra.json", "reconstruct", _json_edit(_zero_offset)),
     "spectra-nan-offset": ("spectra.json", "reconstruct", _json_edit(_nan_offset)),
     "spectra-without-sigmas": ("spectra.json", "reconstruct", _json_edit(_drop_sigmas)),
-    "spectra-free-kind": ("spectra.json", "reconstruct", _json_edit(_free_kind)),
+    "spectra-off-comb-line": ("spectra.json", "reconstruct", _json_edit(_off_comb_line)),
     "spectra-old-lines": ("spectra.json", "reconstruct", _json_edit(_old_line_keys)),
     "report-without-evidence": ("reconstruction.json", "report", _json_edit(_drop_evidence)),
     "manifest-as-list": ("manifest.json", "report", _json_edit(list)),

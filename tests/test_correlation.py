@@ -9,7 +9,6 @@ import pytest
 
 from specklescope import (
     MAX_PERMANENT_ORDER,
-    AliasingError,
     CorrelationCurve,
     DetectorArray,
     GeometryError,
@@ -225,15 +224,36 @@ def test_analytic_order_cap():
 # ---------------------------------------------------------------------------
 
 
+# every integer frequency up to past the largest span below
+FREQS = tuple(range(1, 20))
+
+
+def rfft_contrasts(geometry, m, freqs):
+    """A_f/A0 read off the DFT of the analytic curve, on a grid of its own."""
+    curve = g_m_analytic(geometry, DetectorArray.magic_scan(m, 8 * (geometry.span + 1)))
+    coeff = np.fft.rfft(curve.values)
+    return np.array([2.0 * abs(coeff[f]) / coeff[0].real for f in freqs])
+
+
 @pytest.mark.parametrize("x", [(1, 3), (3, 1, 4), (2, 1, 3)])
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_reflection_leaves_the_spectrum_unchanged(x, m):
-    a = predicted_spectrum((SourceGeometry(x),), m)[0]
-    b = predicted_spectrum((reflect(SourceGeometry(x)),), m)[0]
-    assert a.frequencies == b.frequencies
-    assert a.a0 == pytest.approx(b.a0, abs=1e-10)
-    for ha, hb in zip(a.harmonics, b.harmonics):
-        assert ha.amplitude == pytest.approx(hb.amplitude, abs=1e-10)
+    a = predicted_spectrum((SourceGeometry(x),), m, FREQS)
+    b = predicted_spectrum((reflect(SourceGeometry(x)),), m, FREQS)
+    np.testing.assert_array_equal(a != 0.0, b != 0.0)
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+def test_table_rows_match_the_dft_of_each_curve():
+    # mixed spans and source counts in one batch, each row against the
+    # geometry's own analytic curve
+    batch = [SourceGeometry(x) for x in [(1, 3), (3, 1, 4), (2, 2, 7, 1), (1, 3, 5),
+                                         (1, 1, 1, 1, 1), (4,), (2, 5, 1, 3, 2)]]
+    for m in (3, 4, 5, 6):
+        table = predicted_spectrum(batch, m, FREQS)
+        assert table.shape == (len(batch), len(FREQS))
+        for geometry, row in zip(batch, table):
+            np.testing.assert_allclose(row, rfft_contrasts(geometry, m, FREQS), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -247,31 +267,34 @@ def test_prediction_does_not_depend_on_its_batch(m):
     random.Random(m).shuffle(batch)
     samples = 4 * (12 + 1)
     assert len(fives) * 5 * samples * m * m > correlation._CHUNK_ELEMENTS
-    together = predicted_spectrum(batch, m)
-    assert len(together) == len(batch)
-    for geometry, spectrum in zip(batch, together):
-        assert spectrum == predicted_spectrum((geometry,), m)[0], geometry.x
+    together = predicted_spectrum(batch, m, FREQS)
+    assert together.shape == (len(batch), len(FREQS))
+    for geometry, row in zip(batch, together):
+        assert np.array_equal(row, predicted_spectrum((geometry,), m, FREQS)[0]), geometry.x
 
 
 def test_spectrum_keeps_only_surviving_lines():
-    s = predicted_spectrum((SourceGeometry((3, 1, 4)),), 3)[0]
-    assert s.frequencies == (4.0, 8.0)
-    assert all(h.amplitude > 1e-6 for h in s.harmonics)
-    assert s.leakage < 1e-9
-    assert s.residual_rms < 1e-9
+    row = predicted_spectrum((SourceGeometry((3, 1, 4)),), 3, FREQS)[0]
+    lines = {f: c for f, c in zip(FREQS, row) if c != 0.0}
+    assert sorted(lines) == [4, 8]
+    assert all(c > 1e-6 for c in lines.values())
+    # the columns follow the requested frequencies, repeats included
+    np.testing.assert_array_equal(
+        predicted_spectrum((SourceGeometry((3, 1, 4)),), 3, [8, 3, 8])[0],
+        [lines[8], 0.0, lines[8]],
+    )
+    assert predicted_spectrum((SourceGeometry((3, 1, 4)),), 3, []).shape == (1, 0)
 
 
 def test_single_source_spectrum_is_flat():
-    s = predicted_spectrum((SourceGeometry(()),), 4)[0]
-    assert s.harmonics == ()
-    assert s.a0 == pytest.approx(math.factorial(4), rel=1e-9)
+    assert not predicted_spectrum((SourceGeometry(()),), 4, FREQS).any()
+    curve = g_m_analytic(SourceGeometry(()), DetectorArray.magic_scan(4, 16))
+    np.testing.assert_allclose(curve.values, math.factorial(4), rtol=1e-9)
 
 
-def test_undersampled_grid_rejected():
-    with pytest.raises(AliasingError):
-        predicted_spectrum((SourceGeometry((3, 1, 4)),), 3, samples=10)
+def test_prediction_refuses_order_2():
     with pytest.raises(OrderError):
-        predicted_spectrum((SourceGeometry((1, 2)),), 2)
+        predicted_spectrum((SourceGeometry((1, 2)),), 2, FREQS)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -279,12 +302,10 @@ def test_undersampled_grid_rejected():
 def test_regular_array_amplitudes_fall_linearly(n, m):
     # equally spaced sources, every fixed detector at zero:
     # A_l / A_1 = (n - l) / (n - 1)
-    s = regular_array_reference(n, m)
-    assert s.kind == "reference"
-    assert s.frequencies == tuple(float(l) for l in range(1, n))
-    a1 = s.harmonics[0].amplitude
-    for h in s.harmonics:
-        assert h.amplitude / a1 == pytest.approx((n - h.kappa) / (n - 1), rel=1e-8)
+    amplitudes = regular_array_reference(n, m)
+    assert amplitudes.shape == (n - 1,)
+    for l, amplitude in enumerate(amplitudes, start=1):
+        assert amplitude / amplitudes[0] == pytest.approx((n - l) / (n - 1), rel=1e-8)
 
 
 def test_reference_array_input_checks():

@@ -1,12 +1,12 @@
 """Geometry search against evidence tables, scoring, aperture accounting."""
 
 import itertools
-import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from conftest import evidence_for
+from conftest import evidence_for, magic_curve
 from search_oracle import BoundsError, oracle_search
 from specklescope import (
     Candidate,
@@ -24,13 +24,20 @@ from specklescope import (
     predicted_spectrum,
     reconstruct,
     search,
+    surviving_frequencies,
 )
 
 
 def measured_spectrum(truth, m, sigma_a=0.02):
-    exact = predicted_spectrum((truth,), m)[0]
-    noisy = tuple(replace(h, sigma_a=sigma_a) for h in exact.harmonics)
-    return ModulationSpectrum(m=m, a0=exact.a0, harmonics=noisy, kind="fixed")
+    """The exact lines of `truth` at order m, each given the error sigma_a."""
+    surviving = surviving_frequencies(truth, m)
+    contrasts = predicted_spectrum((truth,), m, surviving)[0]
+    a0 = float(np.mean(magic_curve(truth.x, m).values))
+    lines = tuple(
+        Harmonic(kappa=f // (m - 1), f=float(f), amplitude=float(c) * a0, sigma_a=sigma_a)
+        for f, c in zip(surviving, contrasts)
+    )
+    return ModulationSpectrum(m=m, a0=a0, harmonics=lines)
 
 
 AMBIGUOUS = EvidenceTable.from_sets(
@@ -167,7 +174,6 @@ def test_scores_are_scale_invariant():
                 )
                 for h in s.harmonics
             ),
-            kind=s.kind,
         )
         for s in spectra
     ]
@@ -183,10 +189,10 @@ def test_disambiguation_input_checks():
     candidates = search(AMBIGUOUS)
     with pytest.raises(ValueError):
         disambiguate(candidates, [measured_spectrum(truth, 3)] * 2)
-    flat = ModulationSpectrum(m=3, a0=0.0, harmonics=(), kind="fixed")
+    flat = ModulationSpectrum(m=3, a0=0.0, harmonics=())
     with pytest.raises(ValueError):
         disambiguate(candidates, [flat])
-    exact = [predicted_spectrum((truth,), m)[0] for m in (3, 5)]
+    exact = [measured_spectrum(truth, m, sigma_a=0.0) for m in (3, 5)]
     with pytest.raises(ValueError):
         disambiguate(candidates, exact)  # zero errors cannot weight a fit
 
@@ -204,7 +210,7 @@ def test_disambiguate_predicts_once_per_measured_order(monkeypatch):
     monkeypatch.setattr(reconstruct, "predicted_spectrum", counting)
     truth = SourceGeometry((1, 3, 5))
     candidates = search(AMBIGUOUS)
-    lineless = ModulationSpectrum(m=4, a0=1.0, harmonics=(), kind="fixed")
+    lineless = ModulationSpectrum(m=4, a0=1.0, harmonics=())
     spectra = [measured_spectrum(truth, 3), lineless, measured_spectrum(truth, 5)]
     ranked = disambiguate(candidates, spectra)
     assert [m for _, m in calls] == [3, 5]
@@ -225,7 +231,6 @@ def test_equal_spectra_fall_back_on_the_search_order():
     )
     measured = ModulationSpectrum(
         m=5, a0=5.795499453322755, sigma_a0=0.14567705295292302, harmonics=lines,
-        kind="fixed",
     )
     pair = CandidateSet(
         candidates=(Candidate(SourceGeometry((3, 1, 8, 3))),
@@ -275,7 +280,5 @@ def test_aperture_fractions():
         report = aperture_report(m)
         assert report.moving * (m - 1) == pytest.approx(1.0)
         assert report.total < 1.0
-        assert report.moving_span_rad == pytest.approx(2 * math.pi * report.moving)
-        assert report.total_span_rad == pytest.approx(2 * math.pi * report.total)
     with pytest.raises(OrderError):
         aperture_report(1)

@@ -15,7 +15,6 @@ from specklescope import (
     SpeckleRun,
     aperture_report,
     estimate_g_m,
-    quantize,
     sample_frames,
     search,
     uniform_grid,
@@ -157,7 +156,6 @@ def test_spectrum_dict_round_trip():
             Harmonic(kappa=2, f=6.0, amplitude=0.4, sigma_a=0.03, contrast=-0.12,
                      sigma_contrast=0.009, quadrature=0.02, sigma_quadrature=0.008),
         ),
-        kind="fixed",
         residual_rms=0.007,
         leakage=1e-4,
     )
@@ -238,9 +236,11 @@ def test_frames_round_trip(tmp_path, stack):
     assert back.bits is None
 
 
-def test_frames_round_trip_keeps_bits(tmp_path, stack):
+def test_frames_round_trip_keeps_bits(tmp_path):
+    run = SpeckleRun(geometry=SourceGeometry((2,)), frames=32, seed=9,
+                     delta_axis=uniform_grid(16), quantization_bits=8)
     path = tmp_path / "frames.sstk"
-    write_frames(quantize(stack, 8), path)
+    write_frames(sample_frames(run), path)
     assert read_frames(path).bits == 8
 
 
@@ -258,6 +258,11 @@ def test_frames_reader_rejects_corruption(tmp_path, stack):
     truncated.write_bytes(blob[: len(blob) - 64])
     with pytest.raises(ValueError):
         read_frames(truncated)
+
+
+def test_frames_reader_names_a_missing_file(tmp_path):
+    with pytest.raises(FormatError, match="missing.sstk"):
+        read_frames(tmp_path / "missing.sstk")
 
 
 def test_writers_leave_no_temp_files(tmp_path, stack):

@@ -17,10 +17,8 @@ from specklescope import (
     SourceGeometry,
     SpeckleRun,
     estimate_g_m,
-    frame_amplitudes,
     g_m_analytic,
     nearest_magic_pixels,
-    quantize,
     sample_frames,
     uniform_grid,
 )
@@ -140,16 +138,10 @@ def test_single_frame_regenerates_in_isolation():
         # the frame's own Philox stream, drawn by a generator of its own
         rng = np.random.Generator(np.random.Philox(key=run.seed, counter=frame << 192))
         xi = rng.standard_normal((run.geometry.n_sources, 2))
-        reference = np.sqrt(0.5) * (xi[:, 0] + 1j * xi[:, 1])
-        np.testing.assert_array_equal(frame_amplitudes(run, frame), reference)
-        field = frame_amplitudes(run, frame) @ basis
+        field = np.sqrt(0.5) * (xi[:, 0] + 1j * xi[:, 1]) @ basis
         np.testing.assert_allclose(
             np.abs(field) ** 2, stack.intensities[frame], atol=1e-12
         )
-    with pytest.raises(ValueError):
-        frame_amplitudes(run, -1)
-    with pytest.raises(ValueError):
-        frame_amplitudes(run, 50)
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 7, 100_000])
@@ -357,39 +349,24 @@ def test_dead_pixel_is_reported():
 # ---------------------------------------------------------------------------
 
 
-def test_quantization_counts_and_idempotence():
-    stack = sample_frames(small_run())
-    q8 = quantize(stack, 8)
+def test_quantization_counts():
+    q8 = sample_frames(small_run(quantization_bits=8))
     assert q8.bits == 8
     assert q8.intensities.min() >= 0
     assert q8.intensities.max() == 255
     np.testing.assert_array_equal(q8.intensities, np.rint(q8.intensities))
-    again = quantize(q8, 8)
-    np.testing.assert_array_equal(again.intensities, q8.intensities)
+    # the same frames, scaled so that the stack maximum reads 2^8 - 1
+    raw = sample_frames(small_run()).intensities
+    np.testing.assert_array_equal(q8.intensities, np.rint(raw * (255.0 / raw.max())))
 
 
 def test_low_bit_depth_clips_hard():
     stack = sample_frames(small_run(frames=512))
     assert stack.clipped_fraction() < 0.01
-    q1 = quantize(stack, 1)
+    q1 = sample_frames(small_run(frames=512, quantization_bits=1))
     assert q1.clipped_fraction() == 1.0  # every sample is 0 or 1
-    assert quantize(stack, 12).clipped_fraction() < stack.clipped_fraction() + 0.01
-
-
-def test_run_level_quantization_matches_post_hoc():
-    run = small_run(quantization_bits=6)
-    auto = sample_frames(run)
-    manual = quantize(sample_frames(small_run()), 6)
-    np.testing.assert_array_equal(auto.intensities, manual.intensities)
-    assert auto.bits == 6
-
-
-def test_quantize_rejects_bad_depth():
-    stack = sample_frames(small_run())
-    with pytest.raises(ValueError):
-        quantize(stack, 0)
-    with pytest.raises(ValueError):
-        quantize(stack, 17)
+    q12 = sample_frames(small_run(frames=512, quantization_bits=12))
+    assert q12.clipped_fraction() < stack.clipped_fraction() + 0.01
 
 
 # ---------------------------------------------------------------------------

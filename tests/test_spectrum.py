@@ -27,14 +27,14 @@ from specklescope import (
 
 
 def line_spectrum(*harmonics, m=3, a0=2.0):
-    # "reference" puts no constraint on where lines sit, so these spectra
-    # may carry lines an order-m filter cannot transmit
-    return ModulationSpectrum(m=m, a0=a0, harmonics=tuple(harmonics), kind="reference")
+    return ModulationSpectrum(m=m, a0=a0, harmonics=tuple(harmonics))
 
 
-def line(f, amplitude=0.5, sigma_a=0.05, kappa=1, contrast=0.25, sigma_contrast=0.02):
-    return Harmonic(kappa=kappa, f=f, amplitude=amplitude, sigma_a=sigma_a,
-                    contrast=contrast, sigma_contrast=sigma_contrast)
+def line(f, amplitude=0.5, sigma_a=0.05, contrast=0.25, sigma_contrast=0.02, m=3):
+    # a line on the order-m comb has kappa = f/(m-1); the spectrum refuses an
+    # f off the comb, whose rounded kappa does not give it back
+    return Harmonic(kappa=max(1, round(f / (m - 1))), f=f, amplitude=amplitude,
+                    sigma_a=sigma_a, contrast=contrast, sigma_contrast=sigma_contrast)
 
 
 # ---------------------------------------------------------------------------
@@ -44,16 +44,17 @@ def line(f, amplitude=0.5, sigma_a=0.05, kappa=1, contrast=0.25, sigma_contrast=
 
 @pytest.mark.parametrize("x,m", [((1, 3), 3), ((3, 1, 4), 3), ((3, 1, 4), 4), ((2, 1, 3), 5)])
 def test_fixed_fit_recovers_exact_amplitudes(x, m):
-    span = sum(x)
-    fitted = fit_fixed(magic_curve(x, m), span_bound=span)
-    exact = predicted_spectrum((SourceGeometry(x),), m)[0]
-    assert fitted.kind == "fixed"
-    assert fitted.a0 == pytest.approx(exact.a0, abs=1e-8)
-    assert fitted.frequencies == exact.frequencies
-    for got, want in zip(fitted.harmonics, exact.harmonics):
-        assert got.amplitude == pytest.approx(want.amplitude, abs=1e-8)
+    curve = magic_curve(x, m)
+    fitted = fit_fixed(curve, span_bound=sum(x))
+    surviving = surviving_frequencies(SourceGeometry(x), m)
+    exact = predicted_spectrum((SourceGeometry(x),), m, surviving)[0]
+    # a uniform full-period scan averages every line out of the mean
+    assert fitted.a0 == pytest.approx(float(np.mean(curve.values)), abs=1e-8)
+    assert fitted.frequencies == tuple(float(f) for f in surviving)
+    for got, contrast in zip(fitted.harmonics, exact):
+        assert got.amplitude == pytest.approx(contrast * fitted.a0, abs=1e-8)
         # at the magic placement every line is a pure cosine
-        assert got.contrast == pytest.approx(want.amplitude / exact.a0, abs=1e-8)
+        assert got.contrast == pytest.approx(contrast, abs=1e-8)
         assert got.quadrature == pytest.approx(0.0, abs=1e-8)
         # no replicas: the covariance errors are rounding-sized
         assert 0.0 <= got.sigma_contrast < 1e-12 and 0.0 <= got.sigma_a < 1e-12
@@ -137,7 +138,7 @@ def test_noiseless_pipeline_finds_exactly_the_surviving_lines(m):
 
 def test_gate_snaps_significant_lines():
     # comb lines already sit on integers; a significant one passes untouched
-    significant = line(4.0, kappa=2, contrast=0.30, sigma_contrast=0.02)
+    significant = line(4.0, contrast=0.30, sigma_contrast=0.02)
     kept = gate(line_spectrum(significant), n_tests=25)
     assert kept.frequencies == (4.0,)
     assert kept.harmonics[0] == significant
@@ -150,7 +151,7 @@ def test_gate_snaps_significant_lines():
         (line(4.0, contrast=-0.05, sigma_contrast=0.02), 1),  # the same, negative
         (line(4.0, contrast=0.06, sigma_contrast=0.02), 25),  # 3 sigma < z*(25) = 3.54
         # all of the amplitude in the null channel b/A0, none in a/A0
-        (Harmonic(kappa=1, f=4.0, amplitude=0.5, sigma_a=0.01, sigma_contrast=0.02,
+        (Harmonic(kappa=2, f=4.0, amplitude=0.5, sigma_a=0.01, sigma_contrast=0.02,
                   quadrature=0.25, sigma_quadrature=0.02), 1),
     ],
 )
@@ -188,7 +189,7 @@ def test_gate_policy_validation():
 
 
 def gated_lines(m, fs):
-    return line_spectrum(*(line(float(f), kappa=i + 1) for i, f in enumerate(sorted(fs))), m=m)
+    return line_spectrum(*(line(float(f), m=m) for f in sorted(fs)), m=m)
 
 
 def test_aggregate_merges_three_state_evidence():
@@ -221,21 +222,23 @@ def test_aggregate_flags_conflicts_without_demoting():
 
 
 def test_aggregate_ignores_lines_the_filter_blocks():
-    # an order-4 curve cannot transmit f=4; such a line is leaked noise
-    table = aggregate([gated_lines(4, [3, 4])])
-    assert table.present() == (3,)
+    # an order-4 curve cannot transmit f=4: no order-4 spectrum carries such
+    # a line, and its silence there is no absence
+    with pytest.raises(ValueError, match="comb"):
+        gated_lines(4, [3, 4])
+    table = aggregate([gated_lines(4, [3, 6])])
+    assert table.present() == (3, 6)
+    assert table.absent() == ()
     assert table.status_of(4) == "unknown"
 
 
 def test_aggregate_input_checks():
     with pytest.raises(ValueError):
         aggregate([gated_lines(3, [4]), gated_lines(3, [2])])
-    with pytest.raises(ValueError):
-        aggregate([line_spectrum(line(3.3))])
 
 
 def test_aggregate_keeps_best_sighting():
-    strong = line_spectrum(line(4.0, amplitude=0.9, sigma_a=0.01), m=5)
+    strong = line_spectrum(line(4.0, amplitude=0.9, sigma_a=0.01, m=5), m=5)
     weak = line_spectrum(line(4.0, amplitude=0.5, sigma_a=0.20), m=3)
     table = aggregate([weak, strong])
     assert table.rows[4].amplitude == pytest.approx(0.9)
@@ -305,11 +308,9 @@ def test_harmonic_validation():
         Harmonic(kappa=1, f=2.0, amplitude=-0.5)
 
 
-def test_spectrum_kind_constraints():
-    with pytest.raises(ValueError):
-        ModulationSpectrum(m=3, a0=2.0, harmonics=(line(3.0),), kind="fixed")
-    with pytest.raises(ValueError):
-        ModulationSpectrum(m=3, a0=2.0, harmonics=(), kind="bogus")
-    s = ModulationSpectrum(m=3, a0=2.0, harmonics=(line(2.0),), kind="fixed")
-    assert s.amplitude_at(2.0) == pytest.approx(0.5)
-    assert s.amplitude_at(7.0) == 0.0
+def test_spectrum_lines_sit_on_the_comb():
+    for f, kappa in ((3.0, 1), (3.0, 2), (3.3, 2), (4.0, 1)):
+        with pytest.raises(ValueError, match="comb"):
+            ModulationSpectrum(m=3, a0=2.0, harmonics=(Harmonic(kappa=kappa, f=f, amplitude=0.5),))
+    assert line_spectrum(line(2.0), line(4.0)).frequencies == (2.0, 4.0)
+    assert line_spectrum(line(3.0, m=4), m=4).harmonics[0].kappa == 1
