@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,7 +87,6 @@ def _make_dir(path: Path) -> Path:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config_arg(args)
-    out = _make_dir(Path(args.out))
     sim = config.simulate
     geometry = config.source_geometry()
 
@@ -98,27 +98,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         weights=sim.weights,
         quantization_bits=sim.bits,
     )
-    stack = sample_frames(run)
+    # every order is placed before the first frame is drawn
+    placements = [nearest_magic_pixels(run.delta_axis, m) for m in sim.orders]
+    out = _make_dir(Path(args.out))
+
+    # one pass: each chunk is sampled, archived and folded into every
+    # order's sums; frames.sstk appears only once the estimator has finished
+    frames = sample_frames(run)
+    frames_path = out / _FRAMES_NAME
+    archive = (serialize.write_frames(frames, frames_path) if sim.save_frames
+               else nullcontext(frames))
+    with archive as stream:
+        curves = estimate_g_m(stream, [pixels for pixels, _ in placements])
 
     notes: list[str] = []
     outputs: dict[str, str] = {}
-    if stack.bits is not None:
-        clipped = stack.clipped_fraction()
+    if frames.bits is not None:
+        clipped = frames.clipped / (frames.n_frames * frames.n_pixels)
         if clipped > 0.5:
             notes.append(
-                f"quantization at {stack.bits} bits pins {clipped:.0%} of samples "
+                f"quantization at {frames.bits} bits pins {clipped:.0%} of samples "
                 "at the rail; statistics are unreliable"
             )
     if sim.frames < 2:
         notes.append("single frame: sigma column unavailable, estimates unreliable")
-
     if sim.save_frames:
-        frames_path = out / _FRAMES_NAME
-        serialize.write_frames(stack, frames_path)
         outputs["frames"] = frames_path.name
 
-    placements = [nearest_magic_pixels(stack.delta_axis, m) for m in sim.orders]
-    curves = estimate_g_m(stack, [pixels for pixels, _ in placements])
     for m, (pixels, placement_error), curve in zip(sim.orders, placements, curves):
         path = out / f"{_CURVE_PREFIX}{m}.csv"
         serialize.write_curve_csv(curve, path)

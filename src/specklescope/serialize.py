@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .correlation import CorrelationCurve, Harmonic, ModulationSpectrum
 from .errors import FormatError, OutputError
 from .geometry import SourceGeometry
 from .reconstruct import ApertureReport, Candidate, CandidateSet
-from .speckle import FrameStack
+from .speckle import FrameStack, FrameStream
 from .spectrum import EvidenceRow, EvidenceTable
 
 __all__ = [
@@ -75,8 +75,9 @@ def _ints(values: Any) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
-def atomic_write_bytes(path: str | Path, *chunks: bytes | memoryview | np.ndarray) -> None:
-    """Write the chunks in order so the destination is never seen half-written.
+@contextmanager
+def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
+    """A temporary file beside `path` that replaces it if the block exits cleanly.
 
     A path that cannot be written, such as a directory or one under a
     regular file, is an OutputError naming it.
@@ -86,8 +87,7 @@ def atomic_write_bytes(path: str | Path, *chunks: bytes | memoryview | np.ndarra
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "wb") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
+                yield fh
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -95,6 +95,13 @@ def atomic_write_bytes(path: str | Path, *chunks: bytes | memoryview | np.ndarra
             raise
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def atomic_write_bytes(path: str | Path, *chunks: bytes | memoryview | np.ndarray) -> None:
+    """Write the chunks in order so the destination is never seen half-written."""
+    with _atomic_file(path) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -317,22 +324,38 @@ def read_json(path: str | Path, parse: Callable[[Any], Any] | None = None) -> An
 # ---------------------------------------------------------------------------
 
 
-def write_frames(stack: FrameStack, path: str | Path) -> None:
-    """Binary frame container: magic, header length, JSON header, raw data."""
+@contextmanager
+def write_frames(frames: FrameStream, path: str | Path) -> Iterator[FrameStream]:
+    """Archive `frames` as its chunks are read: magic, header length, JSON header, rows.
+
+    The block gets the same frames as a stream whose chunks are appended to
+    a temporary file on their way through; the file replaces `path` once
+    the block exits cleanly having read every frame.
+    """
     header = {
-        "N": stack.n_sources,
-        "R": stack.n_frames,
-        "P": stack.n_pixels,
-        "seed": stack.seed,
-        "bits": stack.bits,
-        "delta_axis": [float(v) for v in stack.delta_axis],
+        "N": frames.n_sources,
+        "R": frames.n_frames,
+        "P": frames.n_pixels,
+        "seed": frames.seed,
+        "bits": frames.bits,
+        "delta_axis": [float(v) for v in frames.delta_axis],
         "dtype": "float64",
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.ascontiguousarray(stack.intensities, dtype=np.float64)
-    atomic_write_bytes(
-        path, _FRAME_MAGIC, struct.pack("<Q", len(header_bytes)), header_bytes, payload
-    )
+    written = 0
+
+    def appended(fh: BinaryIO) -> Iterator[np.ndarray]:
+        nonlocal written
+        for rows in frames.chunks:
+            fh.write(np.ascontiguousarray(rows, dtype=np.float64))
+            written += len(rows)
+            yield rows
+
+    with _atomic_file(path) as fh:
+        fh.write(_FRAME_MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes)
+        yield replace(frames, chunks=appended(fh))
+        if written != frames.n_frames:
+            raise ValueError(f"{path}: {written} of {frames.n_frames} frames were read")
 
 
 def read_frames(path: str | Path) -> FrameStack:
@@ -347,11 +370,14 @@ def read_frames(path: str | Path) -> FrameStack:
             raise FormatError(f"{path}: {header_len}-byte header overruns a {size}-byte file")
         header = json.loads(fh.read(header_len).decode("utf-8"))
         n_frames, n_pixels = int(header["R"]), int(header["P"])
-        data = fh.read(n_frames * n_pixels * 8)
-        if len(data) != n_frames * n_pixels * 8:
+        if fh.tell() + n_frames * n_pixels * 8 > size:
             raise FormatError(f"{path}: truncated frame payload")
+        intensities = np.empty((n_frames, n_pixels))  # the one copy of the payload
+        if fh.readinto(memoryview(intensities).cast("B")) != intensities.nbytes:
+            raise FormatError(f"{path}: truncated frame payload")
+        intensities.flags.writeable = False  # the stack adopts it
         return FrameStack(
-            intensities=np.frombuffer(data, dtype=np.float64).reshape(n_frames, n_pixels),
+            intensities=intensities,
             delta_axis=np.asarray(header["delta_axis"], dtype=float),
             n_sources=int(header["N"]),
             seed=int(header["seed"]),

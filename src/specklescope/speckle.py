@@ -6,13 +6,15 @@ Each source emits a circular complex Gaussian amplitude per frame
     I[r, p] = | sum_l a[r, l] * exp(i * alpha_l * delta_p) |^2 .
 
 Correlations are estimated as ratios of empirical moments over frames,
-with a block bootstrap supplying per-pixel standard errors.
+with a block bootstrap supplying per-pixel standard errors.  Frames are
+sampled and estimated chunk by chunk, so a run holds one chunk of frames,
+never the whole acquisition.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ from .geometry import SourceGeometry, phase_prefactors
 __all__ = [
     "SpeckleRun",
     "FrameStack",
+    "FrameStream",
     "uniform_grid",
     "sample_frames",
     "nearest_magic_pixels",
@@ -97,6 +100,12 @@ class SpeckleRun:
             raise ValueError(f"quantization bits must be in 1..16, got {bits}")
 
 
+def _check_samples(inten: np.ndarray) -> None:
+    # min/max reject NaN and the infinities without a frame-sized mask
+    if inten.size and not (inten.min() >= 0 and np.isfinite(inten.max())):
+        raise ValueError("intensities must be finite and non-negative")
+
+
 @dataclass(frozen=True, eq=False)
 class FrameStack:
     """Recorded intensities, frames x pixels, plus provenance.
@@ -117,9 +126,7 @@ class FrameStack:
             raise ValueError("intensities must be a frames x pixels array")
         if axis.shape != (inten.shape[1],):
             raise ValueError("delta_axis length must match the pixel count")
-        # min/max reject NaN and the infinities without a frame-sized mask
-        if inten.size and not (inten.min() >= 0 and np.isfinite(inten.max())):
-            raise ValueError("intensities must be finite and non-negative")
+        _check_samples(inten)
         for name, arr in (("intensities", inten), ("delta_axis", axis)):
             if arr.flags.writeable or not arr.flags.owndata:
                 arr = arr.copy()
@@ -134,17 +141,38 @@ class FrameStack:
     def n_pixels(self) -> int:
         return int(self.intensities.shape[1])
 
-    def clipped_fraction(self) -> float:
-        """Fraction of samples pinned at zero or the top quantization level.
+    def stream(self) -> FrameStream:
+        """The stack as a stream of one chunk."""
+        return FrameStream(
+            chunks=(self.intensities,),
+            n_frames=self.n_frames,
+            delta_axis=self.delta_axis,
+            n_sources=self.n_sources,
+            seed=self.seed,
+            bits=self.bits,
+        )
 
-        Meaningful after quantization; large values mean the ADC depth is
-        destroying the intensity statistics.
-        """
-        inten = self.intensities
-        top = inten.max()
-        if top == 0:
-            return 1.0
-        return float(np.mean((inten == 0) | (inten == top)))
+
+@dataclass(eq=False)
+class FrameStream:
+    """One acquisition as chunks of frames x pixels rows, in frame order.
+
+    `chunks` is read once; sampled chunks are drawn as they are read.  The
+    sampler counts into the stream it returns the quantized samples it
+    pins at zero or the top level.
+    """
+
+    chunks: Iterable[np.ndarray]
+    n_frames: int
+    delta_axis: np.ndarray
+    n_sources: int
+    seed: int
+    bits: int | None = None
+    clipped: int = 0
+
+    @property
+    def n_pixels(self) -> int:
+        return int(self.delta_axis.size)
 
 
 def _draw_amplitudes(run: SpeckleRun, frames: Sequence[int]) -> np.ndarray:
@@ -178,44 +206,52 @@ def _frame_chunks(n_frames: int) -> Iterator[tuple[int, int]]:
     return zip(starts, starts[1:] + [n_frames])
 
 
-def _quantize_in_place(inten: np.ndarray, bits: int) -> None:
-    """Round intensities to ADC counts; the maximum maps to 2^bits - 1."""
-    top = float(inten.max())
-    if top:
-        inten *= float(2**bits - 1) / top
-        np.rint(inten, out=inten)
-    else:
-        inten.fill(0.0)
-
-
-def sample_frames(run: SpeckleRun) -> FrameStack:
-    """Simulate the whole acquisition described by `run`.
-
-    Draws per-frame source amplitudes, propagates them to the camera
-    grid, and applies quantization if the run requests it.  Each chunk
-    of frames is squared straight into the stack, so nothing frame-sized
-    is held beside it.
-    """
+def _drawn_chunks(run: SpeckleRun) -> Iterator[np.ndarray]:
+    """Unquantized intensities of each sampling chunk, in frame order."""
     alpha = np.asarray(phase_prefactors(run.geometry), dtype=float)
     field_matrix = np.exp(1j * alpha[:, None] * run.delta_axis[None, :])  # (n, P)
-
-    intensities = np.empty((run.frames, run.delta_axis.size))
     for start, stop in _frame_chunks(run.frames):
         fields = _draw_amplitudes(run, range(start, stop)) @ field_matrix
-        rows = intensities[start:stop]
-        np.square(fields.real, out=rows)
-        rows += np.square(fields.imag)
-    if run.quantization_bits is not None:
-        _quantize_in_place(intensities, run.quantization_bits)
-    intensities.flags.writeable = False  # the stack adopts it
+        rows = np.square(fields.real)
+        rows += np.square(fields.imag, out=fields.imag)
+        del fields  # not held while the chunk is read
+        yield rows
 
-    return FrameStack(
-        intensities=intensities,
+
+def _quantized_chunks(run: SpeckleRun, stream: FrameStream) -> Iterator[np.ndarray]:
+    # the ADC gain maps the acquisition's maximum to the top level, so a
+    # first pass finds that maximum and the second draws the same frames again
+    top = max(float(rows.max()) for rows in _drawn_chunks(run))
+    level = float(2**run.quantization_bits - 1)
+    for rows in _drawn_chunks(run):
+        if top:
+            rows *= level / top
+            np.rint(rows, out=rows)
+        else:
+            rows.fill(0.0)
+        stream.clipped += int(np.count_nonzero((rows == 0) | (rows == level)))
+        yield rows
+
+
+def sample_frames(run: SpeckleRun) -> FrameStream:
+    """The acquisition described by `run`, drawn chunk by chunk as it is read.
+
+    Each chunk draws its frames' source amplitudes, propagates them to the
+    camera grid and squares them, and is quantized if the run requests it.
+    A quantized run draws every frame twice: once to find the maximum that
+    sets the gain, and once to quantize and hand on.
+    """
+    stream = FrameStream(
+        chunks=(),
+        n_frames=run.frames,
         delta_axis=run.delta_axis,
         n_sources=run.geometry.n_sources,
         seed=run.seed,
         bits=run.quantization_bits,
     )
+    quantized = run.quantization_bits is not None
+    stream.chunks = _quantized_chunks(run, stream) if quantized else _drawn_chunks(run)
+    return stream
 
 
 def nearest_magic_pixels(
@@ -253,8 +289,53 @@ def nearest_magic_pixels(
     return tuple(indices), worst
 
 
+def _block_rows(
+    chunks: Iterable[np.ndarray], sizes: Sequence[int], pixel_sums: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Rows of each bootstrap block in turn, read off consecutive chunks.
+
+    A block inside one chunk is a view of it, and one that straddles chunks
+    is gathered in a buffer: either is laid out as a slice of the whole
+    stack, so its products round as that slice's do.  Each chunk's samples
+    are checked, and `pixel_sums` continues over its rows as one axis-0 sum.
+    """
+    n_pixels = pixel_sums.size
+    sizes = iter(sizes)
+    want = next(sizes, 0)
+    buffer = None
+    held = 0  # rows of the current block already in the buffer
+    for n, rows in enumerate(chunks):
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != n_pixels:
+            raise ValueError(f"chunks must be frames x {n_pixels} arrays")
+        _check_samples(rows)
+        summands = np.concatenate((pixel_sums[None], rows)) if n else rows
+        np.add.reduce(summands, axis=0, out=pixel_sums)
+        del summands
+        at = 0
+        while at < len(rows):
+            if not want:
+                raise ValueError("the chunks hold more frames than the stream declares")
+            take = min(want - held, len(rows) - at)
+            if not held and take == want:
+                yield rows[at:at + take]
+            else:
+                if buffer is None or len(buffer) < want:
+                    buffer = np.empty((want, n_pixels))
+                buffer[held:held + take] = rows[at:at + take]
+                held += take
+                if held < want:
+                    break
+                yield buffer[:want]
+                held = 0
+            at += take
+            want = next(sizes, 0)
+    if want:
+        raise ValueError("the chunks hold fewer frames than the stream declares")
+
+
 def estimate_g_m(
-    stack: FrameStack,
+    frames: FrameStack | FrameStream,
     fixed_pixel_sets: Sequence[Sequence[int]],
     n_boot: int = 200,
     boot_seed: int | None = None,
@@ -272,13 +353,18 @@ def estimate_g_m(
     the (strongly pixel-correlated) estimator noise honestly.  With a
     single frame the estimate is defined but sigma and replicas are None.
 
-    The pixel means, block means and bootstrap counts do not depend on the
-    order, so they are computed once for all sets; each curve is the one
-    its set gets alone, bit for bit, and replica row b is the same frame
+    One pass over the chunks serves every set: it continues the pixel sums
+    and, per contiguous frame block, the block means and each set's block
+    sum of I_p * prod_j I_fj.  The numerator is the sum of those block sums,
+    so a value can differ from the product over the whole stack in its last
+    bits (at most R * 2^-52 relative); each sigma and replica is exactly
+    the one a whole-stack pass gives, and replica row b is the same frame
     resample in every curve.
     """
-    inten = stack.intensities
-    n_frames, n_pixels = inten.shape
+    stream = frames.stream() if isinstance(frames, FrameStack) else frames
+    n_frames, n_pixels = stream.n_frames, stream.n_pixels
+    if n_frames < 1:
+        raise ValueError("need at least one frame")
     fixed_sets = [tuple(int(p) for p in pixels) for pixels in fixed_pixel_sets]
     for fixed in fixed_sets:
         if len(fixed) < 1:
@@ -286,50 +372,52 @@ def estimate_g_m(
         for p in fixed:
             if not 0 <= p < n_pixels:
                 raise ValueError(f"fixed pixel {p} outside 0..{n_pixels - 1}")
+    fixed_idx = [np.asarray(fixed, dtype=int) for fixed in fixed_sets]
 
-    mean_i = inten.mean(axis=0)
+    # contiguous blocks of the sizes np.array_split gives
+    n_blocks = min(_MAX_BLOCKS, n_frames)
+    size, extra = divmod(n_frames, n_blocks)
+    sizes = [size + 1] * extra + [size] * (n_blocks - extra)
+    pixel_sums = np.zeros(n_pixels)
+    block_mean_i = np.empty((n_blocks, n_pixels))
+    block_sum = np.empty((len(fixed_sets), n_blocks, n_pixels))
+    for b, rows in enumerate(_block_rows(stream.chunks, sizes, pixel_sums)):
+        block_mean_i[b] = rows.mean(axis=0)
+        for k, idx in enumerate(fixed_idx):
+            block_sum[k, b] = rows[:, idx].prod(axis=1) @ rows
+
+    mean_i = pixel_sums / n_frames
     if np.any(mean_i == 0):
         bad = int(np.flatnonzero(mean_i == 0)[0])
         raise DegeneratePixelError(f"pixel {bad} has zero mean intensity")
 
     # --- block bootstrap: the blocks and resample counts serve every set ---
     if n_frames >= 2:
-        edges = np.array_split(np.arange(n_frames), min(_MAX_BLOCKS, n_frames))
-        blocks = [slice(int(idx[0]), int(idx[-1]) + 1) for idx in edges]  # contiguous
-        n_blocks = len(blocks)
-        block_mean_i = np.array([inten[block].mean(axis=0) for block in blocks])
-        if boot_seed is None:
-            seed_seq = np.random.SeedSequence(entropy=(stack.seed, 0xB0075EED))
-        else:
-            seed_seq = np.random.SeedSequence(entropy=(boot_seed, 0xB0075EED))
+        seed = stream.seed if boot_seed is None else boot_seed
+        seed_seq = np.random.SeedSequence(entropy=(seed, 0xB0075EED))
         rng = np.random.Generator(np.random.Philox(seed_seq))
         counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=n_boot)
         boot_mean_i = counts @ block_mean_i / n_blocks  # (n_boot, P)
+        block_len = np.asarray(sizes, dtype=float)[:, None]
 
     curves = []
-    for fixed in fixed_sets:
+    for fixed, idx, sums in zip(fixed_sets, fixed_idx, block_sum):
         m = len(fixed) + 1
-        fixed_idx = np.asarray(fixed, dtype=int)
-        fixed_product = inten[:, fixed_idx].prod(axis=1)  # (R,)
-        numerator = fixed_product @ inten / n_frames  # (P,)
-        values = numerator / (mean_i * float(np.prod(mean_i[fixed_idx])))
+        numerator = np.add.reduce(sums, axis=0) / n_frames  # (P,)
+        values = numerator / (mean_i * float(np.prod(mean_i[idx])))
         if n_frames < 2:
-            curves.append(CorrelationCurve(m=m, delta1=stack.delta_axis, values=values))
+            curves.append(CorrelationCurve(m=m, delta1=stream.delta_axis, values=values))
             continue
 
-        block_num = np.array([
-            fixed_product[block] @ inten[block] / (block.stop - block.start)
-            for block in blocks
-        ])
-        boot_num = counts @ block_num / n_blocks  # (n_boot, P)
-        boot_fixed = boot_mean_i[:, fixed_idx].prod(axis=1)  # (n_boot,)
+        boot_num = counts @ (sums / block_len) / n_blocks  # (n_boot, P)
+        boot_fixed = boot_mean_i[:, idx].prod(axis=1)  # (n_boot,)
         boot_den = boot_mean_i * boot_fixed[:, None]
         if np.any(boot_den == 0):
             raise DegeneratePixelError("bootstrap resample hit a zero-mean pixel")
         boot_values = boot_num / boot_den
         curves.append(CorrelationCurve(
             m=m,
-            delta1=stack.delta_axis,
+            delta1=stream.delta_axis,
             values=values,
             sigma=boot_values.std(axis=0, ddof=1),
             replicas=boot_values,

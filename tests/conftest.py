@@ -7,6 +7,7 @@ from specklescope import (
     CorrelationCurve,
     DetectorArray,
     EvidenceTable,
+    FrameStack,
     SourceGeometry,
     SpeckleRun,
     distinct_frequencies,
@@ -15,6 +16,14 @@ from specklescope import (
     surviving_frequencies,
     uniform_grid,
 )
+
+
+def held_stack(run):
+    """The whole acquisition of `run` held as one FrameStack; the program only streams it."""
+    frames = sample_frames(run)
+    intensities = np.concatenate(list(frames.chunks))
+    intensities.flags.writeable = False
+    return FrameStack(intensities, frames.delta_axis, frames.n_sources, frames.seed, frames.bits)
 
 
 def magic_curve(x, m, samples=None):
@@ -64,4 +73,4 @@ def two_gap_stack():
         seed=7,
         delta_axis=uniform_grid(120),
     )
-    return sample_frames(run)
+    return held_stack(run)

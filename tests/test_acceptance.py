@@ -137,15 +137,13 @@ def test_3_monte_carlo_tracks_analytic():
         seed=1,
         delta_axis=uniform_grid(120),
     )
-    stack = sample_frames(run)
+    axis = run.delta_axis
+    pixel_sets = [nearest_magic_pixels(axis, m)[0] for m in (2, 3, 4)]
+    curves = estimate_g_m(sample_frames(run), pixel_sets)
     coverages = {}
-    for m in (2, 3, 4):
-        fixed, _ = nearest_magic_pixels(stack.delta_axis, m)
-        estimated = estimate_g_m(stack, (fixed,))[0]
-        reference = g_m_analytic(
-            geometry,
-            DetectorArray(m, tuple(stack.delta_axis[list(fixed)]), stack.delta_axis),
-        )
+    for fixed, estimated in zip(pixel_sets, curves):
+        m = estimated.m
+        reference = g_m_analytic(geometry, DetectorArray(m, tuple(axis[list(fixed)]), axis))
         within = np.abs(estimated.values - reference.values) <= 3.0 * estimated.sigma
         coverages[m] = float(np.mean(within))
     elapsed = time.time() - started
@@ -193,9 +191,8 @@ def test_5_sparse_evidence_disambiguation():
                 seed=1000 + trial,
                 delta_axis=uniform_grid(120),
             )
-            stack = sample_frames(run)
-            fixed, _ = nearest_magic_pixels(stack.delta_axis, 5)
-            spectrum = fit_fixed(estimate_g_m(stack, (fixed,))[0], span_bound=9)
+            fixed, _ = nearest_magic_pixels(run.delta_axis, 5)
+            spectrum = fit_fixed(estimate_g_m(sample_frames(run), (fixed,))[0], span_bound=9)
             scored = disambiguate(candidates, [spectrum])
             trials += 1
             wins += scored.candidates[0].geometry.x == truth_x
@@ -217,11 +214,8 @@ def test_6_gated_lines_match_theory_at_low_frames():
         run = SpeckleRun(
             geometry=geometry, frames=1000, seed=1, delta_axis=uniform_grid(240)
         )
-        stack = sample_frames(run)
-        curves = []
-        for m in orders:
-            fixed, _ = nearest_magic_pixels(stack.delta_axis, m)
-            curves.append(estimate_g_m(stack, (fixed,))[0])
+        pixel_sets = [nearest_magic_pixels(run.delta_axis, m)[0] for m in orders]
+        curves = estimate_g_m(sample_frames(run), pixel_sets)
         fits, gated = gated_comb_fits(curves)
         for m, raw, kept in zip(orders, fits, gated):
             got = tuple(int(f) for f in kept.frequencies)

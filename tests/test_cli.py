@@ -331,6 +331,9 @@ def test_estimator_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--frames", "10", "--orders", "3",
                  "--out", str(tmp_path / "half")]) == 2
     assert "outside the grid" in capsys.readouterr().err
+    # a failed simulate archives no frames
+    assert not (tmp_path / "dead" / "frames.sstk").exists()
+    assert not (tmp_path / "half" / "frames.sstk").exists()
 
 
 def _drop_first_row_f(evidence):

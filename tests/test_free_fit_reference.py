@@ -34,12 +34,10 @@ def reference_periodogram(delta, resid, w, f_grid):
 
 
 def bootstrapped_curves():
-    stack = sample_frames(
-        SpeckleRun(geometry=SourceGeometry((3, 1, 4)), frames=1000, seed=1,
-                   delta_axis=uniform_grid(120))
-    )
-    return {m: estimate_g_m(stack, (nearest_magic_pixels(stack.delta_axis, m)[0],))[0]
-            for m in (3, 4, 5, 6)}
+    run = SpeckleRun(geometry=SourceGeometry((3, 1, 4)), frames=1000, seed=1,
+                     delta_axis=uniform_grid(120))
+    pixel_sets = [nearest_magic_pixels(run.delta_axis, m)[0] for m in (3, 4, 5, 6)]
+    return {curve.m: curve for curve in estimate_g_m(sample_frames(run), pixel_sets)}
 
 
 @pytest.fixture(scope="module")

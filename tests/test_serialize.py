@@ -1,14 +1,16 @@
 """Round-trips through every on-disk format, plus corruption handling."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import magic_curve
+from conftest import held_stack, magic_curve
 from specklescope import (
     EvidenceTable,
     FormatError,
+    FrameStack,
     Harmonic,
     ModulationSpectrum,
     SourceGeometry,
@@ -44,7 +46,16 @@ def stack():
         seed=9,
         delta_axis=uniform_grid(16),
     )
-    return sample_frames(run)
+    return held_stack(run)
+
+
+def save_frames(frames, path):
+    """Archive a stack or a stream by reading it through the frame writer."""
+    if isinstance(frames, FrameStack):
+        frames = frames.stream()
+    with write_frames(frames, path) as stream:
+        for _ in stream.chunks:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +238,7 @@ def test_json_refuses_non_finite_numbers(tmp_path, token):
 
 def test_frames_round_trip(tmp_path, stack):
     path = tmp_path / "frames.sstk"
-    write_frames(stack, path)
+    save_frames(stack, path)
     back = read_frames(path)
     np.testing.assert_array_equal(back.intensities, stack.intensities)
     np.testing.assert_array_equal(back.delta_axis, stack.delta_axis)
@@ -240,13 +251,15 @@ def test_frames_round_trip_keeps_bits(tmp_path):
     run = SpeckleRun(geometry=SourceGeometry((2,)), frames=32, seed=9,
                      delta_axis=uniform_grid(16), quantization_bits=8)
     path = tmp_path / "frames.sstk"
-    write_frames(sample_frames(run), path)
-    assert read_frames(path).bits == 8
+    save_frames(sample_frames(run), path)
+    back = read_frames(path)
+    assert back.bits == 8
+    assert back.intensities.tobytes() == held_stack(run).intensities.tobytes()
 
 
 def test_frames_reader_rejects_corruption(tmp_path, stack):
     path = tmp_path / "frames.sstk"
-    write_frames(stack, path)
+    save_frames(stack, path)
     blob = path.read_bytes()
 
     bad_magic = tmp_path / "bad_magic.sstk"
@@ -265,8 +278,36 @@ def test_frames_reader_names_a_missing_file(tmp_path):
         read_frames(tmp_path / "missing.sstk")
 
 
+def test_frames_reader_holds_one_copy(tmp_path):
+    inten = np.arange(4000 * 240, dtype=float).reshape(4000, 240)  # a 7.3 MiB payload
+    stack = FrameStack(inten, np.arange(240.0), n_sources=1, seed=0)
+    path = tmp_path / "frames.sstk"
+    save_frames(stack, path)
+    del inten, stack
+    tracemalloc.start()
+    try:
+        back = read_frames(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.intensities.flags.owndata and not back.intensities.flags.writeable
+    assert peak < back.intensities.nbytes + 2**20
+
+
+def test_frame_writer_commits_only_a_finished_stream(tmp_path, stack):
+    path = tmp_path / "frames.sstk"
+    with pytest.raises(RuntimeError):
+        with write_frames(stack.stream(), path) as stream:
+            for _ in stream.chunks:
+                raise RuntimeError("the reader failed")
+    with pytest.raises(ValueError, match="0 of 32 frames"):
+        with write_frames(stack.stream(), path):
+            pass
+    assert not any(tmp_path.iterdir())
+
+
 def test_writers_leave_no_temp_files(tmp_path, stack):
-    write_frames(stack, tmp_path / "frames.sstk")
+    save_frames(stack, tmp_path / "frames.sstk")
     write_json(tmp_path / "data.json", {"k": 1})
     write_curve_csv(magic_curve((2,), 3), tmp_path / "curve.csv")
     write_replicas(np.ones((2, 3)), tmp_path / "replicas.npy")

@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import held_stack
 from specklescope import (
     CorrelationCurve,
     DegeneratePixelError,
@@ -22,7 +24,7 @@ from specklescope import (
     sample_frames,
     uniform_grid,
 )
-from specklescope import speckle
+from specklescope import serialize, speckle
 
 
 def small_run(**overrides):
@@ -122,16 +124,16 @@ def test_frame_stack_accepts_negative_zero_and_no_frames():
 
 def test_sampling_is_deterministic():
     run = small_run()
-    a = sample_frames(run)
-    b = sample_frames(run)
+    a = held_stack(run)
+    b = held_stack(run)
     np.testing.assert_array_equal(a.intensities, b.intensities)
-    c = sample_frames(small_run(seed=4))
+    c = held_stack(small_run(seed=4))
     assert not np.array_equal(a.intensities, c.intensities)
 
 
 def test_single_frame_regenerates_in_isolation():
     run = small_run(frames=50)
-    stack = sample_frames(run)
+    stack = held_stack(run)
     alpha = np.asarray(run.geometry.positions, dtype=float)
     basis = np.exp(1j * np.outer(alpha, run.delta_axis))
     for frame in (0, 17, 49):
@@ -150,35 +152,46 @@ def test_sampled_bytes_do_not_depend_on_the_chunk_size(monkeypatch, frames, chun
     # 15 and 22 frames leave one-frame tails at chunks of 2, 3 or 7, and
     # 1025 does at the default chunk; such a tail must join the chunk before
     run = small_run(frames=frames)
-    reference = sample_frames(run).intensities.tobytes()
+    reference = held_stack(run).intensities.tobytes()
     monkeypatch.setattr(speckle, "_CHUNK_FRAMES", chunk)
-    assert sample_frames(run).intensities.tobytes() == reference
+    assert held_stack(run).intensities.tobytes() == reference
 
 
-# the 20000 x 240 stack is 36.6 MiB; the sampler may hold 6 MiB beside it:
-# two 512-frame complex chunks (3.75 MiB, the last freed once the next is
-# made) and one squared part (0.94 MiB)
-_SAMPLING_MARGIN = 6 * 2**20
+def test_stream_folds_a_one_frame_tail_into_the_last_chunk():
+    chunks = sample_frames(small_run(frames=1025)).chunks
+    assert [len(rows) for rows in chunks] == [512, 513]
+
+
+# the 20000 x 240 stack is 36.6 MiB; sampling, archiving and estimating it
+# hold about 7.5 MiB: the complex field of the 512-frame chunk being drawn
+# (1.9 MiB) while the chunk before it is still referenced (two chunks of
+# intensities, 1.9 MiB), the block sums and block means of four orders
+# (2.3 MiB) and the bootstrap tables at the end
+_STAGE_BOUND = 10 * 2**20
 
 
 @pytest.mark.parametrize("bits", [None, 12])
-def test_sampling_holds_little_beside_the_stack(bits):
+def test_sampling_archiving_and_estimating_hold_one_chunk(tmp_path, bits):
     run = SpeckleRun(SourceGeometry((3, 1, 4)), frames=20000, seed=1,
                      delta_axis=uniform_grid(240), quantization_bits=bits)
+    pixel_sets = [nearest_magic_pixels(run.delta_axis, m)[0] for m in (3, 4, 5, 6)]
     tracemalloc.start()
     try:
-        stack = sample_frames(run)
+        frames = sample_frames(run)
+        with serialize.write_frames(frames, tmp_path / "frames.sstk") as stream:
+            curves = estimate_g_m(stream, pixel_sets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stack.bits == bits
-    assert peak < stack.intensities.nbytes + _SAMPLING_MARGIN
+    assert len(curves) == 4 and frames.bits == bits
+    assert (tmp_path / "frames.sstk").stat().st_size > run.frames * 240 * 8
+    assert peak < _STAGE_BOUND
 
 
 def test_weights_rescale_frames_exactly():
     # same seed, doubled weights: every intensity doubles (up to rounding)
-    a = sample_frames(small_run(weights=(1.0, 1.0, 1.0)))
-    b = sample_frames(small_run(weights=(2.0, 2.0, 2.0)))
+    a = held_stack(small_run(weights=(1.0, 1.0, 1.0)))
+    b = held_stack(small_run(weights=(2.0, 2.0, 2.0)))
     np.testing.assert_allclose(b.intensities, 2.0 * a.intensities, rtol=1e-12)
 
 
@@ -237,7 +250,7 @@ def test_estimator_formula_by_hand():
 
 
 def test_rescaled_intensities_give_identical_estimates():
-    stack = sample_frames(small_run())
+    stack = held_stack(small_run())
     scaled = FrameStack(
         intensities=4.0 * stack.intensities,
         delta_axis=stack.delta_axis,
@@ -251,7 +264,7 @@ def test_rescaled_intensities_give_identical_estimates():
 
 
 def test_estimator_input_checks():
-    stack = sample_frames(small_run())
+    stack = held_stack(small_run())
     with pytest.raises(OrderError):
         estimate_g_m(stack, ((),))
     with pytest.raises(ValueError):
@@ -261,14 +274,14 @@ def test_estimator_input_checks():
 
 
 def test_single_frame_has_no_error_bars():
-    stack = sample_frames(small_run(frames=1))
+    stack = held_stack(small_run(frames=1))
     curve = estimate_g_m(stack, ((0,),))[0]
     assert curve.sigma is None
     assert curve.replicas is None
 
 
 def test_bootstrap_replicas_are_reproducible():
-    stack = sample_frames(small_run(frames=256))
+    stack = held_stack(small_run(frames=256))
     a = estimate_g_m(stack, ((0,),), n_boot=64, boot_seed=5)[0]
     b = estimate_g_m(stack, ((0,),), n_boot=64, boot_seed=5)[0]
     assert a.replicas.shape == (64, 24)
@@ -319,22 +332,47 @@ ORACLE_PIXEL_SETS = ((0, 12), (0, 8, 16), (3, 3, 9, 20), (0, 6, 6, 12, 18))
 
 
 @pytest.mark.parametrize(
-    "frames, boot_seed",
-    [(1000, None), (1000, 11), (100, None), (1, None)],
-    ids=["blocks-of-3-or-4", "boot-seed", "blocks-of-1", "single-frame"],
+    "frames, boot_seed, chunk",
+    [(1000, None, 512), (1000, 11, 512), (1000, None, 7), (100, None, 512), (1, None, 512)],
+    ids=["blocks-of-3-or-4", "boot-seed", "chunks-of-7", "blocks-of-1", "single-frame"],
 )
-def test_one_call_equals_the_per_order_oracle(frames, boot_seed):
-    stack = sample_frames(small_run(frames=frames))
-    curves = estimate_g_m(stack, ORACLE_PIXEL_SETS, n_boot=64, boot_seed=boot_seed)
+def test_one_call_equals_the_per_order_oracle(monkeypatch, frames, boot_seed, chunk):
+    # at 1000 frames the 256 blocks hold 3 or 4 frames, so sampling chunks
+    # of 7 (or the one boundary at 512) leave blocks that straddle two chunks
+    run = small_run(frames=frames)
+    stack = held_stack(run)
+    monkeypatch.setattr(speckle, "_CHUNK_FRAMES", chunk)
+    curves = estimate_g_m(sample_frames(run), ORACLE_PIXEL_SETS, n_boot=64, boot_seed=boot_seed)
+    held = estimate_g_m(stack, ORACLE_PIXEL_SETS, n_boot=64, boot_seed=boot_seed)
     assert [c.m for c in curves] == [3, 4, 5, 6]
-    for pixels, curve in zip(ORACLE_PIXEL_SETS, curves):
+    for pixels, curve, whole in zip(ORACLE_PIXEL_SETS, curves, held):
+        # the streamed and the held stack go through the same blocks
+        assert curve.values.tobytes() == whole.values.tobytes()
         expected = per_order_estimate(stack, pixels, n_boot=64, boot_seed=boot_seed)
-        assert curve.values.tobytes() == expected.values.tobytes()
+        # the numerator sums block sums, not one product over the stack
+        np.testing.assert_allclose(curve.values, expected.values, rtol=frames * 2.0**-52, atol=0)
         if frames == 1:
             assert curve.sigma is None and curve.replicas is None
         else:
             assert curve.sigma.tobytes() == expected.sigma.tobytes()
             assert curve.replicas.tobytes() == expected.replicas.tobytes()
+
+
+def test_estimator_checks_every_chunk():
+    stack = held_stack(small_run(frames=10))
+    rows = stack.intensities
+
+    def stream(*chunks):
+        return replace(stack.stream(), chunks=chunks)
+
+    bad = rows.copy()
+    bad[7, 3] = np.nan
+    for chunks in ((rows[:4], bad[4:]), (rows[:9],), (rows, rows[:1]), (rows[:, :5],)):
+        with pytest.raises(ValueError):
+            estimate_g_m(stream(*chunks), ((0,),))
+    split = estimate_g_m(stream(rows[:4], rows[4:]), ((0,),))[0]
+    whole = estimate_g_m(stack, ((0,),))[0]
+    assert split.replicas.tobytes() == whole.replicas.tobytes()
 
 
 def test_dead_pixel_is_reported():
@@ -350,23 +388,33 @@ def test_dead_pixel_is_reported():
 
 
 def test_quantization_counts():
-    q8 = sample_frames(small_run(quantization_bits=8))
+    q8 = held_stack(small_run(quantization_bits=8))
     assert q8.bits == 8
     assert q8.intensities.min() >= 0
     assert q8.intensities.max() == 255
     np.testing.assert_array_equal(q8.intensities, np.rint(q8.intensities))
-    # the same frames, scaled so that the stack maximum reads 2^8 - 1
-    raw = sample_frames(small_run()).intensities
+    # the same frames, scaled so that the acquisition's maximum reads 2^8 - 1
+    raw = held_stack(small_run()).intensities
     np.testing.assert_array_equal(q8.intensities, np.rint(raw * (255.0 / raw.max())))
 
 
+def clipped_fraction(run):
+    """Fraction of samples the sampler counted at zero or the top level."""
+    frames = sample_frames(run)
+    for _ in frames.chunks:
+        pass
+    return frames.clipped / (frames.n_frames * frames.n_pixels)
+
+
 def test_low_bit_depth_clips_hard():
-    stack = sample_frames(small_run(frames=512))
-    assert stack.clipped_fraction() < 0.01
-    q1 = sample_frames(small_run(frames=512, quantization_bits=1))
-    assert q1.clipped_fraction() == 1.0  # every sample is 0 or 1
-    q12 = sample_frames(small_run(frames=512, quantization_bits=12))
-    assert q12.clipped_fraction() < stack.clipped_fraction() + 0.01
+    inten = held_stack(small_run(frames=512)).intensities
+    raw = np.mean((inten == 0) | (inten == inten.max()))
+    assert raw < 0.01
+    assert clipped_fraction(small_run(frames=512, quantization_bits=1)) == 1.0  # all 0 or 1
+    q12 = held_stack(small_run(frames=512, quantization_bits=12)).intensities
+    pinned = np.mean((q12 == 0) | (q12 == 4095))
+    assert clipped_fraction(small_run(frames=512, quantization_bits=12)) == pinned
+    assert pinned < raw + 0.01
 
 
 # ---------------------------------------------------------------------------
