@@ -237,9 +237,12 @@ def _ryser_batch(mats: np.ndarray) -> np.ndarray:
         else:
             row -= mats[:, :, j]
         # Ryser: perm = (-1)^n * sum over column subsets S of
-        #   (-1)^|S| * prod_i (row sums restricted to S)
-        sign = 1.0 if gray.bit_count() % 2 == 0 else -1.0
-        total += sign * np.prod(row, axis=1)
+        #   (-1)^|S| * prod_i (row sums restricted to S),
+        # the product taken column by column across the whole stack
+        product = row[:, 0].copy()
+        for i in range(1, n):
+            product *= row[:, i]
+        (np.subtract if gray.bit_count() % 2 else np.add)(total, product, out=total)
         gray_prev = gray
     if n % 2 == 1:
         total = -total
@@ -359,13 +362,14 @@ class ModulationSpectrum:
         return tuple(h.f for h in self.harmonics)
 
 
-def _scan_samples(span: int) -> int:
-    """Uniform full-period samples for a span-`span` array.
+def _scan_samples(span: int, m: int) -> int:
+    """Uniform samples over one filter period 2*pi/(m-1) for a span-`span` array.
 
-    4*(span+1), at least 8: more than the 2*span+1 that keep its highest
-    pair frequency from aliasing.
+    At the magic placement the curve holds only f = kappa*(m-1), so it
+    repeats with that period and line kappa is bin kappa of the period's
+    DFT.  2*(span // (m-1)) + 2 samples keep the highest kappa from aliasing.
     """
-    return max(4 * (span + 1), 8)
+    return 2 * (span // (m - 1)) + 2
 
 
 def predicted_spectrum(
@@ -375,11 +379,12 @@ def predicted_spectrum(
 
     Returns a (len(geometries), len(freqs)) array: row g holds geometry g's
     contrast at each requested frequency, exactly 0.0 where f is not among
-    its surviving frequencies.  Each analytic curve is sampled on a uniform
-    full-period grid, and A_f and A0 are read off single DFT bins; at the
-    magic placement every line is a pure cosine, so A_f/A0 is the whole
-    prediction.  Geometries of equal span and source count share one phase
-    table and one Gray-code walk per chunk; each row is the one its
+    its surviving frequencies.  The filter passes only f = kappa*(m-1), so
+    each analytic curve is sampled over one filter period [0, 2*pi/(m-1))
+    (see _scan_samples), and A_f and A0 are read off DFT bins kappa and 0;
+    at the magic placement every line is a pure cosine, so A_f/A0 is the
+    whole prediction.  Geometries of equal span and source count share one
+    phase table and one Gray-code walk per chunk; each row is the one its
     geometry gets alone, bit for bit.
     """
     if m < 3:
@@ -393,14 +398,15 @@ def predicted_spectrum(
 
     contrasts = np.zeros((len(geometries), len(freqs)))
     tables: dict[int, np.ndarray] = {}
+    fixed, period = magic_positions(m), 2.0 * math.pi / (m - 1)
     for (span, n), members in groups.items():
         if span not in tables:
-            detectors = DetectorArray.magic_scan(m, _scan_samples(span))
-            tables[span] = _phase_table(range(span + 1), detectors)
+            scan = np.linspace(0.0, period, _scan_samples(span, m), endpoint=False)
+            tables[span] = _phase_table(range(span + 1), DetectorArray(m, fixed, scan))
         table = tables[span]
         samples = table.shape[1]
-        # a frequency past the span reads the last bin and is masked out below
-        bins = np.minimum(freqs, samples // 2)
+        # a frequency off the comb or past the span reads some bin and is masked out below
+        bins = np.minimum(freqs // (m - 1), samples // 2)
         lo, hi = np.triu_indices(n, 1)  # every source pair once
         per_walk = max(1, _CHUNK_ELEMENTS // (n * table[0].size))
         for start in range(0, len(members), per_walk):
@@ -433,7 +439,7 @@ def regular_array_reference(n_sources: int, m: int) -> np.ndarray:
     if m < 2:
         raise OrderError(f"correlation order must be at least 2, got {m}")
     geometry = SourceGeometry((1,) * (n_sources - 1))
-    samples = _scan_samples(geometry.span)
+    samples = max(4 * (geometry.span + 1), 8)  # no filter: the whole period
     scan = np.linspace(0, 2 * math.pi, samples, endpoint=False)
     curve = g_m_analytic(geometry, DetectorArray(m, (0.0,) * (m - 1), scan))
     coeff = np.fft.rfft(curve.values) / samples

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .correlation import ModulationSpectrum, predicted_spectrum
 from .errors import EmptyEvidenceError, OrderError
-from .geometry import SourceGeometry, canonical
+from .geometry import SourceGeometry
 from .spectrum import EvidenceTable
 
 __all__ = [
@@ -127,12 +127,6 @@ def _span_candidates(
     return spans, truncated
 
 
-def _geometry_from_points(points: frozenset[int]) -> SourceGeometry:
-    ordered = sorted(points)
-    gaps = tuple(b - a for a, b in zip(ordered, ordered[1:]))
-    return canonical(SourceGeometry(gaps))
-
-
 def _cover_present(
     points: frozenset[int],
     present: frozenset[int],
@@ -160,15 +154,7 @@ def _cover_present(
         if len(points) + len(added) > max_sources:
             continue
         grown = points | pair
-        ok = True
-        for p in grown:
-            for q in added:
-                if p != q and abs(p - q) in absent:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if not any(p != q and abs(p - q) in absent for p in grown for q in added):
             _cover_present(grown, present, absent, span, max_sources, bases)
 
 
@@ -218,10 +204,16 @@ def _package(
     evidence: EvidenceTable,
     exhaustive: bool,
 ) -> CandidateSet:
-    geometries = {_geometry_from_points(p) for p in point_sets}
-    ordered = sorted(geometries, key=lambda g: (g.n_sources, g.x))
+    # a point set and its mirror are one candidate: dedupe canonical gap tuples
+    gap_sets = set()
+    for points in point_sets:
+        ordered = sorted(points)
+        gaps = tuple(b - a for a, b in zip(ordered, ordered[1:]))
+        gap_sets.add(min(gaps, gaps[::-1]))
     return CandidateSet(
-        candidates=tuple(Candidate(geometry=g) for g in ordered),
+        candidates=tuple(
+            Candidate(SourceGeometry(x)) for x in sorted(gap_sets, key=lambda x: (len(x), x))
+        ),
         evidence=evidence,
         exhaustive=exhaustive,
     )
@@ -268,8 +260,10 @@ def disambiguate(
     candidate's exact prediction at that order; the chi-square over all
     lines (errors propagated to the ratio at first order) ranks the
     candidates.  Ties within one unit of chi-square count as joint
-    winners, see CandidateSet.winners().  Scores equal to 12 significant
-    digits (equal spectra) keep the search order (n_sources, x).
+    winners, see CandidateSet.winners().  Candidates of equal spectra score
+    equal up to roundoff: a score within 1e-9 * max(1, chi2) of the first
+    score of a run joins that run, and each run keeps the search order
+    (n_sources, x).
     """
     orders = [s.m for s in spectra]
     if len(set(orders)) != len(orders):
@@ -306,8 +300,17 @@ def disambiguate(
         rescored.append(
             replace(cand, score=score, chi2_by_order=tuple(sorted(chi2_by_order.items())))
         )
-    rescored.sort(key=lambda c: (float(f"{c.score:.12g}"), c.geometry.n_sources, c.geometry.x))
-    return replace(candidate_set, candidates=tuple(rescored))
+    # equal spectra differ in the last bits of their chi-square sums, real
+    # groups by far more: a run of scores this close to its first is one tie
+    runs: list[list[Candidate]] = []
+    for cand in sorted(rescored, key=lambda c: c.score):
+        if runs and cand.score - runs[-1][0].score <= 1e-9 * max(1.0, runs[-1][0].score):
+            runs[-1].append(cand)
+        else:
+            runs.append([cand])
+    return replace(candidate_set, candidates=tuple(
+        c for run in runs for c in sorted(run, key=lambda c: (c.geometry.n_sources, c.geometry.x))
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -175,23 +175,28 @@ class FrameStream:
         return int(self.delta_axis.size)
 
 
-def _draw_amplitudes(run: SpeckleRun, frames: Sequence[int]) -> np.ndarray:
-    """Complex source amplitudes, one row per listed frame.
+def _draw_amplitudes(run: SpeckleRun, chunks: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """Complex source amplitudes of each (start, stop) chunk, one row per frame.
 
     Frame r draws from the Philox stream keyed by run.seed at counter
-    r << 192; one bit generator is reused, its counter reset per frame.
+    r << 192.  One bit generator serves every chunk, its counter reset per
+    frame through a state of plain ints (numpy words cost a conversion each).
     """
     n = run.geometry.n_sources
-    w = np.ones(n) if run.weights is None else np.asarray(run.weights)
+    scale = np.sqrt((np.ones(n) if run.weights is None else np.asarray(run.weights)) / 2.0)
     bitgen = np.random.Philox(key=run.seed)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
-    xi = np.empty((len(frames), n, 2))
-    for i, frame in enumerate(frames):
-        state["state"]["counter"][3] = frame
-        bitgen.state = state
-        rng.standard_normal(out=xi[i])
-    return np.sqrt(w / 2.0) * (xi[..., 0] + 1j * xi[..., 1])
+    state["state"] = {word: v.tolist() for word, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    counter = state["state"]["counter"]
+    for start, stop in chunks:
+        xi = np.empty((stop - start, n, 2))
+        for i, frame in enumerate(range(start, stop)):
+            counter[3] = frame
+            bitgen.state = state
+            rng.standard_normal(out=xi[i])
+        yield scale * (xi[..., 0] + 1j * xi[..., 1])
 
 
 def _frame_chunks(n_frames: int) -> Iterator[tuple[int, int]]:
@@ -210,8 +215,8 @@ def _drawn_chunks(run: SpeckleRun) -> Iterator[np.ndarray]:
     """Unquantized intensities of each sampling chunk, in frame order."""
     alpha = np.asarray(phase_prefactors(run.geometry), dtype=float)
     field_matrix = np.exp(1j * alpha[:, None] * run.delta_axis[None, :])  # (n, P)
-    for start, stop in _frame_chunks(run.frames):
-        fields = _draw_amplitudes(run, range(start, stop)) @ field_matrix
+    for amplitudes in _draw_amplitudes(run, _frame_chunks(run.frames)):
+        fields = amplitudes @ field_matrix
         rows = np.square(fields.real)
         rows += np.square(fields.imag, out=fields.imag)
         del fields  # not held while the chunk is read

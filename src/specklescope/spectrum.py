@@ -163,7 +163,8 @@ def _off_comb_peak(delta: np.ndarray, resid: np.ndarray, w: np.ndarray, fundamen
     The filter passes only multiples of m-1, so a peak here is content the
     model says cannot exist: misplaced detectors or a wrong model.
     """
-    pitch = float(np.median(np.diff(delta)))
+    steps = np.sort(np.diff(delta))  # the median by hand: np.median imports numpy.ma
+    pitch = float((steps[(steps.size - 1) // 2] + steps[steps.size // 2]) / 2)
     df = 2.0 * math.pi / (_OVERSAMPLE * float(delta[-1] - delta[0]))
     f_grid = np.arange(0.5, math.pi / pitch, df)
     f_grid = f_grid[np.abs(f_grid - fundamental * np.round(f_grid / fundamental)) >= 0.5]

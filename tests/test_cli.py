@@ -229,12 +229,12 @@ def test_aperture_creates_missing_directories(tmp_path):
 # import cost
 # ---------------------------------------------------------------------------
 
-# runs one command in a fresh interpreter, then lists the scipy modules it loaded
-SCIPY_PROBE = """\
+# runs one command in a fresh interpreter, then lists every module it loaded
+MODULES_PROBE = """\
 import sys
 from specklescope.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(" ".join(sorted(sys.modules)))
 sys.exit(code)
 """
 
@@ -246,13 +246,17 @@ def fresh_interpreter_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def scipy_modules_loaded(*argv):
+def modules_loaded(*argv):
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        [sys.executable, "-c", MODULES_PROBE, *argv],
         capture_output=True, text=True, env=fresh_interpreter_env(),
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def scipy_modules_loaded(*argv):
+    return sorted(name for name in modules_loaded(*argv) if name.split(".")[0] == "scipy")
 
 
 def test_no_command_loads_scipy(tmp_path):
@@ -260,13 +264,23 @@ def test_no_command_loads_scipy(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG.replace("frames = 1000", "frames = 200"))
     out = str(tmp_path / "out")
-    assert scipy_modules_loaded() == "[]"
-    assert scipy_modules_loaded("simulate", "--config", str(cfg), "--out", out) == "[]"
+    assert scipy_modules_loaded() == []
+    assert scipy_modules_loaded("simulate", "--config", str(cfg), "--out", out) == []
     for argv in (["analyze", "--config", str(cfg), "--out", out],
                  ["reconstruct", "--config", str(cfg), "--out", out],
                  ["report", "--out", out],
                  ["aperture", "--orders", "3..5", "--out", str(tmp_path / "ap.csv")]):
-        assert scipy_modules_loaded(*argv) == "[]", argv[0]
+        assert scipy_modules_loaded(*argv) == [], argv[0]
+
+
+def test_import_and_analyze_skip_numpy_ma_and_statistics(run_dir, tmp_path):
+    # numpy.ma costs about 16 ms a process and statistics 0.4 MB; gate loads
+    # statistics when it runs, and nothing needs numpy.ma
+    assert not {"numpy.ma", "statistics"} & modules_loaded()
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG)
+    out = shutil.copytree(run_dir, tmp_path / "out")
+    assert "numpy.ma" not in modules_loaded("analyze", "--config", str(cfg), "--out", str(out))
 
 
 # ---------------------------------------------------------------------------

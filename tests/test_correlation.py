@@ -244,11 +244,21 @@ def test_reflection_leaves_the_spectrum_unchanged(x, m):
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
 
 
+# deep reconstructions rank arrays of up to 6 sources and span 18: a fixed
+# sample of them, drawn once, plus the widest and the densest
+# (a gap sequence is the steps between the sites 0 < p_1 < ... < p_k <= 18)
+DEEP_SAMPLE = random.Random(18).sample(
+    [tuple(b - a for a, b in zip((0, *sites), sites))
+     for k in range(1, 6) for sites in itertools.combinations(range(1, 19), k)],
+    40,
+) + [(18,), (1, 1, 1, 1, 14), (3, 3, 3, 3, 6), (1, 1, 1, 1, 1)]
+
+
 def test_table_rows_match_the_dft_of_each_curve():
     # mixed spans and source counts in one batch, each row against the
     # geometry's own analytic curve
     batch = [SourceGeometry(x) for x in [(1, 3), (3, 1, 4), (2, 2, 7, 1), (1, 3, 5),
-                                         (1, 1, 1, 1, 1), (4,), (2, 5, 1, 3, 2)]]
+                                         (1, 1, 1, 1, 1), (4,), (2, 5, 1, 3, 2), *DEEP_SAMPLE]]
     for m in (3, 4, 5, 6):
         table = predicted_spectrum(batch, m, FREQS)
         assert table.shape == (len(batch), len(FREQS))
@@ -257,16 +267,18 @@ def test_table_rows_match_the_dft_of_each_curve():
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
-def test_prediction_does_not_depend_on_its_batch(m):
-    # every 5-source array of span 12 (more than one walk holds) shuffled
+def test_prediction_does_not_depend_on_its_batch(m, monkeypatch):
+    # every 5-source array of span 12 (walks of a quarter million phase
+    # terms would hold them all, so the walks are cut smaller) shuffled
     # among arrays of 1 to 6 sources and other spans
+    monkeypatch.setattr(correlation, "_CHUNK_ELEMENTS", 1 << 14)
     fives = [SourceGeometry(x) for x in itertools.product(range(1, 10), repeat=4) if sum(x) == 12]
     others = [SourceGeometry(x) for x in [(), (4,), (1, 3), (3, 1, 4), (1, 3, 5), (2, 2, 7, 1),
                                           (1, 1, 1, 1, 1), (2, 5, 1, 3, 2), (1, 3, 8, 1)]]
     batch = fives + others
     random.Random(m).shuffle(batch)
-    samples = 4 * (12 + 1)
-    assert len(fives) * 5 * samples * m * m > correlation._CHUNK_ELEMENTS
+    samples = correlation._scan_samples(12, m)
+    assert len(fives) * 5 * samples * m * m > 4 * correlation._CHUNK_ELEMENTS
     together = predicted_spectrum(batch, m, FREQS)
     assert together.shape == (len(batch), len(FREQS))
     for geometry, row in zip(batch, together):

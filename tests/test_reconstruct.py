@@ -218,30 +218,41 @@ def test_disambiguate_predicts_once_per_measured_order(monkeypatch):
     assert ranked.candidates[0].geometry == truth
 
 
-def test_equal_spectra_fall_back_on_the_search_order():
-    # sources {0,3,4,12,15} and {0,1,4,12,13} differ in their pair distances
-    # but are homometric as far as order 5 sees (lines at 4, 8, 12, 12), so
-    # they score equal up to the last bits of the chi-square sum; with these
-    # lines, fitted from 100000 frames of x=(1, 3, 5), the bits differ
+# sources {0,1,4,12,13} and {0,5,8,12,17} differ in their pair distances but
+# are homometric as far as order 5 sees (lines at 4, 8, 12, 12), so they score
+# equal up to the last bits of the chi-square sum
+HOMOMETRIC_AT_5 = CandidateSet(
+    candidates=(Candidate(SourceGeometry((1, 3, 8, 1))), Candidate(SourceGeometry((5, 3, 4, 5)))),
+    evidence=EvidenceTable.from_sets((4, 8), orders_measured=(5,)),
+    exhaustive=True,
+)
+
+
+def order_5_lines(a4):
+    """The lines at f = 4 and 8 fitted from 100000 frames of x=(1, 3, 5), with A_4 = a4."""
     lines = (
-        Harmonic(kappa=1, f=4.0, amplitude=1.4067580071859833,
-                 sigma_a=0.05988458346151628),
-        Harmonic(kappa=2, f=8.0, amplitude=1.4157072190937008,
-                 sigma_a=0.07236950067110268),
+        Harmonic(kappa=1, f=4.0, amplitude=a4, sigma_a=0.05988458346151628),
+        Harmonic(kappa=2, f=8.0, amplitude=1.4157072190937008, sigma_a=0.07236950067110268),
     )
-    measured = ModulationSpectrum(
+    return ModulationSpectrum(
         m=5, a0=5.795499453322755, sigma_a0=0.14567705295292302, harmonics=lines,
     )
-    pair = CandidateSet(
-        candidates=(Candidate(SourceGeometry((3, 1, 8, 3))),
-                    Candidate(SourceGeometry((1, 3, 8, 1)))),
-        evidence=EvidenceTable.from_sets((4, 8), orders_measured=(5,)),
-        exhaustive=True,
-    )
-    ranked = disambiguate(pair, [measured]).candidates
-    assert [c.geometry.x for c in ranked] == [(1, 3, 8, 1), (3, 1, 8, 3)]
+
+
+def test_equal_spectra_fall_back_on_the_search_order():
+    ranked = disambiguate(HOMOMETRIC_AT_5, [order_5_lines(1.4067580071859833)]).candidates
+    assert [c.geometry.x for c in ranked] == [(1, 3, 8, 1), (5, 3, 4, 5)]
     # the stored scores keep their bits: the first one is the larger
     assert ranked[0].score > ranked[1].score
+    assert ranked[0].score == pytest.approx(ranked[1].score, rel=1e-12)
+
+
+def test_a_tie_across_a_rounding_boundary_keeps_the_search_order():
+    # here the two scores round to different 12-digit values, the first up
+    # and the second down; they still differ by roundoff alone
+    ranked = disambiguate(HOMOMETRIC_AT_5, [order_5_lines(1.4003)]).candidates
+    assert [c.geometry.x for c in ranked] == [(1, 3, 8, 1), (5, 3, 4, 5)]
+    assert float(f"{ranked[0].score:.12g}") > float(f"{ranked[1].score:.12g}")
     assert ranked[0].score == pytest.approx(ranked[1].score, rel=1e-12)
 
 

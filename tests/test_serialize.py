@@ -1,5 +1,6 @@
 """Round-trips through every on-disk format, plus corruption handling."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -255,6 +256,21 @@ def test_frames_round_trip_keeps_bits(tmp_path):
     back = read_frames(path)
     assert back.bits == 8
     assert back.intensities.tobytes() == held_stack(run).intensities.tobytes()
+
+
+@pytest.mark.parametrize("weights, bits, digest", [
+    (None, None, "dab587554c8c3bf83b19c8f727ed05b06ea70ab89290fb8b89bb71121925d5af"),
+    ((1.0, 0.5, 0.8, 0.6), 12, "ab48c21ba5c16520289fefd8aadeca26ea337a44054226e417c0c39304bd5569"),
+])
+def test_frame_file_bytes_are_pinned(tmp_path, weights, bits, digest):
+    # two chunks, the second with the one-frame tail folded in; a change to
+    # the amplitude draw, the propagation or the file layout moves the digest
+    # (recorded with numpy 2.4 and OpenBLAS on x86-64)
+    run = SpeckleRun(geometry=SourceGeometry((1, 3, 2)), frames=1025, seed=7,
+                     delta_axis=uniform_grid(40), weights=weights, quantization_bits=bits)
+    path = tmp_path / "frames.sstk"
+    save_frames(sample_frames(run), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_frames_reader_rejects_corruption(tmp_path, stack):
