@@ -6,6 +6,11 @@ unwritable output path error, 3 empty evidence, 4 fit failure.  All
 artifacts land in the --out directory, which only simulate creates;
 manifest.json snapshots the effective config so a run can be reproduced
 exactly, and a bare analyze or reconstruct runs on the config it records.
+
+Each command imports what it runs when it runs.  `--help`, `--version`,
+usage and config errors, `aperture` and `report` never load numpy;
+`simulate` loads neither the spectral fit nor the search, and `analyze`
+neither the sampler nor the search.
 """
 
 from __future__ import annotations
@@ -13,23 +18,41 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 
-from . import __version__, serialize
-from .config import Config, RunManifest, load_config, parse_config
+from . import __version__
 from .errors import (
     ConfigError, EmptyEvidenceError, FitError, FormatError, OutputError, SpeckleScopeError,
 )
-from .reconstruct import CandidateSet, aperture_report, disambiguate, search
-from .speckle import SpeckleRun, estimate_g_m, nearest_magic_pixels, sample_frames, uniform_grid
-from .spectrum import aggregate, fit_fixed, gate
 
-# perfbench/spans.py times the per-order fit by wrapping this module's
-# `fit_free`, so analyze calls the comb fit through that name until the
-# benchmark reads a stage trace instead (ROADMAP item 8)
-fit_free = fit_fixed
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, which type checkers read; typing costs 5 ms
+if TYPE_CHECKING:
+    from .config import Config
+    from .records import CandidateSet
+
+# Stage functions the commands look up on this module when they run, so a
+# stand-in set here first is the one called: perfbench/spans.py swaps in
+# timing wrappers, a test a narrower grid.  Each is imported on first use.
+# `fit_free` is the comb fit under the name the benchmark wraps, until it
+# reads a stage trace instead (ROADMAP item 8).
+_STAGES = {
+    "uniform_grid": "speckle", "sample_frames": "speckle", "estimate_g_m": "speckle",
+    "fit_free": "spectrum", "gate": "spectrum", "aggregate": "spectrum",
+    "search": "reconstruct", "disambiguate": "reconstruct",
+}
+
+
+def _stage(name: str):
+    """The function bound to `name` here, importing and binding it on first use."""
+    if name not in _STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f".{_STAGES[name]}", __package__)
+    return globals().setdefault(name, getattr(module, "fit_fixed" if name == "fit_free" else name))
+
+
+__getattr__ = _stage
 
 _CURVE_PREFIX = "curves_m"
 _REPLICA_PREFIX = "replicas_m"
@@ -55,6 +78,11 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 
 def _load_config_arg(args: argparse.Namespace, run_manifest: bool = False) -> Config:
     """Flags over --config over the run's manifest.json (when asked) over defaults."""
+    from dataclasses import replace
+
+    from . import serialize
+    from .config import Config, RunManifest, load_config, parse_config
+
     manifest_path = Path(args.out) / "manifest.json"
     if args.config:
         config = load_config(args.config)
@@ -86,7 +114,13 @@ def _make_dir(path: Path) -> Path:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args)
+    config = _load_config_arg(args)  # first, so a config error loads no stage
+    from contextlib import nullcontext
+
+    from . import serialize
+    from .config import RunManifest
+    from .speckle import SpeckleRun, nearest_magic_pixels
+
     sim = config.simulate
     geometry = config.source_geometry()
 
@@ -94,7 +128,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         geometry=geometry,
         frames=sim.frames,
         seed=sim.seed,
-        delta_axis=uniform_grid(sim.pixels),
+        delta_axis=_stage("uniform_grid")(sim.pixels),
         weights=sim.weights,
         quantization_bits=sim.bits,
     )
@@ -104,12 +138,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     # one pass: each chunk is sampled, archived and folded into every
     # order's sums; frames.sstk appears only once the estimator has finished
-    frames = sample_frames(run)
+    frames = _stage("sample_frames")(run)
     frames_path = out / _FRAMES_NAME
     archive = (serialize.write_frames(frames, frames_path) if sim.save_frames
                else nullcontext(frames))
     with archive as stream:
-        curves = estimate_g_m(stream, [pixels for pixels, _ in placements])
+        curves = _stage("estimate_g_m")(stream, [pixels for pixels, _ in placements])
 
     notes: list[str] = []
     outputs: dict[str, str] = {}
@@ -150,6 +184,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import serialize
+
     config = _load_config_arg(args, run_manifest=True)
     out = Path(args.out)
     if args.orders or args.config or (out / "manifest.json").exists():
@@ -175,15 +211,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     raw, failures = [], []
     for m in sorted(curves):
         try:
-            raw.append(fit_free(curves[m], span_bound))
+            raw.append(_stage("fit_free")(curves[m], span_bound))
         except FitError as exc:
             failures.append((m, str(exc)))
             print(f"order {m}: fit failed: {exc}", file=sys.stderr)
     # one family-wise threshold over every comb line the run tested
     n_tests = sum(span_bound // (s.m - 1) for s in raw)
-    gated = [gate(s, config.gate, n_tests) for s in raw]
+    gated = [_stage("gate")(s, config.gate, n_tests) for s in raw]
 
-    evidence = aggregate(gated)
+    evidence = _stage("aggregate")(gated)
     serialize.write_json(out / "spectra.json", serialize.spectra_to_dict(raw, gated, failures))
     serialize.write_json(out / "evidence.json", serialize.evidence_to_dict(evidence))
 
@@ -226,6 +262,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    from . import serialize
+    from .records import aperture_report
+
     config = _load_config_arg(args, run_manifest=True)
     out = Path(args.out)
     evidence_path = out / "evidence.json"
@@ -233,7 +272,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         raise ConfigError(f"missing {evidence_path}; run analyze first")
     evidence = serialize.read_json(evidence_path, serialize.evidence_from_dict)
 
-    candidate_set = search(evidence, config.reconstruct)
+    candidate_set = _stage("search")(evidence, config.reconstruct)
 
     spectra_path = out / "spectra.json"
     if spectra_path.exists():
@@ -241,7 +280,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         gated = [s for s in gated if s.harmonics]
         if gated and candidate_set.candidates:
             try:
-                candidate_set = disambiguate(candidate_set, gated)
+                candidate_set = _stage("disambiguate")(candidate_set, gated)
             except ValueError as exc:  # e.g. a repeated order or a zero offset
                 raise FormatError(f"{spectra_path}: cannot score these spectra: {exc}") from exc
 
@@ -271,6 +310,9 @@ def _print_candidates(candidate_set: CandidateSet) -> None:
 
 
 def cmd_aperture(args: argparse.Namespace) -> int:
+    from . import serialize
+    from .records import aperture_report
+
     orders = _parse_orders(args.orders)
     reports = [aperture_report(m) for m in orders]
     rows = [serialize.aperture_to_dict(r) for r in reports]
@@ -292,6 +334,9 @@ def cmd_aperture(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import serialize
+    from .config import RunManifest
+
     out = Path(args.out)
     recon_path = out / "reconstruction.json"
     if not recon_path.exists():

@@ -8,8 +8,10 @@ Config files are INI sections whose values are Python literals, e.g.
 
 parse_config() fills anything omitted with defaults and rejects unknown
 keys; emit_config() writes every key back out, and the two round-trip
-exactly.  RunManifest snapshots a run (config text, seed, version,
-outputs) so it can be reproduced bit for bit.
+exactly.  The [gate] and [reconstruct] sections are GatePolicy and
+SearchBounds, which spectrum and reconstruct re-export.  RunManifest
+snapshots a run (config text, seed, version, outputs) so it can be
+reproduced bit for bit.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -23,11 +25,8 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .correlation import magic_positions
 from .errors import ConfigError
 from .geometry import SourceGeometry
-from .reconstruct import SearchBounds
-from .spectrum import GatePolicy
 
 __all__ = [
     "GeometryConfig",
@@ -66,6 +65,51 @@ class SimulateConfig:
 
 
 @dataclass(frozen=True)
+class GatePolicy:
+    """Family-wise error rate of the line test.
+
+    A line is kept when its contrast c = a/A0 passes the two-sided test
+    |c| >= z* sigma_c, where z* = Phi^-1(1 - alpha/(2N)) over the N comb
+    lines tested (Bonferroni).
+    """
+
+    alpha: float = 0.01
+
+    def __post_init__(self) -> None:
+        # below 1e-300 the per-test level alpha/(2N) could underflow to zero
+        if not 1e-300 <= self.alpha < 1:
+            raise ValueError(f"alpha must lie in [1e-300, 1), got {self.alpha}")
+
+    def threshold(self, n_tests: int) -> float:
+        """z* for a family of n_tests two-sided tests."""
+        # imported here: statistics loads decimal and fractions (0.4 MB),
+        # which no command but analyze needs
+        from statistics import NormalDist
+
+        return -NormalDist().inv_cdf(self.alpha / (2 * max(n_tests, 1)))
+
+
+@dataclass(frozen=True)
+class SearchBounds:
+    """Hard limits on the candidate space.
+
+    allow_unknown_span opens spans beyond the largest Present frequency
+    (status Unknown); that space is cut off at max_span, so results are
+    never marked exhaustive when it is enabled.
+    """
+
+    max_sources: int = 6
+    max_span: int = 20
+    allow_unknown_span: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_sources < 2:
+            raise ValueError(f"need at least two sources, got {self.max_sources}")
+        if self.max_span < 1:
+            raise ValueError(f"span bound must be positive, got {self.max_span}")
+
+
+@dataclass(frozen=True)
 class Config:
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
@@ -78,8 +122,8 @@ class Config:
 
 # INI section -> its dataclass, in emission order
 _SECTIONS: dict[str, type] = {f.name: f.default_factory for f in fields(Config)}
-# INI section -> key -> annotation such as "tuple[int, ...] | None"; the
-# section modules postpone annotations, so each field's type is that text
+# INI section -> key -> annotation such as "tuple[int, ...] | None"; this
+# module postpones annotations, so each field's type is that text
 _SCHEMA: dict[str, dict[str, str]] = {
     section: {f.name: f.type for f in fields(cls)} for section, cls in _SECTIONS.items()
 }
@@ -211,6 +255,8 @@ class PhysicalScene:
 
     def magic_sin_thetas(self, m: int) -> tuple[float, ...]:
         """Physical angles (as sines) of the fixed detectors at order m."""
+        from .correlation import magic_positions
+
         return tuple(self.sin_theta(delta) for delta in magic_positions(m))
 
     def abbe_min_separation(self, sin_aperture: float) -> float:

@@ -105,14 +105,6 @@ class DetectorArray:
         scan.flags.writeable = False
         object.__setattr__(self, "scan", scan)
 
-    @classmethod
-    def magic_scan(cls, m: int, samples: int) -> "DetectorArray":
-        """Fixed detectors at the magic offsets, uniform scan over [0, 2*pi)."""
-        if samples < 1:
-            raise ValueError(f"need at least one scan sample, got {samples}")
-        scan = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        return cls(m, magic_positions(m), scan)
-
 
 @dataclass(frozen=True, eq=False)
 class CorrelationCurve:

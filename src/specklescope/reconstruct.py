@@ -9,21 +9,23 @@ that enumerates every subset of lattice sites, and the two must agree
 wherever the twin's hard limits allow it to run.
 
 disambiguate() ranks surviving candidates by comparing measured relative
-amplitudes against each candidate's exact prediction, and
-aperture_report() states the detector-aperture fractions an order-m
-measurement needs.
+amplitudes against each candidate's exact prediction.  The search's
+bounds (SearchBounds) live in config and its output records in records;
+both are re-exported here, with aperture_report(), which states the
+detector-aperture fractions an order-m measurement needs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
+from .config import SearchBounds
 from .correlation import ModulationSpectrum, predicted_spectrum
-from .errors import EmptyEvidenceError, OrderError
+from .errors import EmptyEvidenceError
 from .geometry import SourceGeometry
-from .spectrum import EvidenceTable
+from .records import ApertureReport, Candidate, CandidateSet, EvidenceTable, aperture_report
 
 __all__ = [
     "SearchBounds",
@@ -34,56 +36,6 @@ __all__ = [
     "disambiguate",
     "aperture_report",
 ]
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    """Hard limits on the candidate space.
-
-    allow_unknown_span opens spans beyond the largest Present frequency
-    (status Unknown); that space is cut off at max_span, so results are
-    never marked exhaustive when it is enabled.
-    """
-
-    max_sources: int = 6
-    max_span: int = 20
-    allow_unknown_span: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_sources < 2:
-            raise ValueError(f"need at least two sources, got {self.max_sources}")
-        if self.max_span < 1:
-            raise ValueError(f"span bound must be positive, got {self.max_span}")
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One geometry hypothesis, optionally scored against measured spectra."""
-
-    geometry: SourceGeometry
-    score: float | None = None
-    chi2_by_order: tuple[tuple[int, float], ...] = ()
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Search output: candidates, the evidence they explain, and whether
-    the enumeration covered the whole bounded space."""
-
-    candidates: tuple[Candidate, ...]
-    evidence: EvidenceTable
-    exhaustive: bool
-
-    def geometries(self) -> tuple[SourceGeometry, ...]:
-        return tuple(c.geometry for c in self.candidates)
-
-    def winners(self, delta_chi2: float = 1.0) -> tuple[Candidate, ...]:
-        """Scored candidates within delta_chi2 of the best score."""
-        scored = [c for c in self.candidates if c.score is not None]
-        if not scored:
-            return ()
-        best = min(c.score for c in scored)
-        return tuple(c for c in scored if c.score - best < delta_chi2)
 
 
 # ---------------------------------------------------------------------------
@@ -311,37 +263,3 @@ def disambiguate(
     return replace(candidate_set, candidates=tuple(
         c for run in runs for c in sorted(run, key=lambda c: (c.geometry.n_sources, c.geometry.x))
     ))
-
-
-# ---------------------------------------------------------------------------
-# aperture accounting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ApertureReport:
-    """Detector-aperture fractions of the full period needed at order m.
-
-    moving is the scan range of the swept detector (one filter period);
-    total is the extent of the whole arrangement, the fixed array with
-    the scan window placed inside it.  Both shrink as 1/(m-1)-type
-    fractions, which is where the subclassical resolution claim comes
-    from; at m = 2 there is nothing to hide the scan window in and both
-    fractions are 1.
-    """
-
-    m: int
-    moving: float
-    total: float
-
-
-def aperture_report(m: int) -> ApertureReport:
-    """Aperture fractions (1/(m-1), max(m-2, 1)/(m-1)) for an order-m run.
-
-    The fixed detectors span (m-2)/(m-1) of the period and the scan
-    window 1/(m-1) fits inside that span for m >= 3; at m = 2 the window
-    itself is the widest thing in the setup.
-    """
-    if m < 2:
-        raise OrderError(f"correlation order must be at least 2, got {m}")
-    return ApertureReport(m=m, moving=1.0 / (m - 1), total=max(m - 2, 1) / (m - 1))

@@ -1,0 +1,172 @@
+"""Records of a finished run: frequency evidence, candidates, apertures.
+
+These are what `report` reads back from reconstruction.json, so this
+module imports no numpy; spectrum and reconstruct, which build them,
+re-export them.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+
+from .errors import OrderError
+from .geometry import SourceGeometry
+
+__all__ = [
+    "EvidenceRow",
+    "EvidenceTable",
+    "Candidate",
+    "CandidateSet",
+    "ApertureReport",
+    "aperture_report",
+]
+
+
+@dataclass(frozen=True)
+class EvidenceRow:
+    """What the measured orders say about one integer frequency."""
+
+    f: int
+    status: str  # "present" | "absent" | "unknown"
+    amplitude: float | None = None
+    sigma_a: float | None = None
+    present_orders: tuple[int, ...] = ()
+    absent_orders: tuple[int, ...] = ()
+    conflict: bool = False
+
+    def __post_init__(self) -> None:
+        if self.f < 1:
+            raise ValueError(f"frequency must be a positive integer, got {self.f}")
+        if self.status not in ("present", "absent", "unknown"):
+            raise ValueError(f"unknown evidence status {self.status!r}")
+
+
+@dataclass(frozen=True)
+class EvidenceTable:
+    """Tri-state frequency evidence merged across correlation orders.
+
+    rows covers integers 1..span_hint; anything beyond span_hint is
+    implicitly unknown.  A conflict (some order sees f, another order that
+    could see f does not) keeps status "present" but is flagged on the
+    row, so upstream noise problems stay visible.
+    """
+
+    span_hint: int
+    rows: Mapping[int, EvidenceRow]
+    orders_measured: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.span_hint < 0:
+            raise ValueError(f"span hint must be non-negative, got {self.span_hint}")
+        rows = dict(self.rows)
+        for f, row in rows.items():
+            if f != row.f:
+                raise ValueError(f"row key {f} does not match row frequency {row.f}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "orders_measured", tuple(sorted(self.orders_measured)))
+
+    def status_of(self, f: int) -> str:
+        if f < 1:
+            raise ValueError(f"frequency must be a positive integer, got {f}")
+        row = self.rows.get(f)
+        return row.status if row is not None else "unknown"
+
+    def present(self) -> tuple[int, ...]:
+        return tuple(sorted(f for f, r in self.rows.items() if r.status == "present"))
+
+    def absent(self) -> tuple[int, ...]:
+        return tuple(sorted(f for f, r in self.rows.items() if r.status == "absent"))
+
+    def conflicts(self) -> tuple[int, ...]:
+        return tuple(sorted(f for f, r in self.rows.items() if r.conflict))
+
+    @classmethod
+    def from_sets(
+        cls,
+        present: Iterable[int] | Mapping[int, tuple[float, float]],
+        absent: Iterable[int] = (),
+        orders_measured: Iterable[int] = (),
+        span_hint: int | None = None,
+    ) -> "EvidenceTable":
+        """Build a table directly from known Present/Absent frequency sets."""
+        if isinstance(present, Mapping):
+            present_map = {int(f): v for f, v in present.items()}
+        else:
+            present_map = {int(f): None for f in present}
+        absent_set = {int(f) for f in absent}
+        overlap = set(present_map) & absent_set
+        if overlap:
+            raise ValueError(f"frequencies both present and absent: {sorted(overlap)}")
+        hint = span_hint if span_hint is not None else max(present_map, default=0)
+        rows = {}
+        for f in sorted(present_map):
+            amp = present_map[f]
+            rows[f] = EvidenceRow(
+                f=f,
+                status="present",
+                amplitude=None if amp is None else float(amp[0]),
+                sigma_a=None if amp is None else float(amp[1]),
+            )
+        for f in sorted(absent_set):
+            rows[f] = EvidenceRow(f=f, status="absent")
+        return cls(span_hint=hint, rows=rows, orders_measured=tuple(orders_measured))
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One geometry hypothesis, optionally scored against measured spectra."""
+
+    geometry: SourceGeometry
+    score: float | None = None
+    chi2_by_order: tuple[tuple[int, float], ...] = ()
+
+
+@dataclass(frozen=True)
+class CandidateSet:
+    """Search output: candidates, the evidence they explain, and whether
+    the enumeration covered the whole bounded space."""
+
+    candidates: tuple[Candidate, ...]
+    evidence: EvidenceTable
+    exhaustive: bool
+
+    def geometries(self) -> tuple[SourceGeometry, ...]:
+        return tuple(c.geometry for c in self.candidates)
+
+    def winners(self, delta_chi2: float = 1.0) -> tuple[Candidate, ...]:
+        """Scored candidates within delta_chi2 of the best score."""
+        scored = [c for c in self.candidates if c.score is not None]
+        if not scored:
+            return ()
+        best = min(c.score for c in scored)
+        return tuple(c for c in scored if c.score - best < delta_chi2)
+
+
+@dataclass(frozen=True)
+class ApertureReport:
+    """Detector-aperture fractions of the full period needed at order m.
+
+    moving is the scan range of the swept detector (one filter period);
+    total is the extent of the whole arrangement, the fixed array with
+    the scan window placed inside it.  Both shrink as 1/(m-1)-type
+    fractions, which is where the subclassical resolution claim comes
+    from; at m = 2 there is nothing to hide the scan window in and both
+    fractions are 1.
+    """
+
+    m: int
+    moving: float
+    total: float
+
+
+def aperture_report(m: int) -> ApertureReport:
+    """Aperture fractions (1/(m-1), max(m-2, 1)/(m-1)) for an order-m run.
+
+    The fixed detectors span (m-2)/(m-1) of the period and the scan
+    window 1/(m-1) fits inside that span for m >= 3; at m = 2 the window
+    itself is the widest thing in the setup.
+    """
+    if m < 2:
+        raise OrderError(f"correlation order must be at least 2, got {m}")
+    return ApertureReport(m=m, moving=1.0 / (m - 1), total=max(m - 2, 1) / (m - 1))

@@ -2,6 +2,8 @@
 
 All writers are atomic (temp file + rename) and deterministic: identical
 inputs produce byte-identical files, so pipeline runs can be diffed.
+numpy and the array-holding classes are imported by the functions that
+read or write arrays, so the JSON records load without numpy.
 """
 
 from __future__ import annotations
@@ -17,16 +19,17 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import TYPE_CHECKING, Any, BinaryIO
 
-import numpy as np
-
-from .correlation import CorrelationCurve, Harmonic, ModulationSpectrum
 from .errors import FormatError, OutputError
 from .geometry import SourceGeometry
-from .reconstruct import ApertureReport, Candidate, CandidateSet
-from .speckle import FrameStack, FrameStream
-from .spectrum import EvidenceRow, EvidenceTable
+from .records import ApertureReport, Candidate, CandidateSet, EvidenceRow, EvidenceTable
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .correlation import CorrelationCurve, ModulationSpectrum
+    from .speckle import FrameStack, FrameStream
 
 __all__ = [
     "atomic_write_text",
@@ -128,7 +131,7 @@ def write_curve_csv(curve: CorrelationCurve, path: str | Path) -> None:
     """Curve as CSV with columns delta1_rad, g_value and optionally sigma."""
     columns = [curve.delta1, curve.values] + ([] if curve.sigma is None else [curve.sigma])
     header = _CURVE_HEADERS[len(columns) - 2]
-    rows = (dict(zip(header, row)) for row in np.column_stack(columns).tolist())
+    rows = (dict(zip(header, row)) for row in zip(*(column.tolist() for column in columns)))
     write_csv(path, header, rows)
 
 
@@ -137,6 +140,10 @@ def read_curve_csv(path: str | Path, m: int) -> CorrelationCurve:
 
     A foreign header, a row of the wrong length or a bad value is a FormatError.
     """
+    import numpy as np
+
+    from .correlation import CorrelationCurve
+
     with _parsing(path, "not a curve CSV"), open(path, newline="") as fh:
         rows = [line for line in csv.reader(fh) if line]
         header = rows.pop(0) if rows else None
@@ -152,6 +159,8 @@ def read_curve_csv(path: str | Path, m: int) -> CorrelationCurve:
 
 def write_replicas(replicas: np.ndarray, path: str | Path) -> None:
     """Bootstrap replica curves (one row per resample) as a .npy file."""
+    import numpy as np
+
     buf = io.BytesIO()
     np.save(buf, replicas, allow_pickle=False)
     atomic_write_bytes(path, buf.getbuffer())
@@ -163,6 +172,8 @@ def read_replicas(path: str | Path, curve: CorrelationCurve) -> CorrelationCurve
     Anything but a finite 2-D float64 array with at least two rows and one
     column per curve sample is a FormatError; nothing is unpickled.
     """
+    import numpy as np
+
     with _parsing(path, "not replicas of this curve"), open(path, "rb") as fh:
         replicas = np.lib.format.read_array(fh, allow_pickle=False)
         if replicas.dtype != np.float64 or replicas.ndim != 2 or len(replicas) < 2:
@@ -221,6 +232,8 @@ def spectrum_to_dict(spectrum: ModulationSpectrum) -> dict[str, Any]:
 
 
 def spectrum_from_dict(data: dict[str, Any]) -> ModulationSpectrum:
+    from .correlation import Harmonic, ModulationSpectrum
+
     harmonics = tuple(_record_from_dict(Harmonic, h, _HARMONIC) for h in data["harmonics"])
     return _record_from_dict(ModulationSpectrum, data, _SPECTRUM, harmonics=harmonics)
 
@@ -332,6 +345,8 @@ def write_frames(frames: FrameStream, path: str | Path) -> Iterator[FrameStream]
     a temporary file on their way through; the file replaces `path` once
     the block exits cleanly having read every frame.
     """
+    import numpy as np
+
     header = {
         "N": frames.n_sources,
         "R": frames.n_frames,
@@ -350,6 +365,7 @@ def write_frames(frames: FrameStream, path: str | Path) -> Iterator[FrameStream]
             fh.write(np.ascontiguousarray(rows, dtype=np.float64))
             written += len(rows)
             yield rows
+            del rows  # so the chunk is not held while the next is drawn
 
     with _atomic_file(path) as fh:
         fh.write(_FRAME_MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes)
@@ -360,6 +376,10 @@ def write_frames(frames: FrameStream, path: str | Path) -> Iterator[FrameStream]
 
 def read_frames(path: str | Path) -> FrameStack:
     """Read a frame container; a missing, truncated or malformed file is a FormatError."""
+    import numpy as np
+
+    from .speckle import FrameStack
+
     with _parsing(path, "malformed frame container"), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_FRAME_MAGIC))

@@ -221,12 +221,13 @@ def _drawn_chunks(run: SpeckleRun) -> Iterator[np.ndarray]:
         rows += np.square(fields.imag, out=fields.imag)
         del fields  # not held while the chunk is read
         yield rows
+        del rows  # nor the chunk while the next is drawn
 
 
 def _quantized_chunks(run: SpeckleRun, stream: FrameStream) -> Iterator[np.ndarray]:
     # the ADC gain maps the acquisition's maximum to the top level, so a
     # first pass finds that maximum and the second draws the same frames again
-    top = max(float(rows.max()) for rows in _drawn_chunks(run))
+    top = float(max(map(np.max, _drawn_chunks(run))))  # map holds no chunk while drawing
     level = float(2**run.quantization_bits - 1)
     for rows in _drawn_chunks(run):
         if top:
@@ -236,6 +237,7 @@ def _quantized_chunks(run: SpeckleRun, stream: FrameStream) -> Iterator[np.ndarr
             rows.fill(0.0)
         stream.clipped += int(np.count_nonzero((rows == 0) | (rows == level)))
         yield rows
+        del rows
 
 
 def sample_frames(run: SpeckleRun) -> FrameStream:
@@ -309,14 +311,18 @@ def _block_rows(
     want = next(sizes, 0)
     buffer = None
     held = 0  # rows of the current block already in the buffer
-    for n, rows in enumerate(chunks):
+    first = True
+    # no chunk is bound while the next is drawn: no enumerate, whose cached
+    # result tuple keeps the last item, and each chunk is deleted when done
+    for rows in chunks:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != n_pixels:
             raise ValueError(f"chunks must be frames x {n_pixels} arrays")
         _check_samples(rows)
-        summands = np.concatenate((pixel_sums[None], rows)) if n else rows
+        summands = rows if first else np.concatenate((pixel_sums[None], rows))
         np.add.reduce(summands, axis=0, out=pixel_sums)
         del summands
+        first = False
         at = 0
         while at < len(rows):
             if not want:
@@ -335,6 +341,7 @@ def _block_rows(
                 held = 0
             at += take
             want = next(sizes, 0)
+        del rows
     if want:
         raise ValueError("the chunks hold fewer frames than the stream declares")
 
@@ -386,10 +393,13 @@ def estimate_g_m(
     pixel_sums = np.zeros(n_pixels)
     block_mean_i = np.empty((n_blocks, n_pixels))
     block_sum = np.empty((len(fixed_sets), n_blocks, n_pixels))
-    for b, rows in enumerate(_block_rows(stream.chunks, sizes, pixel_sums)):
+    b = 0  # not enumerate, which holds the last block through the next draw
+    for rows in _block_rows(stream.chunks, sizes, pixel_sums):
         block_mean_i[b] = rows.mean(axis=0)
         for k, idx in enumerate(fixed_idx):
             block_sum[k, b] = rows[:, idx].prod(axis=1) @ rows
+        b += 1
+        del rows
 
     mean_i = pixel_sums / n_frames
     if np.any(mean_i == 0):
@@ -403,6 +413,7 @@ def estimate_g_m(
         rng = np.random.Generator(np.random.Philox(seed_seq))
         counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=n_boot)
         boot_mean_i = counts @ block_mean_i / n_blocks  # (n_boot, P)
+        del block_mean_i
         block_len = np.asarray(sizes, dtype=float)[:, None]
 
     curves = []
@@ -414,12 +425,12 @@ def estimate_g_m(
             curves.append(CorrelationCurve(m=m, delta1=stream.delta_axis, values=values))
             continue
 
-        boot_num = counts @ (sums / block_len) / n_blocks  # (n_boot, P)
         boot_fixed = boot_mean_i[:, idx].prod(axis=1)  # (n_boot,)
         boot_den = boot_mean_i * boot_fixed[:, None]
         if np.any(boot_den == 0):
             raise DegeneratePixelError("bootstrap resample hit a zero-mean pixel")
-        boot_values = boot_num / boot_den
+        boot_values = counts @ (sums / block_len) / n_blocks / boot_den  # (n_boot, P)
+        del boot_den
         curves.append(CorrelationCurve(
             m=m,
             delta1=stream.delta_axis,
@@ -427,4 +438,5 @@ def estimate_g_m(
             sigma=boot_values.std(axis=0, ddof=1),
             replicas=boot_values,
         ))
+        del boot_values  # the curve holds a copy
     return tuple(curves)

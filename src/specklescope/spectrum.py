@@ -13,14 +13,17 @@ separations into the lattice constant.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 
+from .config import GatePolicy
 from .correlation import CorrelationCurve, Harmonic, ModulationSpectrum
 from .errors import FitError
+from .records import EvidenceRow, EvidenceTable
 
+# GatePolicy (config) and the evidence records (records) are re-exported here
 __all__ = [
     "MIN_AMPLITUDE_FRACTION",
     "GatePolicy",
@@ -43,31 +46,6 @@ _MIN_REPLICA_ROWS = 8
 
 # Residual periodogram grid points per Fourier resolution 2*pi/scan.
 _OVERSAMPLE = 4
-
-
-@dataclass(frozen=True)
-class GatePolicy:
-    """Family-wise error rate of the line test.
-
-    A line is kept when its contrast c = a/A0 passes the two-sided test
-    |c| >= z* sigma_c, where z* = Phi^-1(1 - alpha/(2N)) over the N comb
-    lines tested (Bonferroni).
-    """
-
-    alpha: float = 0.01
-
-    def __post_init__(self) -> None:
-        # below 1e-300 the per-test level alpha/(2N) could underflow to zero
-        if not 1e-300 <= self.alpha < 1:
-            raise ValueError(f"alpha must lie in [1e-300, 1), got {self.alpha}")
-
-    def threshold(self, n_tests: int) -> float:
-        """z* for a family of n_tests two-sided tests."""
-        # imported here: statistics loads decimal and fractions (0.4 MB),
-        # which no command but analyze needs
-        from statistics import NormalDist
-
-        return -NormalDist().inv_cdf(self.alpha / (2 * max(n_tests, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,96 +243,6 @@ def gate(
     z = policy.threshold(len(spectrum.harmonics) if n_tests is None else n_tests)
     kept = tuple(h for h in spectrum.harmonics if abs(h.contrast) >= z * h.sigma_contrast)
     return replace(spectrum, harmonics=kept)
-
-
-@dataclass(frozen=True)
-class EvidenceRow:
-    """What the measured orders say about one integer frequency."""
-
-    f: int
-    status: str  # "present" | "absent" | "unknown"
-    amplitude: float | None = None
-    sigma_a: float | None = None
-    present_orders: tuple[int, ...] = ()
-    absent_orders: tuple[int, ...] = ()
-    conflict: bool = False
-
-    def __post_init__(self) -> None:
-        if self.f < 1:
-            raise ValueError(f"frequency must be a positive integer, got {self.f}")
-        if self.status not in ("present", "absent", "unknown"):
-            raise ValueError(f"unknown evidence status {self.status!r}")
-
-
-@dataclass(frozen=True)
-class EvidenceTable:
-    """Tri-state frequency evidence merged across correlation orders.
-
-    rows covers integers 1..span_hint; anything beyond span_hint is
-    implicitly unknown.  A conflict (some order sees f, another order that
-    could see f does not) keeps status "present" but is flagged on the
-    row, so upstream noise problems stay visible.
-    """
-
-    span_hint: int
-    rows: Mapping[int, EvidenceRow]
-    orders_measured: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.span_hint < 0:
-            raise ValueError(f"span hint must be non-negative, got {self.span_hint}")
-        rows = dict(self.rows)
-        for f, row in rows.items():
-            if f != row.f:
-                raise ValueError(f"row key {f} does not match row frequency {row.f}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "orders_measured", tuple(sorted(self.orders_measured)))
-
-    def status_of(self, f: int) -> str:
-        if f < 1:
-            raise ValueError(f"frequency must be a positive integer, got {f}")
-        row = self.rows.get(f)
-        return row.status if row is not None else "unknown"
-
-    def present(self) -> tuple[int, ...]:
-        return tuple(sorted(f for f, r in self.rows.items() if r.status == "present"))
-
-    def absent(self) -> tuple[int, ...]:
-        return tuple(sorted(f for f, r in self.rows.items() if r.status == "absent"))
-
-    def conflicts(self) -> tuple[int, ...]:
-        return tuple(sorted(f for f, r in self.rows.items() if r.conflict))
-
-    @classmethod
-    def from_sets(
-        cls,
-        present: Iterable[int] | Mapping[int, tuple[float, float]],
-        absent: Iterable[int] = (),
-        orders_measured: Iterable[int] = (),
-        span_hint: int | None = None,
-    ) -> "EvidenceTable":
-        """Build a table directly from known Present/Absent frequency sets."""
-        if isinstance(present, Mapping):
-            present_map = {int(f): v for f, v in present.items()}
-        else:
-            present_map = {int(f): None for f in present}
-        absent_set = {int(f) for f in absent}
-        overlap = set(present_map) & absent_set
-        if overlap:
-            raise ValueError(f"frequencies both present and absent: {sorted(overlap)}")
-        hint = span_hint if span_hint is not None else max(present_map, default=0)
-        rows = {}
-        for f in sorted(present_map):
-            amp = present_map[f]
-            rows[f] = EvidenceRow(
-                f=f,
-                status="present",
-                amplitude=None if amp is None else float(amp[0]),
-                sigma_a=None if amp is None else float(amp[1]),
-            )
-        for f in sorted(absent_set):
-            rows[f] = EvidenceRow(f=f, status="absent")
-        return cls(span_hint=hint, rows=rows, orders_measured=tuple(orders_measured))
 
 
 def aggregate(spectra: Sequence[ModulationSpectrum]) -> EvidenceTable:

@@ -1,5 +1,7 @@
 """Shared fixtures: analytic curves and a reusable speckle acquisition."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from specklescope import (
     SpeckleRun,
     distinct_frequencies,
     g_m_analytic,
+    magic_positions,
     sample_frames,
     surviving_frequencies,
     uniform_grid,
@@ -26,12 +29,18 @@ def held_stack(run):
     return FrameStack(intensities, frames.delta_axis, frames.n_sources, frames.seed, frames.bits)
 
 
+def magic_scan(m, samples):
+    """Fixed detectors at the magic offsets, uniform scan over [0, 2*pi)."""
+    scan = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    return DetectorArray(m, magic_positions(m), scan)
+
+
 def magic_curve(x, m, samples=None):
     """Noiseless order-m curve with fixed detectors at the magic offsets."""
     geometry = SourceGeometry(tuple(x))
     if samples is None:
         samples = max(8 * (geometry.span + 1), 64)
-    return g_m_analytic(geometry, DetectorArray.magic_scan(m, samples))
+    return g_m_analytic(geometry, magic_scan(m, samples))
 
 
 def noisy_curve(x, m, sigma, rows, seed=0):

@@ -283,6 +283,52 @@ def test_import_and_analyze_skip_numpy_ma_and_statistics(run_dir, tmp_path):
     assert "numpy.ma" not in modules_loaded("analyze", "--config", str(cfg), "--out", str(out))
 
 
+# like MODULES_PROBE, but also through argparse's exits; prints the exit code first
+EXIT_PROBE = """\
+import sys
+from specklescope.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, " ".join(sorted(sys.modules)))
+"""
+
+
+def exit_and_modules(*argv):
+    done = subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE, *map(str, argv)],
+        capture_output=True, text=True, env=fresh_interpreter_env(),
+    )
+    assert done.returncode == 0, done.stderr
+    code, *modules = done.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def test_each_command_loads_only_the_layers_it_runs(run_dir, tmp_path):
+    # numpy alone takes about 0.07 s of every start, and report reads two JSON files
+    assert "numpy" not in modules_loaded()  # the bare import
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[simulate]\nframes = 0\n")
+    for argv, expected in ((["--help"], 0), (["--version"], 0),
+                           (["aperture", "--orders", "3..6"], 0),
+                           (["report", "--out", run_dir], 0),
+                           ([], 2), (["simulate", "--frames", "x"], 2),
+                           (["simulate", "--config", bad, "--out", tmp_path / "o"], 2)):
+        code, modules = exit_and_modules(*argv)
+        assert code == expected, argv
+        assert "numpy" not in modules, argv
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("frames = 1000", "frames = 200"))
+    out = tmp_path / "out"
+    code, modules = exit_and_modules("simulate", "--config", cfg, "--out", out)
+    assert code == 0 and "specklescope.speckle" in modules
+    assert not {"specklescope.reconstruct", "specklescope.spectrum"} & modules
+    code, modules = exit_and_modules("analyze", "--config", cfg, "--out", out)
+    assert code == 0 and "specklescope.spectrum" in modules
+    assert not {"specklescope.speckle", "specklescope.reconstruct"} & modules
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

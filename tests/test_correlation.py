@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import magic_scan
 from specklescope import (
     MAX_PERMANENT_ORDER,
     CorrelationCurve,
@@ -185,7 +186,7 @@ def test_two_source_second_order_closed_form():
 
 def test_curve_matches_single_point_permanent_ratio():
     g = SourceGeometry((1, 3))
-    detectors = DetectorArray.magic_scan(4, 32)
+    detectors = magic_scan(4, 32)
     curve = g_m_analytic(g, detectors)
     for idx in (0, 7, 19):
         deltas = np.array([detectors.scan[idx], *detectors.fixed_deltas])
@@ -209,7 +210,7 @@ def test_coincident_fixed_detectors_duplicate_matrix_rows():
 def test_curves_are_non_negative():
     for x in [(1,), (2, 2), (3, 1, 4)]:
         for m in (2, 3, 5):
-            curve = g_m_analytic(SourceGeometry(x), DetectorArray.magic_scan(m, 64))
+            curve = g_m_analytic(SourceGeometry(x), magic_scan(m, 64))
             assert np.all(curve.values >= 0.0)
 
 
@@ -230,7 +231,7 @@ FREQS = tuple(range(1, 20))
 
 def rfft_contrasts(geometry, m, freqs):
     """A_f/A0 read off the DFT of the analytic curve, on a grid of its own."""
-    curve = g_m_analytic(geometry, DetectorArray.magic_scan(m, 8 * (geometry.span + 1)))
+    curve = g_m_analytic(geometry, magic_scan(m, 8 * (geometry.span + 1)))
     coeff = np.fft.rfft(curve.values)
     return np.array([2.0 * abs(coeff[f]) / coeff[0].real for f in freqs])
 
@@ -300,7 +301,7 @@ def test_spectrum_keeps_only_surviving_lines():
 
 def test_single_source_spectrum_is_flat():
     assert not predicted_spectrum((SourceGeometry(()),), 4, FREQS).any()
-    curve = g_m_analytic(SourceGeometry(()), DetectorArray.magic_scan(4, 16))
+    curve = g_m_analytic(SourceGeometry(()), magic_scan(4, 16))
     np.testing.assert_allclose(curve.values, math.factorial(4), rtol=1e-9)
 
 
@@ -371,7 +372,7 @@ def test_detector_array_validation():
     with pytest.raises(ValueError):
         DetectorArray(3, (0.0, 1.0), np.array([1.0, 0.5]))
     with pytest.raises(OrderError):
-        DetectorArray.magic_scan(1, 16)
-    arr = DetectorArray.magic_scan(4, 16)
+        magic_scan(1, 16)
+    arr = magic_scan(4, 16)
     assert arr.fixed_deltas == magic_positions(4)
     assert arr.scan.size == 16

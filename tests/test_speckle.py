@@ -188,6 +188,30 @@ def test_sampling_archiving_and_estimating_hold_one_chunk(tmp_path, bits):
     assert peak < _STAGE_BOUND
 
 
+def test_the_streamed_stage_holds_only_the_chunk_being_drawn(tmp_path):
+    # sampled, archived and estimated as simulate runs it.  Beside the block
+    # tables of four orders, only the chunk being drawn is alive: its complex
+    # field (two chunks of bytes) and its intensities (one), plus one chunk
+    # for the estimator's buffers.  Keeping the previous chunk referenced
+    # through the next draw, and each order's bootstrap temporaries through
+    # the next order, peaked 0.6 MiB above this bound
+    pixels, orders = 240, (3, 4, 5, 6)
+    run = SpeckleRun(SourceGeometry((3, 1, 4)), frames=20000, seed=1,
+                     delta_axis=uniform_grid(pixels))
+    pixel_sets = [nearest_magic_pixels(run.delta_axis, m)[0] for m in orders]
+    list(sample_frames(small_run(frames=2)).chunks)  # numpy.random's import is not the stage's
+    tracemalloc.start()
+    try:
+        with serialize.write_frames(sample_frames(run), tmp_path / "frames.sstk") as stream:
+            estimate_g_m(stream, pixel_sets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk = speckle._CHUNK_FRAMES * pixels * 8
+    tables = (len(orders) + 1) * speckle._MAX_BLOCKS * pixels * 8
+    assert peak < tables + 4 * chunk
+
+
 def test_weights_rescale_frames_exactly():
     # same seed, doubled weights: every intensity doubles (up to rounding)
     a = held_stack(small_run(weights=(1.0, 1.0, 1.0)))
