@@ -335,7 +335,7 @@ def cmd_aperture(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from . import serialize
-    from .config import RunManifest
+    from .records import RunManifest
 
     out = Path(args.out)
     recon_path = out / "reconstruction.json"

@@ -9,24 +9,23 @@ Config files are INI sections whose values are Python literals, e.g.
 parse_config() fills anything omitted with defaults and rejects unknown
 keys; emit_config() writes every key back out, and the two round-trip
 exactly.  The [gate] and [reconstruct] sections are GatePolicy and
-SearchBounds, which spectrum and reconstruct re-export.  RunManifest
-snapshots a run (config text, seed, version, outputs) so it can be
-reproduced bit for bit.  Nothing here imports numpy.
+SearchBounds, which spectrum and reconstruct re-export.  RunManifest, the
+snapshot of a run, lives in records and is re-exported here.  Nothing
+here imports numpy.
 """
 
 from __future__ import annotations
 
 import ast
 import configparser
-import datetime
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from . import __version__
 from .errors import ConfigError
 from .geometry import SourceGeometry
+from .records import RunManifest
 
 __all__ = [
     "GeometryConfig",
@@ -264,59 +263,3 @@ class PhysicalScene:
         if not 0 < sin_aperture <= 1:
             raise ValueError(f"aperture sine must be in (0, 1], got {sin_aperture}")
         return self.wavelength / (2.0 * sin_aperture)
-
-
-# ---------------------------------------------------------------------------
-# run manifest
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run, plus where its outputs went."""
-
-    config_text: str
-    seed: int
-    version: str = __version__
-    created_utc: str = ""
-    outputs: tuple[tuple[str, str], ...] = ()
-    notes: tuple[str, ...] = ()
-
-    @classmethod
-    def create(
-        cls,
-        config: Config,
-        seed: int,
-        outputs: dict[str, str],
-        notes: tuple[str, ...] = (),
-    ) -> "RunManifest":
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-        return cls(
-            config_text=emit_config(config),
-            seed=seed,
-            created_utc=stamp,
-            outputs=tuple(sorted(outputs.items())),
-            notes=notes,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tool": "specklescope",
-            "version": self.version,
-            "created_utc": self.created_utc,
-            "seed": self.seed,
-            "config": self.config_text,
-            "outputs": dict(self.outputs),
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunManifest":
-        return cls(
-            config_text=str(data["config"]),
-            seed=int(data["seed"]),
-            version=str(data["version"]),
-            created_utc=str(data["created_utc"]),
-            outputs=tuple(sorted((str(k), str(v)) for k, v in data["outputs"].items())),
-            notes=tuple(str(note) for note in data["notes"]),
-        )

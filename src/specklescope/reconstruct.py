@@ -3,10 +3,13 @@
 Given a tri-state evidence table (Present / Absent / Unknown per integer
 pair distance), enumerate the integer source configurations whose
 pairwise distance set contains every Present frequency and avoids every
-Absent one.  search() explains Present distances recursively and then
-pads with Unknown-compatible extras; the tests hold a brute-force twin
-that enumerates every subset of lattice sites, and the two must agree
-wherever the twin's hard limits allow it to run.
+Absent one.  search() runs one walk over int bitmasks of lattice sites: it
+places the largest missing Present distance, then pads with sites that
+make no Absent distance.  Run with room for one more source, the same
+walk decides whether the enumeration is exhaustive.  The tests hold a
+brute-force twin that enumerates every subset of lattice sites and probes
+the source cap on its own; the two must agree wherever the twin's hard
+limits allow it to run.
 
 disambiguate() ranks surviving candidates by comparing measured relative
 amplitudes against each candidate's exact prediction.  The search's
@@ -17,8 +20,8 @@ detector-aperture fractions an order-m measurement needs.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import replace
 
 from .config import SearchBounds
@@ -41,15 +44,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # candidate enumeration
 # ---------------------------------------------------------------------------
-
-
-def _diffs(points: frozenset[int]) -> frozenset[int]:
-    return frozenset(abs(a - b) for a, b in itertools.combinations(points, 2))
-
-
-def _is_valid(points: frozenset[int], present: frozenset[int], absent: frozenset[int]) -> bool:
-    diffs = _diffs(points)
-    return present <= diffs and not (diffs & absent)
 
 
 def _span_candidates(
@@ -79,122 +73,95 @@ def _span_candidates(
     return spans, truncated
 
 
-def _cover_present(
-    points: frozenset[int],
-    present: frozenset[int],
-    absent: frozenset[int],
-    span: int,
-    max_sources: int,
-    bases: set[frozenset[int]],
-) -> None:
-    """Grow `points` until every Present distance is realized.
+def _walk(present: int, absent: int, span: int, cap: int) -> Iterator[tuple[int, int]]:
+    """Site sets at `span` whose distances hold `present` and avoid `absent`.
 
-    Branches over all placements (a, a+f) of the largest missing Present
-    distance f; any valid configuration contains such a pair, so the walk
-    reaches a subset of every valid configuration.
+    Bit p of a mask is site p, of its mirror site span - p, and of a
+    distance mask distance p.  Each step places the largest missing Present
+    distance f at every (a, a + f); any valid set holds such a pair, so the
+    walk reaches a subset of each one.  A cover of all Present distances is
+    then padded with interior sites, in increasing order, that make no
+    Absent distance.  Yields (points, mirror) for every set of at most `cap`
+    sites, a set once per cover that reaches it.
     """
-    missing = present - _diffs(points)
-    if not missing:
-        bases.add(points)
-        return
-    f = max(missing)
-    for a in range(0, span - f + 1):
-        pair = {a, a + f}
-        added = pair - points
-        if not added:
-            continue
-        if len(points) + len(added) > max_sources:
-            continue
-        grown = points | pair
-        if not any(p != q and abs(p - q) in absent for p in grown for q in added):
-            _cover_present(grown, present, absent, span, max_sources, bases)
 
+    def distances(points: int, mirror: int, q: int) -> int:
+        # p - q for sites above q; q - p for sites below, read off the mirror
+        return ((points >> q) | (mirror >> (span - q))) & ~1
 
-def _pad_with_extras(
-    base: frozenset[int],
-    absent: frozenset[int],
-    span: int,
-    max_sources: int,
-    results: set[frozenset[int]],
-) -> None:
-    """Add interior points whose distances to everything stay non-Absent."""
-    compatible = [
-        q
-        for q in range(1, span)
-        if q not in base and all(abs(q - p) not in absent for p in base)
-    ]
-
-    def grow(current: frozenset[int], pool: list[int]) -> None:
-        results.add(current)
-        if len(current) >= max_sources:
+    def cover(points: int, mirror: int, seen: int, n: int) -> Iterator[tuple[int, int]]:
+        missing = present & ~seen
+        if not missing:
+            if points not in covers:
+                covers.add(points)
+                yield from pad(points, mirror, n, 1)
             return
-        for i, q in enumerate(pool):
-            if all(abs(q - p) not in absent for p in current - base):
-                grow(current | {q}, pool[i + 1 :])
+        f = missing.bit_length() - 1
+        for a in range(span - f + 1):
+            p, m, s, k = points, mirror, seen, n
+            for q in (a, a + f):
+                if not p >> q & 1:
+                    d = distances(p, m, q)
+                    if d & absent:
+                        break
+                    p, m, s, k = p | 1 << q, m | 1 << (span - q), s | d, k + 1
+            else:
+                if k <= cap:
+                    yield from cover(p, m, s, k)
 
-    grow(base, compatible)
+    def pad(points: int, mirror: int, n: int, lowest: int) -> Iterator[tuple[int, int]]:
+        yield points, mirror
+        if n < cap:
+            for q in range(lowest, span):
+                if not points >> q & 1 and not distances(points, mirror, q) & absent:
+                    yield from pad(points | 1 << q, mirror | 1 << (span - q), n + 1, q + 1)
+
+    covers: set[int] = set()
+    ends = 1 | 1 << span
+    return cover(ends, ends, 1 << span, 2)
 
 
-def _cap_extension_exists(
-    present: frozenset[int], absent: frozenset[int], spans: list[int], max_sources: int
-) -> bool:
-    """Would one more allowed source admit further valid configurations?
-
-    Probes exactly max_sources + 1; deeper truncation is not searched, so
-    `exhaustive` promises only this one extra level was checked.
-    """
-    for span in spans:
-        for interior in itertools.combinations(range(1, span), max_sources - 1):
-            points = frozenset((0, span, *interior))
-            if len(points) == max_sources + 1 and _is_valid(points, present, absent):
-                return True
-    return False
+def _mask(values: tuple[int, ...]) -> int:
+    return sum(1 << v for v in values)
 
 
-def _package(
-    point_sets: set[frozenset[int]],
-    evidence: EvidenceTable,
-    exhaustive: bool,
-) -> CandidateSet:
-    # a point set and its mirror are one candidate: dedupe canonical gap tuples
-    gap_sets = set()
-    for points in point_sets:
-        ordered = sorted(points)
-        gaps = tuple(b - a for a, b in zip(ordered, ordered[1:]))
-        gap_sets.add(min(gaps, gaps[::-1]))
-    return CandidateSet(
-        candidates=tuple(
-            Candidate(SourceGeometry(x)) for x in sorted(gap_sets, key=lambda x: (len(x), x))
-        ),
-        evidence=evidence,
-        exhaustive=exhaustive,
-    )
+def _canonical_gaps(points: int) -> tuple[int, ...]:
+    sites = [p for p in range(points.bit_length()) if points >> p & 1]
+    gaps = tuple(b - a for a, b in zip(sites, sites[1:]))
+    return min(gaps, gaps[::-1])
 
 
 def search(evidence: EvidenceTable, bounds: SearchBounds | None = None) -> CandidateSet:
     """Enumerate geometries consistent with the evidence, within bounds.
 
-    Phase one covers the Present distances by a recursive pair-placement
-    walk; phase two pads each cover with extra sources whose pair
-    distances are all non-Absent.  Candidates are reported in canonical
-    orientation, deduplicated, sorted by source count then gap sequence.
+    One walk per span yields every valid site set of at most max_sources
+    sites; the same walk with room for one more source decides `exhaustive`
+    and stops at the first set of that size.  A set and its mirror are one
+    candidate, reported in canonical orientation and sorted by source
+    count, then gap sequence.
     """
     bounds = bounds or SearchBounds()
-    present = frozenset(evidence.present())
-    absent = frozenset(evidence.absent())
+    present = _mask(evidence.present())
+    absent = _mask(evidence.absent())
     spans, truncated = _span_candidates(evidence, bounds)
 
-    found: set[frozenset[int]] = set()
-    for span in spans:
-        bases: set[frozenset[int]] = set()
-        _cover_present(frozenset((0, span)), present, absent, span, bounds.max_sources, bases)
-        for base in bases:
-            _pad_with_extras(base, absent, span, bounds.max_sources, found)
-
-    exhaustive = not truncated and not _cap_extension_exists(
-        present, absent, spans, bounds.max_sources
+    found = {
+        min(points, mirror)
+        for span in spans
+        for points, mirror in _walk(present, absent, span, bounds.max_sources)
+    }
+    # the probe covers exactly one source past the cap, no deeper
+    exhaustive = not truncated and not any(
+        points.bit_count() > bounds.max_sources
+        for span in spans
+        for points, _ in _walk(present, absent, span, bounds.max_sources + 1)
     )
-    return _package(found, evidence, exhaustive)
+    gap_sets = sorted(map(_canonical_gaps, found), key=lambda x: (len(x), x))
+    return CandidateSet(
+        candidates=tuple(Candidate(SourceGeometry(x)) for x in gap_sets),
+        evidence=evidence,
+        exhaustive=exhaustive,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,23 @@
-"""Records of a finished run: frequency evidence, candidates, apertures.
+"""Records of a finished run: frequency evidence, candidates, apertures,
+and the run manifest.
 
-These are what `report` reads back from reconstruction.json, so this
-module imports no numpy; spectrum and reconstruct, which build them,
-re-export them.
+These are what `report` reads back from reconstruction.json and
+manifest.json, so this module imports neither numpy nor the config
+parser; spectrum, reconstruct and config re-export the ones they build.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
+from . import __version__
 from .errors import OrderError
 from .geometry import SourceGeometry
+
+if TYPE_CHECKING:
+    from .config import Config
 
 __all__ = [
     "EvidenceRow",
@@ -20,6 +26,7 @@ __all__ = [
     "CandidateSet",
     "ApertureReport",
     "aperture_report",
+    "RunManifest",
 ]
 
 
@@ -170,3 +177,58 @@ def aperture_report(m: int) -> ApertureReport:
     if m < 2:
         raise OrderError(f"correlation order must be at least 2, got {m}")
     return ApertureReport(m=m, moving=1.0 / (m - 1), total=max(m - 2, 1) / (m - 1))
+
+
+@dataclass(frozen=True)
+class RunManifest:
+    """Everything needed to reproduce a run, plus where its outputs went."""
+
+    config_text: str
+    seed: int
+    version: str = __version__
+    created_utc: str = ""
+    outputs: tuple[tuple[str, str], ...] = ()
+    notes: tuple[str, ...] = ()
+
+    @classmethod
+    def create(
+        cls,
+        config: Config,
+        seed: int,
+        outputs: dict[str, str],
+        notes: tuple[str, ...] = (),
+    ) -> "RunManifest":
+        import datetime
+
+        from .config import emit_config
+
+        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+        return cls(
+            config_text=emit_config(config),
+            seed=seed,
+            created_utc=stamp,
+            outputs=tuple(sorted(outputs.items())),
+            notes=notes,
+        )
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "tool": "specklescope",
+            "version": self.version,
+            "created_utc": self.created_utc,
+            "seed": self.seed,
+            "config": self.config_text,
+            "outputs": dict(self.outputs),
+            "notes": list(self.notes),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "RunManifest":
+        return cls(
+            config_text=str(data["config"]),
+            seed=int(data["seed"]),
+            version=str(data["version"]),
+            created_utc=str(data["created_utc"]),
+            outputs=tuple(sorted((str(k), str(v)) for k, v in data["outputs"].items())),
+            notes=tuple(str(note) for note in data["notes"]),
+        )

@@ -1,21 +1,25 @@
 """Brute-force twin of reconstruct.search, for the tests that compare them.
 
 oracle_search() enumerates every subset of lattice sites instead of
-explaining Present distances recursively.  It shares only the span
-choice and the exhaustiveness probe with search(), and refuses problems
-past its hard limits (span 12, 6 sources) instead of guessing.
+walking the Present distances, and decides `exhaustive` by trying every
+interior set of one source more than the cap.  It shares only the span
+choice with search(), and refuses problems past its hard limits (span 12,
+6 sources) instead of guessing.
 """
 
 import itertools
 from functools import lru_cache
 
-from specklescope import EvidenceTable, SearchBounds, SpeckleScopeError
-from specklescope.reconstruct import (
-    _cap_extension_exists,
-    _diffs,
-    _package,
-    _span_candidates,
+from specklescope import (
+    Candidate,
+    CandidateSet,
+    EvidenceTable,
+    SearchBounds,
+    SourceGeometry,
+    SpeckleScopeError,
+    canonical,
 )
+from specklescope.reconstruct import _span_candidates
 
 _ORACLE_MAX_SPAN = 12
 _ORACLE_MAX_SOURCES = 6
@@ -50,7 +54,39 @@ def oracle_search(evidence: EvidenceTable, bounds: SearchBounds | None = None):
     exhaustive = not truncated and not _cap_extension_exists(
         present, absent, spans, bounds.max_sources
     )
-    return _package(found, evidence, exhaustive)
+    geometries = {canonical(_geometry(points)) for points in found}
+    return CandidateSet(
+        candidates=tuple(
+            Candidate(g) for g in sorted(geometries, key=lambda g: (g.n_sources, g.x))
+        ),
+        evidence=evidence,
+        exhaustive=exhaustive,
+    )
+
+
+def _diffs(points: frozenset[int]) -> frozenset[int]:
+    return frozenset(abs(a - b) for a, b in itertools.combinations(points, 2))
+
+
+def _geometry(points: frozenset[int]) -> SourceGeometry:
+    ordered = sorted(points)
+    return SourceGeometry(tuple(b - a for a, b in zip(ordered, ordered[1:])))
+
+
+def _cap_extension_exists(
+    present: frozenset[int], absent: frozenset[int], spans: list[int], max_sources: int
+) -> bool:
+    """Would one more allowed source admit further valid configurations?
+
+    Probes exactly max_sources + 1; deeper truncation is not searched, so
+    `exhaustive` promises only this one extra level was checked.
+    """
+    for span in spans:
+        for interior in itertools.combinations(range(1, span), max_sources - 1):
+            diffs = _diffs(frozenset((0, span, *interior)))
+            if present <= diffs and not (diffs & absent):
+                return True
+    return False
 
 
 @lru_cache(maxsize=64)

@@ -1,6 +1,8 @@
 """Geometry search against evidence tables, scoring, aperture accounting."""
 
+import hashlib
 import itertools
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from specklescope import (
     aperture_report,
     canonical,
     disambiguate,
+    distinct_frequencies,
     predicted_spectrum,
     reconstruct,
     search,
@@ -87,6 +90,53 @@ def test_search_matches_the_oracle_on_spot_checks():
         slow = oracle_search(table)
         assert fast.geometries() == slow.geometries()
         assert fast.exhaustive == slow.exhaustive
+
+
+def test_search_matches_the_oracle_on_random_tables():
+    rng = random.Random(20161)
+    for _ in range(150):
+        gaps = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        while sum(gaps) > 12:
+            gaps.pop()
+        distances = set(distinct_frequencies(SourceGeometry(tuple(gaps))))
+        present = [f for f in sorted(distances) if rng.random() < 0.7] or [max(distances)]
+        absent = [f for f in range(1, sum(gaps) + 1) if f not in distances and rng.random() < 0.6]
+        table = EvidenceTable.from_sets(present, absent)
+        bounds = SearchBounds(
+            max_sources=rng.randint(2, 6), max_span=12, allow_unknown_span=rng.random() < 0.5
+        )
+        fast = search(table, bounds)
+        slow = oracle_search(table, bounds)
+        assert fast.geometries() == slow.geometries(), (present, absent, bounds)
+        assert fast.exhaustive == slow.exhaustive, (present, absent, bounds)
+
+
+# the widened search of the benchmark's deep workload, past the oracle's limits
+@pytest.mark.parametrize("max_sources, count, digest", [
+    (6, 2702, "7351c5148969"),
+    (7, 9595, "873c5c8cd099"),
+    (8, 23855, "286a9548785e"),
+])
+def test_search_keeps_its_candidates_past_the_oracle(max_sources, count, digest):
+    table = EvidenceTable.from_sets((4, 8), orders_measured=(5,))
+    bounds = SearchBounds(max_sources=max_sources, max_span=18, allow_unknown_span=True)
+    result = search(table, bounds)
+    xs = [c.geometry.x for c in result.candidates]
+    assert len(xs) == count
+    assert hashlib.sha256(repr(xs).encode()).hexdigest().startswith(digest)
+    assert not result.exhaustive
+
+
+def test_a_fully_measured_array_is_pinned_and_exhaustive():
+    truth = SourceGeometry((2, 5, 1, 7, 3, 4))
+    distances = distinct_frequencies(truth)
+    table = EvidenceTable.from_sets(
+        distances, absent=[f for f in range(1, truth.span + 1) if f not in distances]
+    )
+    result = search(table, SearchBounds(max_sources=8, max_span=22))
+    assert len(result.candidates) == 2
+    assert canonical(truth) in result.geometries()
+    assert result.exhaustive
 
 
 def test_search_needs_some_presence():
