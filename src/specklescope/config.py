@@ -59,8 +59,9 @@ class SimulateConfig:
         for name, least in (("frames", 1), ("pixels", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if not self.orders or min(self.orders) < 2 or len(set(self.orders)) != len(self.orders):
-            raise ValueError(f"orders must be distinct integers >= 2, got {list(self.orders)}")
+        # the comb fit needs a scan over one period 2π/(m-1); at m = 2 the grid stops short
+        if not self.orders or min(self.orders) < 3 or len(set(self.orders)) != len(self.orders):
+            raise ValueError(f"orders must be distinct integers >= 3, got {list(self.orders)}")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .correlation import CorrelationCurve, ModulationSpectrum
-    from .speckle import FrameStack, FrameStream
+    from .speckle import FrameStream
 
 __all__ = [
     "atomic_write_text",
@@ -65,8 +65,8 @@ def _parsing(path: str | Path, what: str) -> Iterator[None]:
     except FormatError:
         raise
     # numpy's .npy header parser raises TokenError for some damaged headers
-    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, RecursionError,
-            csv.Error, struct.error, tokenize.TokenError) as exc:
+    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, OverflowError,
+            RecursionError, csv.Error, struct.error, tokenize.TokenError) as exc:
         raise FormatError(f"{path}: {what}: {exc!r}") from exc
 
 
@@ -374,11 +374,28 @@ def write_frames(frames: FrameStream, path: str | Path) -> Iterator[FrameStream]
             raise ValueError(f"{path}: {written} of {frames.n_frames} frames were read")
 
 
-def read_frames(path: str | Path) -> FrameStack:
-    """Read a frame container; a missing, truncated or malformed file is a FormatError."""
+def read_frames(path: str | Path) -> FrameStream:
+    """A frame container as a stream whose chunks are read from the file as they are reached.
+
+    The header is checked here; the rows come in the sampler's chunks from a
+    generator that opens the file itself, so a stream dropped unread holds
+    no file open.  A missing, truncated or malformed file, or a negative or
+    non-finite sample, is a FormatError.
+    """
     import numpy as np
 
-    from .speckle import FrameStack
+    from .speckle import FrameStream, _check_samples, _frame_chunks
+
+    def chunks(offset: int, n_frames: int, n_pixels: int) -> Iterator[np.ndarray]:
+        with _parsing(path, "malformed frame payload"), open(path, "rb") as fh:
+            fh.seek(offset)
+            for start, stop in _frame_chunks(n_frames):
+                rows = np.empty((stop - start, n_pixels))
+                if fh.readinto(memoryview(rows).cast("B")) != rows.nbytes:
+                    raise FormatError(f"{path}: truncated frame payload")
+                _check_samples(rows)
+                yield rows
+                del rows  # not held while the next chunk is read
 
     with _parsing(path, "malformed frame container"), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -390,15 +407,16 @@ def read_frames(path: str | Path) -> FrameStack:
             raise FormatError(f"{path}: {header_len}-byte header overruns a {size}-byte file")
         header = json.loads(fh.read(header_len).decode("utf-8"))
         n_frames, n_pixels = int(header["R"]), int(header["P"])
+        delta_axis = np.asarray(header["delta_axis"], dtype=float)
+        if n_frames < 1 or delta_axis.shape != (n_pixels,):
+            raise FormatError(f"{path}: {n_frames} frames of {n_pixels} pixels, "
+                              f"with a delta_axis of shape {delta_axis.shape}")
         if fh.tell() + n_frames * n_pixels * 8 > size:
             raise FormatError(f"{path}: truncated frame payload")
-        intensities = np.empty((n_frames, n_pixels))  # the one copy of the payload
-        if fh.readinto(memoryview(intensities).cast("B")) != intensities.nbytes:
-            raise FormatError(f"{path}: truncated frame payload")
-        intensities.flags.writeable = False  # the stack adopts it
-        return FrameStack(
-            intensities=intensities,
-            delta_axis=np.asarray(header["delta_axis"], dtype=float),
+        return FrameStream(
+            chunks=chunks(fh.tell(), n_frames, n_pixels),
+            n_frames=n_frames,
+            delta_axis=delta_axis,
             n_sources=int(header["N"]),
             seed=int(header["seed"]),
             bits=None if header["bits"] is None else int(header["bits"]),

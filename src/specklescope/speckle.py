@@ -25,7 +25,6 @@ from .geometry import SourceGeometry, phase_prefactors
 
 __all__ = [
     "SpeckleRun",
-    "FrameStack",
     "FrameStream",
     "uniform_grid",
     "sample_frames",
@@ -106,60 +105,14 @@ def _check_samples(inten: np.ndarray) -> None:
         raise ValueError("intensities must be finite and non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class FrameStack:
-    """Recorded intensities, frames x pixels, plus provenance.
-
-    Adopts arrays that own their data and are read-only; copies anything else.
-    """
-
-    intensities: np.ndarray
-    delta_axis: np.ndarray
-    n_sources: int
-    seed: int
-    bits: int | None = None
-
-    def __post_init__(self) -> None:
-        inten = np.asarray(self.intensities, dtype=float)
-        axis = np.asarray(self.delta_axis, dtype=float)
-        if inten.ndim != 2:
-            raise ValueError("intensities must be a frames x pixels array")
-        if axis.shape != (inten.shape[1],):
-            raise ValueError("delta_axis length must match the pixel count")
-        _check_samples(inten)
-        for name, arr in (("intensities", inten), ("delta_axis", axis)):
-            if arr.flags.writeable or not arr.flags.owndata:
-                arr = arr.copy()
-                arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_frames(self) -> int:
-        return int(self.intensities.shape[0])
-
-    @property
-    def n_pixels(self) -> int:
-        return int(self.intensities.shape[1])
-
-    def stream(self) -> FrameStream:
-        """The stack as a stream of one chunk."""
-        return FrameStream(
-            chunks=(self.intensities,),
-            n_frames=self.n_frames,
-            delta_axis=self.delta_axis,
-            n_sources=self.n_sources,
-            seed=self.seed,
-            bits=self.bits,
-        )
-
-
 @dataclass(eq=False)
 class FrameStream:
     """One acquisition as chunks of frames x pixels rows, in frame order.
 
-    `chunks` is read once; sampled chunks are drawn as they are read.  The
-    sampler counts into the stream it returns the quantized samples it
-    pins at zero or the top level.
+    A generator of chunks, as `sample_frames` and `serialize.read_frames`
+    return, is read once; a tuple of arrays, such as `chunks=(intensities,)`
+    for frames already held, can be read again.  The sampler counts into the
+    stream it returns the quantized samples it pins at zero or the top level.
     """
 
     chunks: Iterable[np.ndarray]
@@ -347,10 +300,9 @@ def _block_rows(
 
 
 def estimate_g_m(
-    frames: FrameStack | FrameStream,
+    stream: FrameStream,
     fixed_pixel_sets: Sequence[Sequence[int]],
     n_boot: int = 200,
-    boot_seed: int | None = None,
 ) -> tuple[CorrelationCurve, ...]:
     """Estimate one correlation curve per set of fixed pixels.
 
@@ -371,9 +323,8 @@ def estimate_g_m(
     so a value can differ from the product over the whole stack in its last
     bits (at most R * 2^-52 relative); each sigma and replica is exactly
     the one a whole-stack pass gives, and replica row b is the same frame
-    resample in every curve.
+    resample in every curve, drawn from a generator seeded by stream.seed.
     """
-    stream = frames.stream() if isinstance(frames, FrameStack) else frames
     n_frames, n_pixels = stream.n_frames, stream.n_pixels
     if n_frames < 1:
         raise ValueError("need at least one frame")
@@ -408,8 +359,7 @@ def estimate_g_m(
 
     # --- block bootstrap: the blocks and resample counts serve every set ---
     if n_frames >= 2:
-        seed = stream.seed if boot_seed is None else boot_seed
-        seed_seq = np.random.SeedSequence(entropy=(seed, 0xB0075EED))
+        seed_seq = np.random.SeedSequence(entropy=(stream.seed, 0xB0075EED))
         rng = np.random.Generator(np.random.Philox(seed_seq))
         counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=n_boot)
         boot_mean_i = counts @ block_mean_i / n_blocks  # (n_boot, P)

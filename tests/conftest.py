@@ -1,15 +1,18 @@
 """Shared fixtures: analytic curves and a reusable speckle acquisition."""
 
 import math
+import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specklescope
 from specklescope import (
     CorrelationCurve,
     DetectorArray,
     EvidenceTable,
-    FrameStack,
     SourceGeometry,
     SpeckleRun,
     distinct_frequencies,
@@ -19,14 +22,35 @@ from specklescope import (
     surviving_frequencies,
     uniform_grid,
 )
+from specklescope.serialize import write_frames
+
+
+def fresh_interpreter_env():
+    """The environment for a child Python that imports this checkout's package."""
+    src = str(Path(specklescope.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def held_frames(stream):
+    """Every frame of `stream` as one frames x pixels array."""
+    return np.concatenate(list(stream.chunks))
+
+
+def save_frames(frames, path):
+    """Archive a stream by reading it through the frame writer."""
+    with write_frames(frames, path) as stream:
+        for _ in stream.chunks:
+            pass
 
 
 def held_stack(run):
-    """The whole acquisition of `run` held as one FrameStack; the program only streams it."""
+    """The acquisition of `run` as a stream of one held chunk; the program only streams it.
+
+    A tuple of chunks can be read again, so the stream serves several estimates.
+    """
     frames = sample_frames(run)
-    intensities = np.concatenate(list(frames.chunks))
-    intensities.flags.writeable = False
-    return FrameStack(intensities, frames.delta_axis, frames.n_sources, frames.seed, frames.bits)
+    return replace(frames, chunks=(held_frames(frames),))
 
 
 def magic_scan(m, samples):

@@ -3,19 +3,19 @@
 import csv
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
+import numpy as np
 import pytest
 
-import specklescope
-from conftest import magic_curve
-from specklescope import EvidenceTable, cli, uniform_grid
+from conftest import fresh_interpreter_env, magic_curve
+from specklescope import EvidenceTable, cli, estimate_g_m, nearest_magic_pixels, uniform_grid
 from specklescope.cli import main
-from specklescope.serialize import evidence_to_dict, write_curve_csv, write_json
+from specklescope.serialize import (
+    evidence_to_dict, read_curve_csv, read_frames, read_replicas, write_curve_csv, write_json,
+)
 
 CONFIG = """\
 [geometry]
@@ -133,6 +133,21 @@ def test_results_do_not_depend_on_the_frame_file(run_dir, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_the_frame_archive_re_estimates_the_saved_curves(run_dir):
+    # frames.sstk streamed back through the one estimator gives simulate's
+    # curves: the same chunks, blocks and bootstrap seed
+    stream = read_frames(run_dir / "frames.sstk")
+    orders = (3, 4)
+    pixel_sets = [nearest_magic_pixels(stream.delta_axis, m)[0] for m in orders]
+    for m, curve in zip(orders, estimate_g_m(stream, pixel_sets)):
+        saved = read_curve_csv(run_dir / f"curves_m{m}.csv", m)
+        saved = read_replicas(run_dir / f"replicas_m{m}.npy", saved)
+        np.testing.assert_array_equal(curve.delta1, saved.delta1)
+        np.testing.assert_array_equal(curve.values, saved.values)
+        assert curve.sigma.tobytes() == saved.sigma.tobytes()
+        assert curve.replicas.tobytes() == saved.replicas.tobytes()
+
+
 def test_analyze_accepts_bare_curve_files(tmp_path, capsys):
     write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
     code = main(["analyze", "--out", str(tmp_path), "--format", "json"])
@@ -237,13 +252,6 @@ code = main(sys.argv[1:]) if sys.argv[1:] else 0
 print(" ".join(sorted(sys.modules)))
 sys.exit(code)
 """
-
-
-def fresh_interpreter_env():
-    """The environment for a child Python that imports this checkout's package."""
-    src = str(Path(specklescope.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path)
 
 
 def modules_loaded(*argv):
@@ -358,6 +366,28 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["analyze", "--orders", "3,3", "--out", str(tmp_path)]) == 2
     assert main(["aperture", "--orders", "1..3"]) == 2
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
+
+
+def test_order_2_is_refused_before_any_frame_is_drawn(tmp_path, monkeypatch, capsys):
+    # no magic placement gives order 2 a comb the fit can resolve
+    def draw(run):
+        raise AssertionError("a frame was drawn")
+
+    monkeypatch.setattr(cli, "sample_frames", draw)
+    assert main(["simulate", "--frames", "3000", "--orders", "2,3",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "orders must be distinct integers >= 3" in capsys.readouterr().err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[simulate]\norders = [2, 3]\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
+    assert main(["analyze", "--orders", "2,3", "--out", str(tmp_path)]) == 2
+    assert ">= 3" in capsys.readouterr().err
+    assert not (tmp_path / "spectra.json").exists()
+    # the aperture table still covers the pair correlation
+    assert main(["aperture", "--orders", "2..8"]) == 0
+    assert capsys.readouterr().out.startswith("m = 2: ")
 
 
 def test_unwritable_output_paths_exit_2_and_name_the_path(tmp_path):

@@ -68,7 +68,8 @@ def _readers(run_dir):
     return {
         "curves_m3.csv": lambda path: read_curve_csv(path, 3),
         "replicas_m3.npy": lambda path: read_replicas(path, curve),
-        "frames.sstk": read_frames,
+        # the payload is read as the chunks are reached, so they are drained
+        "frames.sstk": lambda path: list(read_frames(path).chunks),
         "spectra.json": lambda path: read_json(path, gated_from_dict),
         "evidence.json": lambda path: read_json(path, evidence_from_dict),
         "reconstruction.json": lambda path: read_json(path, report_from_dict),

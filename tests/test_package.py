@@ -1,10 +1,13 @@
-"""The package's export list, and the names the benchmark's tracer patches."""
+"""The package's export list, the README's library example, and the names the benchmark's
+tracer patches."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 import specklescope
+from conftest import fresh_interpreter_env
 from specklescope import (
     config, correlation, errors, geometry, reconstruct, records, serialize, speckle, spectrum,
 )
@@ -19,6 +22,18 @@ def test_export_list_is_the_union_of_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(specklescope, name) is getattr(module, name), name
+
+
+def test_the_readme_library_example_runs():
+    # the "Library use" block as written, with warnings as errors; its last
+    # comment gives what it prints
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = code.rsplit("# prints ", 1)[1].strip()
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, env=fresh_interpreter_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected
 
 
 def test_benchmark_tracer_finds_every_name_it_patches(monkeypatch):

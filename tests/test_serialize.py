@@ -1,23 +1,26 @@
 """Round-trips through every on-disk format, plus corruption handling."""
 
 import hashlib
+import json
+import struct
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import held_stack, magic_curve
+from conftest import held_frames, held_stack, magic_curve, save_frames
 from specklescope import (
     EvidenceTable,
     FormatError,
-    FrameStack,
+    FrameStream,
     Harmonic,
     ModulationSpectrum,
     SourceGeometry,
     SpeckleRun,
     aperture_report,
     estimate_g_m,
+    nearest_magic_pixels,
     sample_frames,
     search,
     uniform_grid,
@@ -48,15 +51,6 @@ def stack():
         delta_axis=uniform_grid(16),
     )
     return held_stack(run)
-
-
-def save_frames(frames, path):
-    """Archive a stack or a stream by reading it through the frame writer."""
-    if isinstance(frames, FrameStack):
-        frames = frames.stream()
-    with write_frames(frames, path) as stream:
-        for _ in stream.chunks:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +208,13 @@ def test_json_files_are_deterministic(tmp_path):
     assert read_json(p1) == data
 
 
+def test_json_number_past_the_int_range_is_a_format_error(tmp_path):
+    path = tmp_path / "evidence.json"
+    path.write_text('{"span_hint": 1e999, "orders_measured": [], "rows": []}')
+    with pytest.raises(FormatError, match="evidence.json"):
+        read_json(path, evidence_from_dict)
+
+
 def test_json_nested_past_the_recursion_limit_is_a_format_error(tmp_path):
     path = tmp_path / "evidence.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -241,7 +242,8 @@ def test_frames_round_trip(tmp_path, stack):
     path = tmp_path / "frames.sstk"
     save_frames(stack, path)
     back = read_frames(path)
-    np.testing.assert_array_equal(back.intensities, stack.intensities)
+    assert back.n_frames == 32 and back.n_pixels == 16
+    np.testing.assert_array_equal(held_frames(back), stack.chunks[0])
     np.testing.assert_array_equal(back.delta_axis, stack.delta_axis)
     assert back.n_sources == stack.n_sources
     assert back.seed == stack.seed
@@ -255,7 +257,18 @@ def test_frames_round_trip_keeps_bits(tmp_path):
     save_frames(sample_frames(run), path)
     back = read_frames(path)
     assert back.bits == 8
-    assert back.intensities.tobytes() == held_stack(run).intensities.tobytes()
+    assert held_frames(back).tobytes() == held_frames(sample_frames(run)).tobytes()
+
+
+def test_frames_reader_streams_the_sampler_chunks(tmp_path):
+    # a one-frame tail joins the chunk before, as the sampler draws it
+    run = SpeckleRun(geometry=SourceGeometry((2,)), frames=1025, seed=9,
+                     delta_axis=uniform_grid(16))
+    path = tmp_path / "frames.sstk"
+    save_frames(sample_frames(run), path)
+    back = read_frames(path)
+    assert [len(rows) for rows in back.chunks] == [512, 513]
+    assert list(back.chunks) == []  # a file-backed stream is read once
 
 
 @pytest.mark.parametrize("weights, bits, digest", [
@@ -271,6 +284,12 @@ def test_frame_file_bytes_are_pinned(tmp_path, weights, bits, digest):
     path = tmp_path / "frames.sstk"
     save_frames(sample_frames(run), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def frame_container(header, payload=b""):
+    """The bytes of a frame container with the given JSON header and payload."""
+    text = json.dumps(header).encode()
+    return b"SPKLSTK1" + struct.pack("<Q", len(text)) + text + payload
 
 
 def test_frames_reader_rejects_corruption(tmp_path, stack):
@@ -289,35 +308,66 @@ def test_frames_reader_rejects_corruption(tmp_path, stack):
         read_frames(truncated)
 
 
+@pytest.mark.parametrize("change", [
+    {"R": 0},  # no frames
+    {"P": 3},  # delta_axis holds four offsets
+    {"R": 1e999},  # a count no int holds
+    {"R": 3},  # more frames than the payload holds
+], ids=["no-frames", "axis-too-long", "overflowing-count", "short-payload"])
+def test_frames_reader_checks_the_header(tmp_path, change):
+    header = {"N": 1, "R": 2, "P": 4, "seed": 0, "bits": None,
+              "delta_axis": [0.0, 1.0, 2.0, 3.0], "dtype": "float64"}
+    path = tmp_path / "frames.sstk"
+    path.write_bytes(frame_container(header, np.ones((2, 4)).tobytes()))
+    assert held_frames(read_frames(path)).shape == (2, 4)
+    path.write_bytes(frame_container({**header, **change}, np.ones((2, 4)).tobytes()))
+    with pytest.raises(FormatError, match="frames.sstk"):
+        read_frames(path)
+
+
+def test_frames_reader_names_the_file_in_a_bad_chunk(tmp_path, stack):
+    path = tmp_path / "frames.sstk"
+    save_frames(stack, path)
+    back = read_frames(path)
+    path.write_bytes(path.read_bytes()[:-8])  # the file shrinks after its header was read
+    with pytest.raises(FormatError, match="frames.sstk.*truncated"):
+        list(back.chunks)
+
+
 def test_frames_reader_names_a_missing_file(tmp_path):
     with pytest.raises(FormatError, match="missing.sstk"):
         read_frames(tmp_path / "missing.sstk")
 
 
-def test_frames_reader_holds_one_copy(tmp_path):
-    inten = np.arange(4000 * 240, dtype=float).reshape(4000, 240)  # a 7.3 MiB payload
-    stack = FrameStack(inten, np.arange(240.0), n_sources=1, seed=0)
+def test_reestimating_an_archive_holds_one_chunk(tmp_path):
+    # 8000 frames of 240 pixels, a 14.6 MiB payload; the estimate reads it
+    # one 512-frame chunk (0.94 MiB) at a time
+    inten = np.arange(8000 * 240, dtype=float).reshape(8000, 240) + 1.0
+    frames = FrameStream(chunks=(inten,), n_frames=8000, delta_axis=uniform_grid(240),
+                         n_sources=1, seed=0)
     path = tmp_path / "frames.sstk"
-    save_frames(stack, path)
-    del inten, stack
+    save_frames(frames, path)
+    del inten, frames
+    pixel_sets = [nearest_magic_pixels(uniform_grid(240), m)[0] for m in (3, 4)]
+    estimate_g_m(read_frames(path), pixel_sets)  # numpy's lazy imports are not the reader's
     tracemalloc.start()
     try:
-        back = read_frames(path)
+        curves = estimate_g_m(read_frames(path), pixel_sets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert back.intensities.flags.owndata and not back.intensities.flags.writeable
-    assert peak < back.intensities.nbytes + 2**20
+    assert len(curves) == 2
+    assert peak < 8000 * 240 * 8 / 2
 
 
 def test_frame_writer_commits_only_a_finished_stream(tmp_path, stack):
     path = tmp_path / "frames.sstk"
     with pytest.raises(RuntimeError):
-        with write_frames(stack.stream(), path) as stream:
+        with write_frames(stack, path) as stream:
             for _ in stream.chunks:
                 raise RuntimeError("the reader failed")
     with pytest.raises(ValueError, match="0 of 32 frames"):
-        with write_frames(stack.stream(), path):
+        with write_frames(stack, path):
             pass
     assert not any(tmp_path.iterdir())
 

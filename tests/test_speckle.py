@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import held_stack
+from conftest import held_frames, held_stack, save_frames
 from specklescope import (
     CorrelationCurve,
     DegeneratePixelError,
     DetectorArray,
-    FrameStack,
+    FormatError,
+    FrameStream,
     GridCoverageError,
     OrderError,
     SourceGeometry,
@@ -38,14 +39,13 @@ def small_run(**overrides):
     return SpeckleRun(**base)
 
 
-def handmade_stack(intensities):
+def handmade_stream(intensities, delta_axis=None):
+    """The intensities as a stream of one chunk, by default one offset per column."""
     inten = np.asarray(intensities, dtype=float)
-    return FrameStack(
-        intensities=inten,
-        delta_axis=np.arange(inten.shape[1], dtype=float),
-        n_sources=2,
-        seed=0,
-    )
+    if delta_axis is None:
+        delta_axis = np.arange(inten.shape[-1], dtype=float)
+    return FrameStream(chunks=(inten,), n_frames=len(inten), delta_axis=delta_axis,
+                       n_sources=2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -84,37 +84,33 @@ def test_run_rejects_bad_inputs(overrides):
 
 
 def test_frame_stack_validation():
-    with pytest.raises(ValueError):
-        handmade_stack([[1.0, -1.0, 2.0]])
-    with pytest.raises(ValueError):
-        FrameStack(
-            intensities=np.ones((2, 3)),
-            delta_axis=np.arange(4.0),
-            n_sources=1,
-            seed=0,
-        )
-    with pytest.raises(ValueError):
-        FrameStack(
-            intensities=np.ones(6),
-            delta_axis=np.arange(6.0),
-            n_sources=1,
-            seed=0,
-        )
+    # a negative sample, a pixel-count mismatch and 1-D intensities
+    for stream in (
+        handmade_stream([[1.0, -1.0, 2.0]]),
+        handmade_stream(np.ones((2, 3)), delta_axis=np.arange(4.0)),
+        handmade_stream(np.ones(6), delta_axis=np.arange(6.0)),
+    ):
+        with pytest.raises(ValueError):
+            estimate_g_m(stream, ((0,),))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
-def test_frame_stack_rejects_non_finite_and_negative_samples(bad):
+def test_frame_stack_rejects_non_finite_and_negative_samples(tmp_path, bad):
     inten = np.ones((3, 4))
     inten[1, 2] = bad
     with pytest.raises(ValueError):
-        handmade_stack(inten)
+        estimate_g_m(handmade_stream(inten), ((0,),))
+    save_frames(handmade_stream(inten), tmp_path / "frames.sstk")
+    with pytest.raises(FormatError, match="frames.sstk"):
+        list(serialize.read_frames(tmp_path / "frames.sstk").chunks)
 
 
-def test_frame_stack_accepts_negative_zero_and_no_frames():
-    inten = np.ones((2, 3))
+def test_negative_zero_is_a_sample(tmp_path):
+    inten = np.ones((64, 3))  # enough frames that no resample holds frame 0 alone
     inten[0, 0] = -0.0
-    assert np.signbit(handmade_stack(inten).intensities[0, 0])
-    assert handmade_stack(np.empty((0, 3))).n_frames == 0
+    estimate_g_m(handmade_stream(inten), ((1,),))
+    save_frames(handmade_stream(inten), tmp_path / "frames.sstk")
+    assert np.signbit(held_frames(serialize.read_frames(tmp_path / "frames.sstk"))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +120,16 @@ def test_frame_stack_accepts_negative_zero_and_no_frames():
 
 def test_sampling_is_deterministic():
     run = small_run()
-    a = held_stack(run)
-    b = held_stack(run)
-    np.testing.assert_array_equal(a.intensities, b.intensities)
-    c = held_stack(small_run(seed=4))
-    assert not np.array_equal(a.intensities, c.intensities)
+    a = held_frames(sample_frames(run))
+    b = held_frames(sample_frames(run))
+    np.testing.assert_array_equal(a, b)
+    c = held_frames(sample_frames(small_run(seed=4)))
+    assert not np.array_equal(a, c)
 
 
 def test_single_frame_regenerates_in_isolation():
     run = small_run(frames=50)
-    stack = held_stack(run)
+    inten = held_frames(sample_frames(run))
     alpha = np.asarray(run.geometry.positions, dtype=float)
     basis = np.exp(1j * np.outer(alpha, run.delta_axis))
     for frame in (0, 17, 49):
@@ -142,7 +138,7 @@ def test_single_frame_regenerates_in_isolation():
         xi = rng.standard_normal((run.geometry.n_sources, 2))
         field = np.sqrt(0.5) * (xi[:, 0] + 1j * xi[:, 1]) @ basis
         np.testing.assert_allclose(
-            np.abs(field) ** 2, stack.intensities[frame], atol=1e-12
+            np.abs(field) ** 2, inten[frame], atol=1e-12
         )
 
 
@@ -152,9 +148,9 @@ def test_sampled_bytes_do_not_depend_on_the_chunk_size(monkeypatch, frames, chun
     # 15 and 22 frames leave one-frame tails at chunks of 2, 3 or 7, and
     # 1025 does at the default chunk; such a tail must join the chunk before
     run = small_run(frames=frames)
-    reference = held_stack(run).intensities.tobytes()
+    reference = held_frames(sample_frames(run)).tobytes()
     monkeypatch.setattr(speckle, "_CHUNK_FRAMES", chunk)
-    assert held_stack(run).intensities.tobytes() == reference
+    assert held_frames(sample_frames(run)).tobytes() == reference
 
 
 def test_stream_folds_a_one_frame_tail_into_the_last_chunk():
@@ -214,9 +210,9 @@ def test_the_streamed_stage_holds_only_the_chunk_being_drawn(tmp_path):
 
 def test_weights_rescale_frames_exactly():
     # same seed, doubled weights: every intensity doubles (up to rounding)
-    a = held_stack(small_run(weights=(1.0, 1.0, 1.0)))
-    b = held_stack(small_run(weights=(2.0, 2.0, 2.0)))
-    np.testing.assert_allclose(b.intensities, 2.0 * a.intensities, rtol=1e-12)
+    a = held_frames(sample_frames(small_run(weights=(1.0, 1.0, 1.0))))
+    b = held_frames(sample_frames(small_run(weights=(2.0, 2.0, 2.0))))
+    np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +221,13 @@ def test_weights_rescale_frames_exactly():
 
 
 def test_intensity_second_moment_is_thermal(two_gap_stack):
-    inten = two_gap_stack.intensities
+    (inten,) = two_gap_stack.chunks
     m2 = (inten**2).mean(axis=0) / inten.mean(axis=0) ** 2
     assert np.all(np.abs(m2 - 2.0) < 0.15)
 
 
 def test_intensity_marginal_is_exponential(two_gap_stack):
-    inten = two_gap_stack.intensities
+    (inten,) = two_gap_stack.chunks
     for pixel in (0, 37, 90):
         sample = inten[:, pixel]
         pvalue = stats.kstest(sample / sample.mean(), "expon").pvalue
@@ -265,8 +261,7 @@ def test_estimator_formula_by_hand():
             [3.0, 3.0, 1.5, 1.0],
         ]
     )
-    stack = handmade_stack(inten)
-    curve = estimate_g_m(stack, ((1, 1),))[0]  # coincident fixed detectors
+    curve = estimate_g_m(handmade_stream(inten), ((1, 1),))[0]  # coincident fixed detectors
     fp = inten[:, 1] * inten[:, 1]
     expected = (fp @ inten / 3) / (inten.mean(axis=0) * inten[:, 1].mean() ** 2)
     np.testing.assert_allclose(curve.values, expected, rtol=1e-12)
@@ -275,12 +270,7 @@ def test_estimator_formula_by_hand():
 
 def test_rescaled_intensities_give_identical_estimates():
     stack = held_stack(small_run())
-    scaled = FrameStack(
-        intensities=4.0 * stack.intensities,
-        delta_axis=stack.delta_axis,
-        n_sources=stack.n_sources,
-        seed=stack.seed,
-    )
+    scaled = replace(stack, chunks=(4.0 * stack.chunks[0],))
     a = estimate_g_m(stack, ((0, 6),), n_boot=32)[0]
     b = estimate_g_m(scaled, ((0, 6),), n_boot=32)[0]
     np.testing.assert_array_equal(a.values, b.values)
@@ -306,21 +296,22 @@ def test_single_frame_has_no_error_bars():
 
 def test_bootstrap_replicas_are_reproducible():
     stack = held_stack(small_run(frames=256))
-    a = estimate_g_m(stack, ((0,),), n_boot=64, boot_seed=5)[0]
-    b = estimate_g_m(stack, ((0,),), n_boot=64, boot_seed=5)[0]
+    # the same frames under other seeds: the bootstrap follows the stream's seed
+    a = estimate_g_m(replace(stack, seed=5), ((0,),), n_boot=64)[0]
+    b = estimate_g_m(replace(stack, seed=5), ((0,),), n_boot=64)[0]
     assert a.replicas.shape == (64, 24)
     np.testing.assert_array_equal(a.replicas, b.replicas)
-    c = estimate_g_m(stack, ((0,),), n_boot=64, boot_seed=6)[0]
+    c = estimate_g_m(replace(stack, seed=6), ((0,),), n_boot=64)[0]
     assert not np.array_equal(a.replicas, c.replicas)
-    # default boot seed comes from the stack, so repeats still agree
+    # the sampled stream's own seed, so repeats still agree
     d = estimate_g_m(stack, ((0,),), n_boot=64)[0]
     e = estimate_g_m(stack, ((0,),), n_boot=64)[0]
     np.testing.assert_array_equal(d.replicas, e.replicas)
 
 
-def per_order_estimate(stack, fixed_pixels, n_boot=200, boot_seed=None):
+def per_order_estimate(stack, fixed_pixels, n_boot=200):
     """The estimate for one set of fixed pixels, computed apart from every other set."""
-    inten = stack.intensities
+    inten = held_frames(stack)
     n_frames, n_pixels = inten.shape
     fixed = tuple(int(p) for p in fixed_pixels)
     m = len(fixed) + 1
@@ -339,8 +330,7 @@ def per_order_estimate(stack, fixed_pixels, n_boot=200, boot_seed=None):
     for b, idx in enumerate(edges):
         block_num[b] = fixed_product[idx] @ inten[idx] / idx.size
         block_mean_i[b] = inten[idx].mean(axis=0)
-    seed = stack.seed if boot_seed is None else boot_seed
-    seed_seq = np.random.SeedSequence(entropy=(seed, 0xB0075EED))
+    seed_seq = np.random.SeedSequence(entropy=(stack.seed, 0xB0075EED))
     rng = np.random.Generator(np.random.Philox(seed_seq))
     counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=n_boot)
     boot_num = counts @ block_num / n_blocks
@@ -356,23 +346,25 @@ ORACLE_PIXEL_SETS = ((0, 12), (0, 8, 16), (3, 3, 9, 20), (0, 6, 6, 12, 18))
 
 
 @pytest.mark.parametrize(
-    "frames, boot_seed, chunk",
-    [(1000, None, 512), (1000, 11, 512), (1000, None, 7), (100, None, 512), (1, None, 512)],
+    "frames, seed, chunk",
+    [(1000, 3, 512), (1000, 11, 512), (1000, 3, 7), (100, 3, 512), (1, 3, 512)],
     ids=["blocks-of-3-or-4", "boot-seed", "chunks-of-7", "blocks-of-1", "single-frame"],
 )
-def test_one_call_equals_the_per_order_oracle(monkeypatch, frames, boot_seed, chunk):
+def test_one_call_equals_the_per_order_oracle(monkeypatch, frames, seed, chunk):
     # at 1000 frames the 256 blocks hold 3 or 4 frames, so sampling chunks
-    # of 7 (or the one boundary at 512) leave blocks that straddle two chunks
-    run = small_run(frames=frames)
+    # of 7 (or the one boundary at 512) leave blocks that straddle two chunks;
+    # the bootstrap is seeded by the stream's seed, so another seed draws
+    # other resamples
+    run = small_run(frames=frames, seed=seed)
     stack = held_stack(run)
     monkeypatch.setattr(speckle, "_CHUNK_FRAMES", chunk)
-    curves = estimate_g_m(sample_frames(run), ORACLE_PIXEL_SETS, n_boot=64, boot_seed=boot_seed)
-    held = estimate_g_m(stack, ORACLE_PIXEL_SETS, n_boot=64, boot_seed=boot_seed)
+    curves = estimate_g_m(sample_frames(run), ORACLE_PIXEL_SETS, n_boot=64)
+    held = estimate_g_m(stack, ORACLE_PIXEL_SETS, n_boot=64)
     assert [c.m for c in curves] == [3, 4, 5, 6]
     for pixels, curve, whole in zip(ORACLE_PIXEL_SETS, curves, held):
         # the streamed and the held stack go through the same blocks
         assert curve.values.tobytes() == whole.values.tobytes()
-        expected = per_order_estimate(stack, pixels, n_boot=64, boot_seed=boot_seed)
+        expected = per_order_estimate(stack, pixels, n_boot=64)
         # the numerator sums block sums, not one product over the stack
         np.testing.assert_allclose(curve.values, expected.values, rtol=frames * 2.0**-52, atol=0)
         if frames == 1:
@@ -384,10 +376,10 @@ def test_one_call_equals_the_per_order_oracle(monkeypatch, frames, boot_seed, ch
 
 def test_estimator_checks_every_chunk():
     stack = held_stack(small_run(frames=10))
-    rows = stack.intensities
+    (rows,) = stack.chunks
 
     def stream(*chunks):
-        return replace(stack.stream(), chunks=chunks)
+        return replace(stack, chunks=chunks)
 
     bad = rows.copy()
     bad[7, 3] = np.nan
@@ -403,7 +395,7 @@ def test_dead_pixel_is_reported():
     inten = np.ones((4, 3))
     inten[:, 2] = 0.0
     with pytest.raises(DegeneratePixelError):
-        estimate_g_m(handmade_stack(inten), ((0,),))
+        estimate_g_m(handmade_stream(inten), ((0,),))
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +404,15 @@ def test_dead_pixel_is_reported():
 
 
 def test_quantization_counts():
-    q8 = held_stack(small_run(quantization_bits=8))
-    assert q8.bits == 8
-    assert q8.intensities.min() >= 0
-    assert q8.intensities.max() == 255
-    np.testing.assert_array_equal(q8.intensities, np.rint(q8.intensities))
+    stream = sample_frames(small_run(quantization_bits=8))
+    q8 = held_frames(stream)
+    assert stream.bits == 8
+    assert q8.min() >= 0
+    assert q8.max() == 255
+    np.testing.assert_array_equal(q8, np.rint(q8))
     # the same frames, scaled so that the acquisition's maximum reads 2^8 - 1
-    raw = held_stack(small_run()).intensities
-    np.testing.assert_array_equal(q8.intensities, np.rint(raw * (255.0 / raw.max())))
+    raw = held_frames(sample_frames(small_run()))
+    np.testing.assert_array_equal(q8, np.rint(raw * (255.0 / raw.max())))
 
 
 def clipped_fraction(run):
@@ -431,11 +424,11 @@ def clipped_fraction(run):
 
 
 def test_low_bit_depth_clips_hard():
-    inten = held_stack(small_run(frames=512)).intensities
+    inten = held_frames(sample_frames(small_run(frames=512)))
     raw = np.mean((inten == 0) | (inten == inten.max()))
     assert raw < 0.01
     assert clipped_fraction(small_run(frames=512, quantization_bits=1)) == 1.0  # all 0 or 1
-    q12 = held_stack(small_run(frames=512, quantization_bits=12)).intensities
+    q12 = held_frames(sample_frames(small_run(frames=512, quantization_bits=12)))
     pinned = np.mean((q12 == 0) | (q12 == 4095))
     assert clipped_fraction(small_run(frames=512, quantization_bits=12)) == pinned
     assert pinned < raw + 0.01
