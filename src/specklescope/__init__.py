@@ -16,15 +16,17 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 # the modules whose __all__ lists make up the package's, in that order;
-# spectrum and reconstruct also list the names they re-export from records
-_EXPORTERS = ("geometry", "correlation", "speckle", "spectrum", "reconstruct", "config", "errors")
+# each lists only the names it defines
+_EXPORTERS = (
+    "geometry", "correlation", "speckle", "spectrum", "reconstruct", "records", "config", "errors",
+)
 
 
 def __getattr__(name: str):
     """A submodule, or an exported name (PEP 562)."""
     import importlib
 
-    if name in (*_EXPORTERS, "records", "serialize", "cli"):
+    if name in (*_EXPORTERS, "serialize", "cli"):
         return importlib.import_module(f".{name}", __name__)
     if name.startswith("__") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,7 +28,7 @@ from .errors import (
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, which type checkers read; typing costs 5 ms
 if TYPE_CHECKING:
     from .config import Config
-    from .records import CandidateSet
+    from .records import CandidateSet, RunManifest
 
 # Stage functions the commands look up on this module when they run, so a
 # stand-in set here first is the one called: perfbench/spans.py swaps in
@@ -76,23 +76,36 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     return orders
 
 
-def _load_config_arg(args: argparse.Namespace, run_manifest: bool = False) -> Config:
-    """Flags over --config over the run's manifest.json (when asked) over defaults."""
+def _read_manifest(out: Path) -> RunManifest | None:
+    """The run directory's manifest.json, or None when it has none."""
+    from . import serialize
+    from .records import RunManifest
+
+    path = out / "manifest.json"
+    return serialize.read_json(path, RunManifest.from_dict) if path.exists() else None
+
+
+def _load_config_arg(
+    args: argparse.Namespace,
+    manifest: RunManifest | None = None,
+    orders: tuple[int, ...] | None = None,
+) -> Config:
+    """Flags over --config over the run's manifest (when given) over defaults.
+
+    `orders` stands in for an --orders flag the command line left out.
+    """
     from dataclasses import replace
 
-    from . import serialize
-    from .config import Config, RunManifest, load_config, parse_config
+    from .config import Config, load_config, parse_config
 
-    manifest_path = Path(args.out) / "manifest.json"
     if args.config:
         config = load_config(args.config)
-    elif run_manifest and manifest_path.exists():
-        config = parse_config(serialize.read_json(manifest_path, RunManifest.from_dict).config_text)
+    elif manifest is not None:
+        config = parse_config(manifest.config_text)
     else:
         config = Config()
     flags = {key: getattr(args, key, None) for key in ("seed", "frames", "orders")}
-    if flags["orders"] is not None:
-        flags["orders"] = _parse_orders(flags["orders"])
+    flags["orders"] = _parse_orders(flags["orders"]) if flags["orders"] is not None else orders
     try:
         sim = replace(config.simulate, **{k: v for k, v in flags.items() if v is not None})
     except ValueError as exc:
@@ -118,20 +131,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
     from . import serialize
-    from .config import RunManifest
+    from .records import RunManifest
     from .speckle import SpeckleRun, nearest_magic_pixels
 
     sim = config.simulate
     geometry = config.source_geometry()
 
-    run = SpeckleRun(
-        geometry=geometry,
-        frames=sim.frames,
-        seed=sim.seed,
-        delta_axis=_stage("uniform_grid")(sim.pixels),
-        weights=sim.weights,
-        quantization_bits=sim.bits,
-    )
+    try:  # SpeckleRun holds the weights and bits rules
+        run = SpeckleRun(
+            geometry=geometry,
+            frames=sim.frames,
+            seed=sim.seed,
+            delta_axis=_stage("uniform_grid")(sim.pixels),
+            weights=sim.weights,
+            quantization_bits=sim.bits,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[simulate]: {exc}") from exc
     # every order is placed before the first frame is drawn
     placements = [nearest_magic_pixels(run.delta_axis, m) for m in sim.orders]
     out = _make_dir(Path(args.out))
@@ -186,26 +202,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import serialize
 
-    config = _load_config_arg(args, run_manifest=True)
     out = Path(args.out)
-    if args.orders or args.config or (out / "manifest.json").exists():
-        orders = config.simulate.orders
-    else:  # a bare directory: every curve file in it
+    manifest = _read_manifest(out)
+    found = None
+    if not (args.orders or args.config or manifest is not None):
+        # a bare directory: every curve file in it, under the orders rule of the config
         stems = (p.stem.removeprefix(_CURVE_PREFIX) for p in out.glob(f"{_CURVE_PREFIX}*.csv"))
-        orders = tuple(sorted(int(stem) for stem in stems if stem.isdigit()))
-    if not orders:
-        raise ConfigError(f"no curve files under {out}")
+        found = tuple(sorted(int(stem) for stem in stems if stem.isdigit()))
+        if not found:
+            raise ConfigError(f"no curve files under {out}")
+    config = _load_config_arg(args, manifest, found)
+    orders = config.simulate.orders
     missing = [m for m in orders if not (out / f"{_CURVE_PREFIX}{m}.csv").exists()]
     if missing:
         raise ConfigError(f"no curve file for order(s) {missing} under {out}")
     curves = {m: serialize.read_curve_csv(out / f"{_CURVE_PREFIX}{m}.csv", m) for m in orders}
+    # a manifest names the replicas its run wrote; any others are left from an earlier run
+    listed = None if manifest is None else {name for _, name in manifest.outputs}
     for m in orders:
         replicas_path = out / f"{_REPLICA_PREFIX}{m}.npy"
-        if replicas_path.exists():
-            curves[m] = serialize.read_replicas(replicas_path, curves[m])
+        if not replicas_path.exists():
+            reason = f"no {replicas_path.name}"
+        elif listed is not None and replicas_path.name not in listed:
+            reason = f"{replicas_path.name} is not listed in manifest.json"
         else:
-            print(f"warning: order {m}: no {replicas_path.name}; sigmas from the fit "
-                  "covariance miss the pixel-correlated estimator noise", file=sys.stderr)
+            curves[m] = serialize.read_replicas(replicas_path, curves[m])
+            continue
+        print(f"warning: order {m}: {reason}; sigmas from the fit covariance miss the "
+              "pixel-correlated estimator noise", file=sys.stderr)
 
     span_bound = config.reconstruct.max_span
     raw, failures = [], []
@@ -265,8 +289,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     from . import serialize
     from .records import aperture_report
 
-    config = _load_config_arg(args, run_manifest=True)
     out = Path(args.out)
+    config = _load_config_arg(args, None if args.config else _read_manifest(out))
     evidence_path = out / "evidence.json"
     if not evidence_path.exists():
         raise ConfigError(f"missing {evidence_path}; run analyze first")
@@ -335,7 +359,6 @@ def cmd_aperture(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from . import serialize
-    from .records import RunManifest
 
     out = Path(args.out)
     recon_path = out / "reconstruction.json"
@@ -357,9 +380,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"winner(s) within one chi-square unit: {[list(c.geometry.x) for c in winners]}")
     for ap in apertures:
         print(f"order {ap.m}: moving aperture {ap.moving:.4f}, fixed array {ap.total:.4f}")
-    manifest_path = out / "manifest.json"
-    if manifest_path.exists():
-        manifest = serialize.read_json(manifest_path, RunManifest.from_dict)
+    manifest = _read_manifest(out)
+    if manifest is not None:
         print(f"run: seed {manifest.seed}, tool version {manifest.version}")
         for note in manifest.notes:
             print(f"note: {note}")

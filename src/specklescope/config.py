@@ -1,16 +1,14 @@
-"""Typed run configuration, physical-scene conversions, run manifests.
+"""Typed run configuration.
 
 Config files are INI sections whose values are Python literals, e.g.
 
     [geometry]
     x = [3, 1, 4]
-    d_microns = 570.0
 
 parse_config() fills anything omitted with defaults and rejects unknown
 keys; emit_config() writes every key back out, and the two round-trip
 exactly.  The [gate] and [reconstruct] sections are GatePolicy and
-SearchBounds, which spectrum and reconstruct re-export.  RunManifest, the
-snapshot of a run, lives in records and is re-exported here.  Nothing
+SearchBounds, which the spectrum and reconstruct stages take.  Nothing
 here imports numpy.
 """
 
@@ -18,21 +16,19 @@ from __future__ import annotations
 
 import ast
 import configparser
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError
 from .geometry import SourceGeometry
-from .records import RunManifest
 
 __all__ = [
     "GeometryConfig",
     "SimulateConfig",
+    "GatePolicy",
+    "SearchBounds",
     "Config",
-    "PhysicalScene",
-    "RunManifest",
     "parse_config",
     "load_config",
     "emit_config",
@@ -42,7 +38,6 @@ __all__ = [
 @dataclass(frozen=True)
 class GeometryConfig:
     x: tuple[int, ...] = (3, 1, 4)
-    d_microns: float = 570.0
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,7 @@ class Config:
     reconstruct: SearchBounds = field(default_factory=SearchBounds)
 
     def source_geometry(self) -> SourceGeometry:
-        return SourceGeometry(self.geometry.x, d=self.geometry.d_microns * 1e-6)
+        return SourceGeometry(self.geometry.x)
 
 
 # INI section -> its dataclass, in emission order
@@ -225,42 +220,3 @@ def emit_config(config: Config) -> str:
         lines.append("")
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# physical scene
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhysicalScene:
-    """Wavelength, source distance and lattice constant, all in metres.
-
-    Converts between the dimensionless detector offset delta and physical
-    detector angles: delta = 2*pi * d * sin(theta) / lambda.
-    """
-
-    wavelength: float
-    z: float
-    d: float
-
-    def __post_init__(self) -> None:
-        if self.wavelength <= 0 or self.z <= 0 or self.d <= 0:
-            raise ValueError(f"scene lengths must be positive: {self}")
-
-    def sin_theta(self, delta: float) -> float:
-        return delta * self.wavelength / (2.0 * math.pi * self.d)
-
-    def delta(self, sin_theta: float) -> float:
-        return 2.0 * math.pi * self.d * sin_theta / self.wavelength
-
-    def magic_sin_thetas(self, m: int) -> tuple[float, ...]:
-        """Physical angles (as sines) of the fixed detectors at order m."""
-        from .correlation import magic_positions
-
-        return tuple(self.sin_theta(delta) for delta in magic_positions(m))
-
-    def abbe_min_separation(self, sin_aperture: float) -> float:
-        """Classical two-point resolution limit lambda / (2 A)."""
-        if not 0 < sin_aperture <= 1:
-            raise ValueError(f"aperture sine must be in (0, 1], got {sin_aperture}")
-        return self.wavelength / (2.0 * sin_aperture)

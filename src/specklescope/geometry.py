@@ -1,9 +1,9 @@
 """Source arrays on an integer grid and their pair-distance combinatorics.
 
 A geometry is the gap sequence x = (x_1, ..., x_{N-1}) between N point
-sources sitting on multiples of a lattice constant d.  All correlation
-observables depend on the sources only through the multiset of pairwise
-distances, so that multiset (and its distinct-value set) is computed here.
+sources sitting on integer lattice sites.  All correlation observables
+depend on the sources only through the multiset of pairwise distances,
+so that multiset (and its distinct-value set) is computed here.
 """
 
 from __future__ import annotations
@@ -26,20 +26,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SourceGeometry:
-    """N thermal point sources with integer gaps on a lattice of constant d.
+    """N thermal point sources with integer gaps on a lattice.
 
     Parameters
     ----------
     x : tuple of int
         Gap sequence between neighbouring sources, in lattice units.
         Empty for a single source.
-    d : float
-        Lattice constant in metres (metadata only; the analysis works in
-        lattice units throughout).
     """
 
     x: tuple[int, ...]
-    d: float = 1.0
 
     def __post_init__(self) -> None:
         # normalize so (3, 1, 4) given as a list compares equal to the tuple
@@ -47,8 +43,6 @@ class SourceGeometry:
         for v in self.x:
             if v < 1:
                 raise GeometryError(f"gaps must be positive integers, got {self.x}")
-        if not self.d > 0:
-            raise GeometryError(f"lattice constant must be positive, got {self.d}")
 
     @property
     def n_sources(self) -> int:
@@ -58,10 +52,6 @@ class SourceGeometry:
     def span(self) -> int:
         """Distance between the outermost sources, in lattice units."""
         return sum(self.x)
-
-    @property
-    def positions(self) -> tuple[int, ...]:
-        return phase_prefactors(self)
 
 
 def phase_prefactors(geometry: SourceGeometry) -> tuple[int, ...]:
@@ -92,7 +82,7 @@ def distinct_frequencies(geometry: SourceGeometry) -> tuple[int, ...]:
 
 def reflect(geometry: SourceGeometry) -> SourceGeometry:
     """Mirror image: the gap sequence reversed.  Same pair distances."""
-    return SourceGeometry(geometry.x[::-1], geometry.d)
+    return SourceGeometry(geometry.x[::-1])
 
 
 def canonical(geometry: SourceGeometry) -> SourceGeometry:

@@ -13,9 +13,8 @@ limits allow it to run.
 
 disambiguate() ranks surviving candidates by comparing measured relative
 amplitudes against each candidate's exact prediction.  The search's
-bounds (SearchBounds) live in config and its output records in records;
-both are re-exported here, with aperture_report(), which states the
-detector-aperture fractions an order-m measurement needs.
+bounds (SearchBounds) live in config and its output records (Candidate,
+CandidateSet) in records.
 """
 
 from __future__ import annotations
@@ -28,17 +27,9 @@ from .config import SearchBounds
 from .correlation import ModulationSpectrum, predicted_spectrum
 from .errors import EmptyEvidenceError
 from .geometry import SourceGeometry
-from .records import ApertureReport, Candidate, CandidateSet, EvidenceTable, aperture_report
+from .records import Candidate, CandidateSet, EvidenceTable
 
-__all__ = [
-    "SearchBounds",
-    "Candidate",
-    "CandidateSet",
-    "ApertureReport",
-    "search",
-    "disambiguate",
-    "aperture_report",
-]
+__all__ = ["search", "disambiguate"]
 
 
 # ---------------------------------------------------------------------------

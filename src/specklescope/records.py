@@ -3,7 +3,7 @@ and the run manifest.
 
 These are what `report` reads back from reconstruction.json and
 manifest.json, so this module imports neither numpy nor the config
-parser; spectrum, reconstruct and config re-export the ones they build.
+parser; spectrum and reconstruct build them.
 """
 
 from __future__ import annotations

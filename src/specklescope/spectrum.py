@@ -6,8 +6,7 @@ cosine/sine pair per comb line; the curve's bootstrap replicas go through
 the same solve.  gate() keeps the lines whose contrast a/A0 passes a
 family-wise two-sided test, aggregate() merges gated spectra from several
 orders into a tri-state evidence table (Present / Absent / Unknown per
-integer frequency), and calibrate_d() turns measured magic-angle
-separations into the lattice constant.
+integer frequency).
 """
 
 from __future__ import annotations
@@ -23,16 +22,11 @@ from .correlation import CorrelationCurve, Harmonic, ModulationSpectrum
 from .errors import FitError
 from .records import EvidenceRow, EvidenceTable
 
-# GatePolicy (config) and the evidence records (records) are re-exported here
 __all__ = [
     "MIN_AMPLITUDE_FRACTION",
-    "GatePolicy",
-    "EvidenceRow",
-    "EvidenceTable",
     "fit_fixed",
     "gate",
     "aggregate",
-    "calibrate_d",
 ]
 
 # Harmonics below this fraction of max(1, offset) are machine noise on a
@@ -289,31 +283,3 @@ def aggregate(spectra: Sequence[ModulationSpectrum]) -> EvidenceTable:
             rows[f] = EvidenceRow(f=f, status="unknown")
     return EvidenceTable(span_hint=span_hint, rows=rows, orders_measured=tuple(orders))
 
-
-# ---------------------------------------------------------------------------
-# lattice calibration
-# ---------------------------------------------------------------------------
-
-
-def calibrate_d(sin_thetas: Sequence[float], wavelength: float, m: int) -> float:
-    """Lattice constant from measured magic-position angles at order m.
-
-    Adjacent magic offsets are 2*pi/(m-1) apart in delta, i.e. separated
-    by lambda/((m-1) d) in sin(theta); each adjacent pair of the supplied
-    sines therefore yields d = lambda / ((m-1) |sin_j - sin_{j-1}|), and
-    the mean over pairs is returned.
-    """
-    if m < 3:
-        raise ValueError(f"calibration needs at least two fixed detectors, got m={m}")
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    sines = [float(s) for s in sin_thetas]
-    if len(sines) < 2:
-        raise ValueError("need at least two adjacent magic-position sines")
-    estimates = []
-    for lo, hi in zip(sines, sines[1:]):
-        gap = abs(hi - lo)
-        if gap == 0:
-            raise ValueError("zero angular separation between magic positions")
-        estimates.append(wavelength / ((m - 1) * gap))
-    return float(np.mean(estimates))

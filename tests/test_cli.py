@@ -178,6 +178,26 @@ def test_analyze_names_orders_without_curve_files(tmp_path, capsys):
     assert "order(s) [5]" in capsys.readouterr().err
 
 
+def test_analyze_reads_only_the_replicas_the_manifest_lists(tmp_path, capsys):
+    # one frame over a 2000-frame run leaves that run's replicas behind
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("frames = 1000", "frames = 2000").replace("[3, 4]", "[3]"))
+    stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+    assert main(["simulate", "--config", str(cfg), "--out", str(stale)]) == 0
+    codes, errors = {}, {}
+    for out in (stale, fresh):
+        assert main(["simulate", "--config", str(cfg), "--frames", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        codes[out] = main(["analyze", "--out", str(out)])
+        errors[out] = capsys.readouterr().err
+    assert (stale / "replicas_m3.npy").exists() and not (fresh / "replicas_m3.npy").exists()
+    assert "order 3: replicas_m3.npy is not listed in manifest.json" in errors[stale]
+    assert "order 3: no replicas_m3.npy" in errors[fresh]
+    assert "covariance" in errors[stale]
+    assert codes[stale] == codes[fresh]
+    assert (stale / "spectra.json").read_bytes() == (fresh / "spectra.json").read_bytes()
+
+
 def test_analyze_takes_orders_from_the_manifest(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--frames", "500", "--orders", "3,5", "--out", str(out)]) == 0
@@ -352,7 +372,11 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["analyze", "--out", str(tmp_path / "empty")]) == 2
     assert main(["simulate", "--frames", "0", "--out", str(tmp_path / "o")]) == 2
     assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
-    for text in ("frames = 0", "pixels = 0", "seed = -1", "orders = []", "orders = [3, 3]"):
+    # the weights and bits rules are the sampler's: four sources under the default x
+    for text in ("frames = 0", "pixels = 0", "seed = -1", "orders = []", "orders = [3, 3]",
+                 "weights = [1.0, 2.0]", "weights = [1.0, 0.0, 1.0, 1.0]",
+                 "weights = [1.0, -2.0, 1.0, 1.0]", "weights = [1.0, 1e999, 1.0, 1.0]",
+                 "bits = 0", "bits = 20"):
         bad.write_text(f"[simulate]\n{text}\n")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, text
     assert not (tmp_path / "o").exists()
@@ -384,6 +408,10 @@ def test_order_2_is_refused_before_any_frame_is_drawn(tmp_path, monkeypatch, cap
     write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
     assert main(["analyze", "--orders", "2,3", "--out", str(tmp_path)]) == 2
     assert ">= 3" in capsys.readouterr().err
+    # a bare analyze holds the curve files it finds to the same rule
+    write_curve_csv(magic_curve((1, 3), 2), tmp_path / "curves_m2.csv")
+    assert main(["analyze", "--out", str(tmp_path)]) == 2
+    assert "orders must be distinct integers >= 3, got [2, 3]" in capsys.readouterr().err
     assert not (tmp_path / "spectra.json").exists()
     # the aperture table still covers the pair correlation
     assert main(["aperture", "--orders", "2..8"]) == 0
@@ -542,11 +570,13 @@ def test_an_old_manifest_exits_2_and_names_the_removed_keys(run_dir, tmp_path, c
                     "[fit]\nmax_harmonics = 6\noversample = 8\nstop_snr = 4.0\n")
     assert "[gate]\nalpha = 0.01\n" in manifest["config"]
     manifest["config"] = manifest["config"].replace("[gate]\nalpha = 0.01\n", old_sections)
+    manifest["config"] = manifest["config"].replace("x = [1, 3]\n", "x = [1, 3]\nd_microns = 570.0\n")
     write_json(out / "manifest.json", manifest)
     for command in ("analyze", "reconstruct"):
         assert main([command, "--out", str(out)]) == 2, command
         err = capsys.readouterr().err
-        for key in ("k_A", "sigma_f_max", "eps_int", "[fit]", "max_harmonics", "stop_snr"):
+        for key in ("k_A", "sigma_f_max", "eps_int", "[fit]", "max_harmonics", "stop_snr",
+                    "d_microns"):
             assert key in err, (command, key)
 
 

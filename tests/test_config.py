@@ -1,7 +1,6 @@
-"""Config parsing, emission round-trips, physical-scene conversions."""
+"""Config parsing, emission round-trips, the run manifest."""
 
 import configparser
-import math
 import re
 from pathlib import Path
 
@@ -10,10 +9,9 @@ import pytest
 from specklescope import (
     Config,
     ConfigError,
-    PhysicalScene,
     RunManifest,
+    SourceGeometry,
     emit_config,
-    magic_positions,
     parse_config,
 )
 
@@ -36,7 +34,6 @@ def test_custom_config_round_trips():
     text = """
 [geometry]
 x = [1, 3, 2]
-d_microns = 480.0
 
 [simulate]
 frames = 250
@@ -89,6 +86,7 @@ def test_optional_keys_accept_none():
         "[geometry]\nx = 3\n",  # scalar for tuple
         "[fit]\nspan_bound = 16\n",  # removed: no stage read it
         "[scene]\nz_m = 0.4\n",  # removed: no stage read it
+        "[geometry]\nd_microns = 570.0\n",  # removed: the analysis works in lattice units
         "[simulate]\nframes = 0\n",
         "[simulate]\npixels = 0\n",
         "[simulate]\nseed = -1\n",
@@ -116,37 +114,10 @@ def test_error_message_lists_every_problem():
     assert "pixel" in message
 
 
-# ---------------------------------------------------------------------------
-# physical scene
-# ---------------------------------------------------------------------------
-
-
-def test_scene_angle_conversions_invert():
-    scene = PhysicalScene(wavelength=632.8e-9, z=0.4, d=570e-6)
-    for delta in (0.1, math.pi, 5.0):
-        assert scene.delta(scene.sin_theta(delta)) == pytest.approx(delta, rel=1e-12)
-    sines = scene.magic_sin_thetas(5)
-    assert len(sines) == 4
-    for sine, pos in zip(sines, magic_positions(5)):
-        assert scene.delta(sine) == pytest.approx(pos, rel=1e-12)
-
-
-def test_scene_abbe_limit():
-    scene = PhysicalScene(wavelength=600e-9, z=0.4, d=570e-6)
-    assert scene.abbe_min_separation(0.5) == pytest.approx(600e-9)
-    with pytest.raises(ValueError):
-        scene.abbe_min_separation(0.0)
-    with pytest.raises(ValueError):
-        scene.abbe_min_separation(1.5)
-    with pytest.raises(ValueError):
-        PhysicalScene(wavelength=-1.0, z=0.4, d=570e-6)
-
-
 def test_config_builds_geometry():
-    cfg = parse_config("[geometry]\nx = [2, 2]\nd_microns = 500.0\n")
-    geometry = cfg.source_geometry()
-    assert geometry.x == (2, 2)
-    assert geometry.d == pytest.approx(500e-6)
+    cfg = parse_config("[geometry]\nx = [2, 2]\n")
+    assert cfg.source_geometry() == SourceGeometry((2, 2))
+    assert Config().source_geometry() == SourceGeometry((3, 1, 4))
 
 
 def test_readme_config_reference_matches_the_defaults():

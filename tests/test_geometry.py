@@ -22,7 +22,6 @@ gap_lists = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size
 def test_positions_are_prefix_sums():
     g = SourceGeometry((3, 1, 4))
     assert phase_prefactors(g) == (0, 3, 4, 8)
-    assert g.positions == (0, 3, 4, 8)
     assert g.span == 8
     assert g.n_sources == 4
 
@@ -79,11 +78,6 @@ def test_single_source_has_no_pairs():
 def test_gaps_must_be_positive(bad):
     with pytest.raises(GeometryError):
         SourceGeometry(bad)
-
-
-def test_lattice_constant_must_be_positive():
-    with pytest.raises(GeometryError):
-        SourceGeometry((1,), d=0.0)
 
 
 def test_gap_sequences_normalize_to_tuples():

@@ -1,5 +1,5 @@
-"""The package's export list, the README's library example, and the names the benchmark's
-tracer patches."""
+"""The package's export list and where each name lives, the README's library example, and
+the names the benchmark's tracer patches."""
 
 import importlib.util
 import subprocess
@@ -22,6 +22,15 @@ def test_export_list_is_the_union_of_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(specklescope, name) is getattr(module, name), name
+
+
+def test_each_exported_class_and_function_lives_in_the_module_that_lists_it():
+    # one home per name: a module lists only what it defines, never a re-export
+    for module in MODULES:
+        for name in module.__all__:
+            value = getattr(module, name)
+            if isinstance(value, type) or callable(value):
+                assert value.__module__ == module.__name__, (module.__name__, name)
 
 
 def test_the_readme_library_example_runs():

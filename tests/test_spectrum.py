@@ -1,4 +1,4 @@
-"""Spectral fitting, the significance gate, evidence merging, calibration."""
+"""Spectral fitting, the significance gate, evidence merging."""
 
 import itertools
 import math
@@ -15,10 +15,8 @@ from specklescope import (
     GatePolicy,
     Harmonic,
     ModulationSpectrum,
-    PhysicalScene,
     SourceGeometry,
     aggregate,
-    calibrate_d,
     fit_fixed,
     gate,
     predicted_spectrum,
@@ -269,29 +267,6 @@ def test_evidence_containers_validate():
     table = EvidenceTable.from_sets((3,))
     with pytest.raises(ValueError):
         table.status_of(0)
-
-
-# ---------------------------------------------------------------------------
-# lattice calibration
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("m", [3, 5])
-def test_calibration_inverts_the_scene_geometry(m):
-    scene = PhysicalScene(wavelength=632.8e-9, z=0.4, d=570e-6)
-    sines = scene.magic_sin_thetas(m)
-    assert calibrate_d(sines, scene.wavelength, m) == pytest.approx(570e-6, rel=1e-12)
-
-
-def test_calibration_input_checks():
-    with pytest.raises(ValueError):
-        calibrate_d((0.0, 0.1), 632.8e-9, 2)
-    with pytest.raises(ValueError):
-        calibrate_d((0.0, 0.1), 0.0, 3)
-    with pytest.raises(ValueError):
-        calibrate_d((0.1,), 632.8e-9, 3)
-    with pytest.raises(ValueError):
-        calibrate_d((0.1, 0.1), 632.8e-9, 3)
 
 
 # ---------------------------------------------------------------------------
