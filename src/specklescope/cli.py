@@ -213,12 +213,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise ConfigError(f"no curve files under {out}")
     config = _load_config_arg(args, manifest, found)
     orders = config.simulate.orders
-    missing = [m for m in orders if not (out / f"{_CURVE_PREFIX}{m}.csv").exists()]
+    paths = {m: out / f"{_CURVE_PREFIX}{m}.csv" for m in orders}
+    missing = [m for m, path in paths.items() if not path.exists()]
     if missing:
         raise ConfigError(f"no curve file for order(s) {missing} under {out}")
-    curves = {m: serialize.read_curve_csv(out / f"{_CURVE_PREFIX}{m}.csv", m) for m in orders}
-    # a manifest names the replicas its run wrote; any others are left from an earlier run
+    # a manifest names the files its run wrote; any others are left from an earlier run
     listed = None if manifest is None else {name for _, name in manifest.outputs}
+    stale = [] if listed is None else [p.name for p in paths.values() if p.name not in listed]
+    if stale:
+        raise ConfigError(f"{', '.join(stale)} under {out}: not listed in manifest.json, "
+                          "so left from an earlier run")
+    curves = {m: serialize.read_curve_csv(path, m) for m, path in paths.items()}
     for m in orders:
         replicas_path = out / f"{_REPLICA_PREFIX}{m}.npy"
         if not replicas_path.exists():
@@ -254,10 +259,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             cells = (spectrum.m, h.f, h.amplitude, h.sigma_a, h.contrast, h.sigma_contrast,
                      h.f in kept)
             table_rows.append(dict(zip(_TABLE_FIELDS, cells)))
-    if args.format == "json":
-        serialize.write_json(out / "table.json", {"rows": table_rows})
-    else:
-        serialize.write_csv(out / "table.csv", _TABLE_FIELDS, table_rows)
+    serialize.write_csv(out / "table.csv", _TABLE_FIELDS, table_rows)
 
     print(f"gate: {n_tests} comb lines tested, |a/A0| >= "
           f"{config.gate.threshold(n_tests):.2f} sigma (alpha = {config.gate.alpha:g})")
@@ -343,10 +345,7 @@ def cmd_aperture(args: argparse.Namespace) -> int:
     if args.out:
         path = Path(args.out)
         _make_dir(path.parent)
-        if args.format == "json":
-            serialize.write_json(path, {"apertures": rows})
-        else:
-            serialize.write_csv(path, list(rows[0]), rows)
+        serialize.write_csv(path, list(rows[0]), rows)
     for r in reports:
         print(f"m = {r.m}: moving {r.moving:.4f}, fixed array {r.total:.4f} of full aperture")
     return 0
@@ -413,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--config", help="config file (defaults used when omitted)")
     ana.add_argument("--orders", help="restrict to these orders")
     ana.add_argument("--out", default="runs/latest", help="directory with curve files")
-    ana.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="format of the per-line fit table")
     ana.set_defaults(func=cmd_analyze)
 
     rec = sub.add_parser("reconstruct", help="enumerate and rank source geometries")
@@ -424,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ape = sub.add_parser("aperture", help="aperture fractions per correlation order")
     ape.add_argument("--orders", required=True, help="orders, e.g. 2..8")
-    ape.add_argument("--out", help="optional output file")
-    ape.add_argument("--format", choices=("csv", "json"), default="csv")
+    ape.add_argument("--out", help="optional CSV file")
     ape.set_defaults(func=cmd_aperture)
 
     rep = sub.add_parser("report", help="summarize a finished run")

@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .geometry import SourceGeometry
 
 __all__ = [
+    "MAX_PERMANENT_ORDER",
     "GeometryConfig",
     "SimulateConfig",
     "GatePolicy",
@@ -33,6 +34,10 @@ __all__ = [
     "load_config",
     "emit_config",
 ]
+
+# Ryser's formula walks 2^m subsets; past this order a single curve stops
+# being interactive and the permanent should not be attempted blindly.
+MAX_PERMANENT_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,12 @@ class SimulateConfig:
         for name, least in (("frames", 1), ("pixels", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        # the comb fit needs a scan over one period 2π/(m-1); at m = 2 the grid stops short
-        if not self.orders or min(self.orders) < 3 or len(set(self.orders)) != len(self.orders):
-            raise ValueError(f"orders must be distinct integers >= 3, got {list(self.orders)}")
+        # the comb fit needs a scan over one period 2π/(m-1); at m = 2 the grid
+        # stops short, and past the cap no permanent scores the lines
+        if (not self.orders or len(set(self.orders)) != len(self.orders)
+                or not 3 <= min(self.orders) <= max(self.orders) <= MAX_PERMANENT_ORDER):
+            raise ValueError(f"orders must be distinct integers >= 3, got {list(self.orders)} "
+                             f"(at most {MAX_PERMANENT_ORDER}, the permanent cap)")
 
 
 @dataclass(frozen=True)

@@ -24,26 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_PERMANENT_ORDER
 from .errors import GeometryError, MatrixSizeError, OrderError
 from .geometry import SourceGeometry, distinct_frequencies, phase_prefactors
 
 __all__ = [
-    "MAX_PERMANENT_ORDER",
     "DetectorArray",
     "CorrelationCurve",
     "Harmonic",
     "ModulationSpectrum",
     "magic_positions",
-    "permanent",
     "g_m_analytic",
     "surviving_frequencies",
     "predicted_spectrum",
     "regular_array_reference",
 ]
-
-# Ryser's formula walks 2^m subsets; past this order a single curve stops
-# being interactive and the permanent should not be attempted blindly.
-MAX_PERMANENT_ORDER = 12
 
 # Analytic values may dip this far below zero from roundoff and are clamped.
 _NEGATIVE_TOL = 1e-9
@@ -197,25 +192,8 @@ def _coherence_stack(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.einsum("l,glsjk->gsjk", ones, table[rows])
 
 
-def permanent(matrix: np.ndarray) -> complex:
-    """Permanent of a square matrix by Ryser's formula with Gray-code updates.
-
-    O(2^n * n) time, refusing n > MAX_PERMANENT_ORDER.  The empty matrix
-    has permanent 1.
-    """
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"permanent needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > MAX_PERMANENT_ORDER:
-        raise MatrixSizeError(f"matrix order {n} exceeds permanent cap {MAX_PERMANENT_ORDER}")
-    if n == 0:
-        return complex(1.0)
-    return complex(_ryser_batch(a[None, :, :].astype(complex))[0])
-
-
 def _ryser_batch(mats: np.ndarray) -> np.ndarray:
-    """Permanents of a (S, n, n) stack via one shared Gray-code walk."""
+    """Permanents of a (S, n, n) stack by Ryser's formula: one Gray-code walk, O(2^n n)."""
     s, n, _ = mats.shape
     row = np.zeros((s, n), dtype=complex)
     total = np.zeros(s, dtype=complex)

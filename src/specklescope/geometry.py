@@ -19,8 +19,6 @@ __all__ = [
     "phase_prefactors",
     "pair_distances",
     "distinct_frequencies",
-    "reflect",
-    "canonical",
 ]
 
 
@@ -79,16 +77,3 @@ def distinct_frequencies(geometry: SourceGeometry) -> tuple[int, ...]:
     """Sorted distinct pair distances; the spatial frequencies the array emits."""
     return tuple(sorted(pair_distances(geometry)))
 
-
-def reflect(geometry: SourceGeometry) -> SourceGeometry:
-    """Mirror image: the gap sequence reversed.  Same pair distances."""
-    return SourceGeometry(geometry.x[::-1])
-
-
-def canonical(geometry: SourceGeometry) -> SourceGeometry:
-    """Lexicographically smaller of a geometry and its mirror image.
-
-    Reflection never changes any observable here, so candidate sets and
-    test fixtures are reported in this canonical orientation.
-    """
-    return min(geometry, reflect(geometry), key=lambda g: g.x)

@@ -8,7 +8,7 @@ parser; spectrum and reconstruct build them.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -87,37 +87,6 @@ class EvidenceTable:
 
     def conflicts(self) -> tuple[int, ...]:
         return tuple(sorted(f for f, r in self.rows.items() if r.conflict))
-
-    @classmethod
-    def from_sets(
-        cls,
-        present: Iterable[int] | Mapping[int, tuple[float, float]],
-        absent: Iterable[int] = (),
-        orders_measured: Iterable[int] = (),
-        span_hint: int | None = None,
-    ) -> "EvidenceTable":
-        """Build a table directly from known Present/Absent frequency sets."""
-        if isinstance(present, Mapping):
-            present_map = {int(f): v for f, v in present.items()}
-        else:
-            present_map = {int(f): None for f in present}
-        absent_set = {int(f) for f in absent}
-        overlap = set(present_map) & absent_set
-        if overlap:
-            raise ValueError(f"frequencies both present and absent: {sorted(overlap)}")
-        hint = span_hint if span_hint is not None else max(present_map, default=0)
-        rows = {}
-        for f in sorted(present_map):
-            amp = present_map[f]
-            rows[f] = EvidenceRow(
-                f=f,
-                status="present",
-                amplitude=None if amp is None else float(amp[0]),
-                sigma_a=None if amp is None else float(amp[1]),
-            )
-        for f in sorted(absent_set):
-            rows[f] = EvidenceRow(f=f, status="absent")
-        return cls(span_hint=hint, rows=rows, orders_measured=tuple(orders_measured))
 
 
 @dataclass(frozen=True)

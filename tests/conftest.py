@@ -12,6 +12,7 @@ import specklescope
 from specklescope import (
     CorrelationCurve,
     DetectorArray,
+    EvidenceRow,
     EvidenceTable,
     SourceGeometry,
     SpeckleRun,
@@ -94,7 +95,14 @@ def evidence_for(x, orders):
         for f in range(1, hint + 1)
         if f not in distances and any(f % (m - 1) == 0 for m in orders)
     ]
-    return EvidenceTable.from_sets(present, absent=absent, orders_measured=orders)
+    return evidence_table(present, absent=absent, orders_measured=orders)
+
+
+def evidence_table(present, absent=(), orders_measured=()):
+    """Bare Present and Absent rows; the span hint is the largest Present frequency."""
+    rows = {f: EvidenceRow(f, "present") for f in sorted(present)}
+    rows.update((f, EvidenceRow(f, "absent")) for f in sorted(absent))
+    return EvidenceTable(max(present, default=0), rows, tuple(orders_measured))
 
 
 @pytest.fixture(scope="session")

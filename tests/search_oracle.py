@@ -17,7 +17,6 @@ from specklescope import (
     SearchBounds,
     SourceGeometry,
     SpeckleScopeError,
-    canonical,
 )
 from specklescope.reconstruct import _span_candidates
 
@@ -54,7 +53,7 @@ def oracle_search(evidence: EvidenceTable, bounds: SearchBounds | None = None):
     exhaustive = not truncated and not _cap_extension_exists(
         present, absent, spans, bounds.max_sources
     )
-    geometries = {canonical(_geometry(points)) for points in found}
+    geometries = {_geometry(points) for points in found}
     return CandidateSet(
         candidates=tuple(
             Candidate(g) for g in sorted(geometries, key=lambda g: (g.n_sources, g.x))
@@ -69,8 +68,10 @@ def _diffs(points: frozenset[int]) -> frozenset[int]:
 
 
 def _geometry(points: frozenset[int]) -> SourceGeometry:
+    """The gaps of a point set, the smaller of the mirror pair as search reports it."""
     ordered = sorted(points)
-    return SourceGeometry(tuple(b - a for a, b in zip(ordered, ordered[1:])))
+    x = tuple(b - a for a, b in zip(ordered, ordered[1:]))
+    return SourceGeometry(min(x, x[::-1]))
 
 
 def _cap_extension_exists(

@@ -10,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import fresh_interpreter_env, magic_curve
-from specklescope import EvidenceTable, cli, estimate_g_m, nearest_magic_pixels, uniform_grid
+from conftest import evidence_table, fresh_interpreter_env, magic_curve
+from specklescope import cli, estimate_g_m, nearest_magic_pixels, uniform_grid
 from specklescope.cli import main
 from specklescope.serialize import (
     evidence_to_dict, read_curve_csv, read_frames, read_replicas, write_curve_csv, write_json,
@@ -96,6 +96,21 @@ def test_fit_table_lists_lines(run_dir):
     assert accepted == {(3, 4), (4, 3)}
 
 
+def test_fit_table_repeats_the_spectra_lines(run_dir):
+    # each table.csv row is one fitted line of spectra.json, accepted when the gate kept it
+    with open(run_dir / "table.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    spectra = json.loads((run_dir / "spectra.json").read_text())
+    fitted = [(s["m"], line) for s in spectra["fits"] for line in s["harmonics"]]
+    gated = [(s["m"], line) for s in spectra["gated"] for line in s["harmonics"]]
+    assert len(rows) == len(fitted) and gated
+    for row, (m, line) in zip(rows, fitted):
+        assert int(row["m"]) == m
+        for key in ("f", "A", "sigma_A", "a_A0", "sigma_a_A0"):
+            assert float(row[key]) == line[key], key
+        assert (row["accepted"] == "True") == ((m, line) in gated)
+
+
 def test_reconstruction_identifies_the_source(run_dir):
     report = json.loads((run_dir / "reconstruction.json").read_text())
     assert [c["x"] for c in report["candidates"]] == [[1, 3]]
@@ -150,10 +165,10 @@ def test_the_frame_archive_re_estimates_the_saved_curves(run_dir):
 
 def test_analyze_accepts_bare_curve_files(tmp_path, capsys):
     write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
-    code = main(["analyze", "--out", str(tmp_path), "--format", "json"])
+    code = main(["analyze", "--out", str(tmp_path)])
     assert code == 0
-    table = json.loads((tmp_path / "table.json").read_text())
-    kept = [round(r["f"]) for r in table["rows"] if r["accepted"]]
+    with open(tmp_path / "table.csv", newline="") as handle:
+        kept = [round(float(r["f"])) for r in csv.DictReader(handle) if r["accepted"] == "True"]
     assert kept == [4]
     # without replicas the sigmas come from the covariance, and analyze says so
     err = capsys.readouterr().err
@@ -196,6 +211,19 @@ def test_analyze_reads_only_the_replicas_the_manifest_lists(tmp_path, capsys):
     assert "covariance" in errors[stale]
     assert codes[stale] == codes[fresh]
     assert (stale / "spectra.json").read_bytes() == (fresh / "spectra.json").read_bytes()
+
+
+def test_analyze_refuses_curve_files_the_manifest_does_not_list(tmp_path, capsys):
+    # a second run into the same directory leaves the first run's order 4 behind
+    out = tmp_path / "out"
+    assert main(["simulate", "--frames", "500", "--orders", "3,4", "--out", str(out)]) == 0
+    assert main(["simulate", "--frames", "500", "--orders", "3", "--seed", "2",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--orders", "3,4", "--out", str(out)]) == 2
+    assert "curves_m4.csv" in capsys.readouterr().err
+    assert not (out / "spectra.json").exists()
+    assert not (out / "evidence.json").exists()
 
 
 def test_analyze_takes_orders_from_the_manifest(tmp_path):
@@ -389,6 +417,11 @@ def test_config_errors_exit_2(tmp_path):
     assert not (tmp_path / "spectra.json").exists()
     assert main(["analyze", "--orders", "3,3", "--out", str(tmp_path)]) == 2
     assert main(["aperture", "--orders", "1..3"]) == 2
+    # the fit table and the aperture file have one format, CSV
+    for argv in (["analyze", "--format", "json"], ["aperture", "--orders", "3", "--format", "csv"]):
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2, argv
     assert main(["report", "--out", str(tmp_path / "nowhere")]) == 2
 
 
@@ -398,16 +431,18 @@ def test_order_2_is_refused_before_any_frame_is_drawn(tmp_path, monkeypatch, cap
         raise AssertionError("a frame was drawn")
 
     monkeypatch.setattr(cli, "sample_frames", draw)
-    assert main(["simulate", "--frames", "3000", "--orders", "2,3",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "orders must be distinct integers >= 3" in capsys.readouterr().err
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[simulate]\norders = [2, 3]\n")
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o").exists()
     write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
-    assert main(["analyze", "--orders", "2,3", "--out", str(tmp_path)]) == 2
-    assert ">= 3" in capsys.readouterr().err
+    # nor past the permanent cap, where no candidate's lines can be scored
+    for orders in ("2,3", "13"):
+        assert main(["simulate", "--frames", "3000", "--orders", orders,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "orders must be distinct integers >= 3" in capsys.readouterr().err
+        cfg.write_text(f"[simulate]\norders = [{orders}]\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert main(["analyze", "--orders", orders, "--out", str(tmp_path)]) == 2
+        assert ">= 3" in capsys.readouterr().err
     # a bare analyze holds the curve files it finds to the same rule
     write_curve_csv(magic_curve((1, 3), 2), tmp_path / "curves_m2.csv")
     assert main(["analyze", "--out", str(tmp_path)]) == 2
@@ -549,7 +584,7 @@ def test_malformed_artifacts_exit_2_without_traceback(run_dir, tmp_path, case):
 
 
 def test_empty_evidence_exits_3(tmp_path):
-    table = EvidenceTable.from_sets((), absent=(2,), orders_measured=(3,))
+    table = evidence_table((), absent=(2,), orders_measured=(3,))
     write_json(tmp_path / "evidence.json", evidence_to_dict(table))
     assert main(["reconstruct", "--out", str(tmp_path)]) == 3
 
@@ -596,7 +631,7 @@ def test_a_closed_pipe_exits_1_without_traceback(tmp_path):
     # command is still writing when its reader goes away, as under `| head -1`
     cfg = tmp_path / "run.ini"
     cfg.write_text("[reconstruct]\nmax_span = 20\nallow_unknown_span = True\n")
-    table = EvidenceTable.from_sets((4,), orders_measured=(5,))
+    table = evidence_table((4,), orders_measured=(5,))
     write_json(tmp_path / "evidence.json", evidence_to_dict(table))
     for argv in (["reconstruct", "--config", str(cfg)], ["report"]):
         proc = subprocess.Popen(

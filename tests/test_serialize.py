@@ -9,8 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import held_frames, held_stack, magic_curve, save_frames
+from conftest import evidence_table, held_frames, held_stack, magic_curve, save_frames
 from specklescope import (
+    EvidenceRow,
     EvidenceTable,
     FormatError,
     FrameStream,
@@ -169,12 +170,9 @@ def test_spectrum_dict_round_trip():
 
 
 def test_evidence_dict_round_trip():
-    table = EvidenceTable.from_sets(
-        {3: (0.5, 0.05), 4: (0.9, 0.02)},
-        absent=(2, 6),
-        orders_measured=(3, 4, 5),
-        span_hint=8,
-    )
+    rows = (EvidenceRow(3, "present", 0.5, 0.05), EvidenceRow(4, "present", 0.9, 0.02),
+            EvidenceRow(2, "absent"), EvidenceRow(6, "absent"))
+    table = EvidenceTable(span_hint=8, rows={r.f: r for r in rows}, orders_measured=(3, 4, 5))
     back = evidence_from_dict(evidence_to_dict(table))
     assert back.span_hint == table.span_hint
     assert back.orders_measured == table.orders_measured
@@ -184,7 +182,7 @@ def test_evidence_dict_round_trip():
 
 
 def test_report_dict_shape():
-    table = EvidenceTable.from_sets((3, 4, 5, 8), absent=(2, 6, 7))
+    table = evidence_table((3, 4, 5, 8), absent=(2, 6, 7))
     candidates = search(table)
     report = report_to_dict(candidates, [aperture_report(m) for m in (3, 4)])
     assert [c["x"] for c in report["candidates"]] == [[3, 1, 4]]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import magic_curve, noisy_curve
+from conftest import evidence_table, magic_curve, noisy_curve
 from specklescope import (
     CorrelationCurve,
     EvidenceRow,
@@ -242,17 +242,17 @@ def test_aggregate_keeps_best_sighting():
     assert table.rows[4].amplitude == pytest.approx(0.9)
 
 
-def test_from_sets_round_trip():
-    table = EvidenceTable.from_sets({3: (0.5, 0.05), 8: (0.2, 0.04)}, absent=(2, 6))
+def test_evidence_table_sorts_its_sets():
+    rows = (EvidenceRow(8, "present", 0.2, 0.04), EvidenceRow(6, "absent"),
+            EvidenceRow(3, "present", 0.5, 0.05), EvidenceRow(2, "absent"))
+    table = EvidenceTable(span_hint=8, rows={r.f: r for r in rows})
     assert table.present() == (3, 8)
     assert table.absent() == (2, 6)
     assert table.span_hint == 8
     assert table.rows[3].amplitude == pytest.approx(0.5)
-    bare = EvidenceTable.from_sets((3, 8), absent=(2,), span_hint=10)
+    bare = EvidenceTable(span_hint=10, rows={3: EvidenceRow(3, "present")})
     assert bare.span_hint == 10
     assert bare.rows[3].amplitude is None
-    with pytest.raises(ValueError):
-        EvidenceTable.from_sets((3,), absent=(3,))
 
 
 def test_evidence_containers_validate():
@@ -264,7 +264,7 @@ def test_evidence_containers_validate():
         EvidenceTable(span_hint=2, rows={1: EvidenceRow(f=2, status="absent")})
     with pytest.raises(ValueError):
         EvidenceTable(span_hint=-1, rows={})
-    table = EvidenceTable.from_sets((3,))
+    table = evidence_table((3,))
     with pytest.raises(ValueError):
         table.status_of(0)
 
