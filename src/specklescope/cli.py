@@ -32,11 +32,11 @@ if TYPE_CHECKING:
 
 # Stage functions the commands look up on this module when they run, so a
 # stand-in set here first is the one called: perfbench/spans.py swaps in
-# timing wrappers, a test a narrower grid.  Each is imported on first use.
+# timing wrappers.  Each is imported on first use.
 # `fit_free` is the comb fit under the name the benchmark wraps, until it
 # reads a stage trace instead (ROADMAP item 8).
 _STAGES = {
-    "uniform_grid": "speckle", "sample_frames": "speckle", "estimate_g_m": "speckle",
+    "sample_frames": "speckle", "estimate_g_m": "speckle",
     "fit_free": "spectrum", "gate": "spectrum", "aggregate": "spectrum",
     "search": "reconstruct", "disambiguate": "reconstruct",
 }
@@ -132,29 +132,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     from . import serialize
     from .records import RunManifest
-    from .speckle import SpeckleRun, nearest_magic_pixels
+    from .speckle import nearest_magic_pixels, uniform_grid
 
     sim = config.simulate
     geometry = config.source_geometry()
 
-    try:  # SpeckleRun holds the weights and bits rules
-        run = SpeckleRun(
-            geometry=geometry,
-            frames=sim.frames,
-            seed=sim.seed,
-            delta_axis=_stage("uniform_grid")(sim.pixels),
-            weights=sim.weights,
-            quantization_bits=sim.bits,
+    try:  # the sampler checks frames, seed, weights and bits before it draws
+        frames = _stage("sample_frames")(
+            geometry, sim.frames, sim.seed, uniform_grid(sim.pixels), sim.weights, sim.bits
         )
     except ValueError as exc:
         raise ConfigError(f"[simulate]: {exc}") from exc
     # every order is placed before the first frame is drawn
-    placements = [nearest_magic_pixels(run.delta_axis, m) for m in sim.orders]
+    placements = [nearest_magic_pixels(frames.delta_axis, m) for m in sim.orders]
     out = _make_dir(Path(args.out))
 
     # one pass: each chunk is sampled, archived and folded into every
     # order's sums; frames.sstk appears only once the estimator has finished
-    frames = _stage("sample_frames")(run)
     frames_path = out / _FRAMES_NAME
     archive = (serialize.write_frames(frames, frames_path) if sim.save_frames
                else nullcontext(frames))

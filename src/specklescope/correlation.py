@@ -29,7 +29,6 @@ from .errors import GeometryError, MatrixSizeError, OrderError
 from .geometry import SourceGeometry, distinct_frequencies, phase_prefactors
 
 __all__ = [
-    "DetectorArray",
     "CorrelationCurve",
     "Harmonic",
     "ModulationSpectrum",
@@ -57,48 +56,6 @@ def magic_positions(m: int) -> tuple[float, ...]:
     if m < 2:
         raise OrderError(f"correlation order must be at least 2, got {m}")
     return tuple(2.0 * math.pi * j / (m - 1) for j in range(m - 1))
-
-
-@dataclass(frozen=True, eq=False)
-class DetectorArray:
-    """One scanned detector plus m-1 fixed detectors, all in offset units.
-
-    Offsets are the dimensionless phase variable delta = 2*pi*d*sin(theta)
-    / lambda, so a full period of the lattice is [0, 2*pi).
-
-    Parameters
-    ----------
-    m : int
-        Correlation order; total number of detectors.
-    fixed_deltas : tuple of float
-        Offsets of the m-1 fixed detectors.
-    scan : ndarray
-        Strictly increasing offsets visited by the scanned detector.
-    """
-
-    m: int
-    fixed_deltas: tuple[float, ...]
-    scan: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise OrderError(f"correlation order must be at least 2, got {self.m}")
-        object.__setattr__(self, "fixed_deltas", tuple(float(v) for v in self.fixed_deltas))
-        if len(self.fixed_deltas) != self.m - 1:
-            raise ValueError(
-                f"need {self.m - 1} fixed detectors for order {self.m}, "
-                f"got {len(self.fixed_deltas)}"
-            )
-        scan = np.asarray(self.scan, dtype=float)
-        if scan.ndim != 1 or scan.size == 0:
-            raise ValueError("scan grid must be a non-empty 1-D array")
-        if not np.all(np.isfinite(scan)):
-            raise ValueError("scan grid contains non-finite offsets")
-        if scan.size > 1 and not np.all(np.diff(scan) > 0):
-            raise ValueError("scan grid must be strictly increasing")
-        scan = scan.copy()
-        scan.flags.writeable = False
-        object.__setattr__(self, "scan", scan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,19 +121,20 @@ class CorrelationCurve:
 # ---------------------------------------------------------------------------
 
 
-def _phase_table(positions, detectors: DetectorArray) -> np.ndarray:
+def _phase_table(positions, scan: np.ndarray, fixed_deltas: Sequence[float]) -> np.ndarray:
     """Terms exp(i p (delta_k - delta_j)) of J for each source position p.
 
-    Shape (P, s, m, m) over the P positions and the s scan samples.  Every
-    geometry whose positions are among them gathers its rows from here.
+    The detectors are one scanned over `scan` and one parked at each of
+    `fixed_deltas`, so m = len(fixed_deltas) + 1.  Shape (P, s, m, m) over
+    the P positions and the s scan samples.  Every geometry whose positions
+    are among them gathers its rows from here.
     """
-    if detectors.m > MAX_PERMANENT_ORDER:
-        raise MatrixSizeError(
-            f"order {detectors.m} exceeds permanent cap {MAX_PERMANENT_ORDER}"
-        )
-    deltas = np.empty((detectors.scan.size, detectors.m))
-    deltas[:, 0] = detectors.scan
-    deltas[:, 1:] = detectors.fixed_deltas
+    m = len(fixed_deltas) + 1
+    if m > MAX_PERMANENT_ORDER:
+        raise MatrixSizeError(f"order {m} exceeds permanent cap {MAX_PERMANENT_ORDER}")
+    deltas = np.empty((scan.size, m))
+    deltas[:, 0] = scan
+    deltas[:, 1:] = fixed_deltas
     diff = deltas[:, None, :] - deltas[:, :, None]  # (s, m, m)
     alpha = np.asarray(positions, dtype=float)
     return np.exp(1j * alpha[:, None, None, None] * diff[None])
@@ -229,17 +187,31 @@ def _normalized(perms: np.ndarray, n_sources: int, m: int) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
-def g_m_analytic(geometry: SourceGeometry, detectors: DetectorArray) -> CorrelationCurve:
-    """Exact normalized correlation curve over the detector scan grid.
+def g_m_analytic(
+    geometry: SourceGeometry, scan: np.ndarray, fixed_deltas: Sequence[float]
+) -> CorrelationCurve:
+    """Exact normalized correlation curve over the scanned detector's offsets.
 
-    Evaluates perm(J)/prod(diag J) for every scan sample, batching the
-    Gray-code walk across the grid.  Values are real up to roundoff; the
-    imaginary residue is checked and discarded.
+    Offsets are the dimensionless phase variable delta = 2*pi*d*sin(theta)
+    / lambda, so a full period of the lattice is [0, 2*pi).  One detector
+    visits the strictly increasing offsets `scan` while one sits at each of
+    `fixed_deltas`, so the order is m = len(fixed_deltas) + 1.  Evaluates
+    perm(J)/prod(diag J) for every scan sample, batching the Gray-code walk
+    across the grid.  Values are real up to roundoff; the imaginary residue
+    is checked and discarded.
     """
-    table = _phase_table(phase_prefactors(geometry), detectors)
+    scan = np.asarray(scan, dtype=float)
+    if scan.ndim != 1 or scan.size == 0:
+        raise ValueError("scan grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(scan)):
+        raise ValueError("scan grid contains non-finite offsets")
+    if scan.size > 1 and not np.all(np.diff(scan) > 0):
+        raise ValueError("scan grid must be strictly increasing")
+    m = len(fixed_deltas) + 1
+    table = _phase_table(phase_prefactors(geometry), scan, fixed_deltas)
     mats = _coherence_stack(table, np.arange(geometry.n_sources)[None])[0]
-    values = _normalized(_ryser_batch(mats), geometry.n_sources, detectors.m)
-    return CorrelationCurve(m=detectors.m, delta1=detectors.scan, values=values)
+    values = _normalized(_ryser_batch(mats), geometry.n_sources, m)
+    return CorrelationCurve(m=m, delta1=scan, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +344,7 @@ def predicted_spectrum(
     for (span, n), members in groups.items():
         if span not in tables:
             scan = np.linspace(0.0, period, _scan_samples(span, m), endpoint=False)
-            tables[span] = _phase_table(range(span + 1), DetectorArray(m, fixed, scan))
+            tables[span] = _phase_table(range(span + 1), scan, fixed)
         table = tables[span]
         samples = table.shape[1]
         # a frequency off the comb or past the span reads some bin and is masked out below
@@ -411,6 +383,6 @@ def regular_array_reference(n_sources: int, m: int) -> np.ndarray:
     geometry = SourceGeometry((1,) * (n_sources - 1))
     samples = max(4 * (geometry.span + 1), 8)  # no filter: the whole period
     scan = np.linspace(0, 2 * math.pi, samples, endpoint=False)
-    curve = g_m_analytic(geometry, DetectorArray(m, (0.0,) * (m - 1), scan))
+    curve = g_m_analytic(geometry, scan, (0.0,) * (m - 1))
     coeff = np.fft.rfft(curve.values) / samples
     return 2.0 * np.abs(coeff[1:n_sources])

@@ -65,8 +65,8 @@ def _parsing(path: str | Path, what: str) -> Iterator[None]:
     except FormatError:
         raise
     # numpy's .npy header parser raises TokenError for some damaged headers
-    except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, OverflowError,
-            RecursionError, csv.Error, struct.error, tokenize.TokenError) as exc:
+    except (OSError, EOFError, AttributeError, KeyError, IndexError, TypeError, ValueError,
+            OverflowError, RecursionError, csv.Error, struct.error, tokenize.TokenError) as exc:
         raise FormatError(f"{path}: {what}: {exc!r}") from exc
 
 

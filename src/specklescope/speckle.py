@@ -24,7 +24,6 @@ from .errors import DegeneratePixelError, GridCoverageError, OrderError
 from .geometry import SourceGeometry, phase_prefactors
 
 __all__ = [
-    "SpeckleRun",
     "FrameStream",
     "uniform_grid",
     "sample_frames",
@@ -38,65 +37,11 @@ _CHUNK_FRAMES = 512
 _MAX_BLOCKS = 256
 
 
-def uniform_grid(pixels: int, lo: float = 0.0, hi: float = 2.0 * math.pi) -> np.ndarray:
-    """Uniform camera grid of the given size over [lo, hi), endpoint excluded."""
+def uniform_grid(pixels: int) -> np.ndarray:
+    """Uniform camera grid of the given size over [0, 2*pi), endpoint excluded."""
     if pixels < 1:
         raise ValueError(f"need at least one pixel, got {pixels}")
-    return np.linspace(lo, hi, pixels, endpoint=False)
-
-
-@dataclass(frozen=True, eq=False)
-class SpeckleRun:
-    """Immutable description of one simulated acquisition.
-
-    Parameters
-    ----------
-    geometry : SourceGeometry
-        Source array being imaged.
-    frames : int
-        Number of independent speckle frames R.
-    seed : int
-        Philox key; together with the frame index it pins every frame.
-    delta_axis : ndarray
-        Strictly increasing detector offsets of the camera pixels.
-    weights : tuple of float, optional
-        Relative source intensities; equal if omitted.
-    quantization_bits : int, optional
-        If set, frames are quantized to this ADC depth after sampling.
-    """
-
-    geometry: SourceGeometry
-    frames: int
-    seed: int
-    delta_axis: np.ndarray
-    weights: tuple[float, ...] | None = None
-    quantization_bits: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.frames < 1:
-            raise ValueError(f"need at least one frame, got {self.frames}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        axis = np.asarray(self.delta_axis, dtype=float)
-        if axis.ndim != 1 or axis.size == 0:
-            raise ValueError("delta_axis must be a non-empty 1-D array")
-        if axis.size > 1 and not np.all(np.diff(axis) > 0):
-            raise ValueError("delta_axis must be strictly increasing")
-        axis = axis.copy()
-        axis.flags.writeable = False
-        object.__setattr__(self, "delta_axis", axis)
-        if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
-            if len(w) != self.geometry.n_sources:
-                raise ValueError(
-                    f"need {self.geometry.n_sources} weights, got {len(w)}"
-                )
-            if any(not math.isfinite(v) or v <= 0 for v in w):
-                raise ValueError("weights must be finite and positive")
-            object.__setattr__(self, "weights", w)
-        bits = self.quantization_bits
-        if bits is not None and not 1 <= bits <= 16:
-            raise ValueError(f"quantization bits must be in 1..16, got {bits}")
+    return np.linspace(0.0, 2.0 * math.pi, pixels, endpoint=False)
 
 
 def _check_samples(inten: np.ndarray) -> None:
@@ -128,23 +73,21 @@ class FrameStream:
         return int(self.delta_axis.size)
 
 
-def _draw_amplitudes(run: SpeckleRun, chunks: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
-    """Complex source amplitudes of each (start, stop) chunk, one row per frame.
+def _draw_amplitudes(stream: FrameStream, scale: np.ndarray) -> Iterator[np.ndarray]:
+    """Complex source amplitudes of each sampling chunk, one row per frame.
 
-    Frame r draws from the Philox stream keyed by run.seed at counter
+    Frame r draws from the Philox stream keyed by stream.seed at counter
     r << 192.  One bit generator serves every chunk, its counter reset per
     frame through a state of plain ints (numpy words cost a conversion each).
     """
-    n = run.geometry.n_sources
-    scale = np.sqrt((np.ones(n) if run.weights is None else np.asarray(run.weights)) / 2.0)
-    bitgen = np.random.Philox(key=run.seed)
+    bitgen = np.random.Philox(key=stream.seed)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     state["state"] = {word: v.tolist() for word, v in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()
     counter = state["state"]["counter"]
-    for start, stop in chunks:
-        xi = np.empty((stop - start, n, 2))
+    for start, stop in _frame_chunks(stream.n_frames):
+        xi = np.empty((stop - start, stream.n_sources, 2))
         for i, frame in enumerate(range(start, stop)):
             counter[3] = frame
             bitgen.state = state
@@ -164,11 +107,11 @@ def _frame_chunks(n_frames: int) -> Iterator[tuple[int, int]]:
     return zip(starts, starts[1:] + [n_frames])
 
 
-def _drawn_chunks(run: SpeckleRun) -> Iterator[np.ndarray]:
+def _drawn_chunks(
+    stream: FrameStream, field_matrix: np.ndarray, scale: np.ndarray
+) -> Iterator[np.ndarray]:
     """Unquantized intensities of each sampling chunk, in frame order."""
-    alpha = np.asarray(phase_prefactors(run.geometry), dtype=float)
-    field_matrix = np.exp(1j * alpha[:, None] * run.delta_axis[None, :])  # (n, P)
-    for amplitudes in _draw_amplitudes(run, _frame_chunks(run.frames)):
+    for amplitudes in _draw_amplitudes(stream, scale):
         fields = amplitudes @ field_matrix
         rows = np.square(fields.real)
         rows += np.square(fields.imag, out=fields.imag)
@@ -177,12 +120,15 @@ def _drawn_chunks(run: SpeckleRun) -> Iterator[np.ndarray]:
         del rows  # nor the chunk while the next is drawn
 
 
-def _quantized_chunks(run: SpeckleRun, stream: FrameStream) -> Iterator[np.ndarray]:
+def _quantized_chunks(
+    stream: FrameStream, field_matrix: np.ndarray, scale: np.ndarray
+) -> Iterator[np.ndarray]:
     # the ADC gain maps the acquisition's maximum to the top level, so a
-    # first pass finds that maximum and the second draws the same frames again
-    top = float(max(map(np.max, _drawn_chunks(run))))  # map holds no chunk while drawing
-    level = float(2**run.quantization_bits - 1)
-    for rows in _drawn_chunks(run):
+    # first pass finds that maximum and the second draws the same frames again;
+    # map holds no chunk while drawing
+    top = float(max(map(np.max, _drawn_chunks(stream, field_matrix, scale))))
+    level = float(2**stream.bits - 1)
+    for rows in _drawn_chunks(stream, field_matrix, scale):
         if top:
             rows *= level / top
             np.rint(rows, out=rows)
@@ -193,24 +139,57 @@ def _quantized_chunks(run: SpeckleRun, stream: FrameStream) -> Iterator[np.ndarr
         del rows
 
 
-def sample_frames(run: SpeckleRun) -> FrameStream:
-    """The acquisition described by `run`, drawn chunk by chunk as it is read.
+def sample_frames(
+    geometry: SourceGeometry,
+    frames: int,
+    seed: int,
+    delta_axis: np.ndarray,
+    weights: Sequence[float] | None = None,
+    bits: int | None = None,
+) -> FrameStream:
+    """One simulated acquisition, drawn chunk by chunk as it is read.
+
+    `frames` independent speckle frames of `geometry` over the strictly
+    increasing camera offsets `delta_axis`.  The Philox key `seed`, in
+    [0, 2**128), together with the frame index pins every frame.  `weights`
+    are the relative source intensities (equal if omitted), and `bits`, if
+    set, the ADC depth the frames are quantized to.  The arguments are
+    checked here, so a bad one is a ValueError before any frame is drawn.
 
     Each chunk draws its frames' source amplitudes, propagates them to the
-    camera grid and squares them, and is quantized if the run requests it.
-    A quantized run draws every frame twice: once to find the maximum that
-    sets the gain, and once to quantize and hand on.
+    camera grid and squares them, and is quantized if `bits` is set.  A
+    quantized acquisition draws every frame twice: once to find the
+    maximum that sets the gain, and once to quantize and hand on.
     """
+    if frames < 1:
+        raise ValueError(f"need at least one frame, got {frames}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    axis = np.array(delta_axis, dtype=float)
+    if axis.ndim != 1 or axis.size == 0:
+        raise ValueError("delta_axis must be a non-empty 1-D array")
+    if axis.size > 1 and not np.all(np.diff(axis) > 0):
+        raise ValueError("delta_axis must be strictly increasing")
+    axis.flags.writeable = False
+    n = geometry.n_sources
+    if weights is None:
+        weights = (1.0,) * n
+    weights = tuple(float(v) for v in weights)
+    if len(weights) != n:
+        raise ValueError(f"need {n} weights, got {len(weights)}")
+    if any(not math.isfinite(v) or v <= 0 for v in weights):
+        raise ValueError("weights must be finite and positive")
+    if bits is not None and not 1 <= bits <= 16:
+        raise ValueError(f"quantization bits must be in 1..16, got {bits}")
+
     stream = FrameStream(
-        chunks=(),
-        n_frames=run.frames,
-        delta_axis=run.delta_axis,
-        n_sources=run.geometry.n_sources,
-        seed=run.seed,
-        bits=run.quantization_bits,
+        chunks=(), n_frames=frames, delta_axis=axis, n_sources=n, seed=seed, bits=bits
     )
-    quantized = run.quantization_bits is not None
-    stream.chunks = _quantized_chunks(run, stream) if quantized else _drawn_chunks(run)
+    alpha = np.asarray(phase_prefactors(geometry), dtype=float)
+    field_matrix = np.exp(1j * alpha[:, None] * axis[None, :])  # (n, P)
+    scale = np.sqrt(np.asarray(weights) / 2.0)
+    chunks = _drawn_chunks if bits is None else _quantized_chunks
+    stream.chunks = chunks(stream, field_matrix, scale)
     return stream
 
 
@@ -227,8 +206,6 @@ def nearest_magic_pixels(
     axis = np.asarray(delta_axis, dtype=float)
     if axis.ndim != 1 or axis.size == 0:
         raise ValueError("delta_axis must be a non-empty 1-D array")
-    if m < 2:
-        raise OrderError(f"correlation order must be at least 2, got {m}")
     targets = magic_positions(m)
     if axis.size > 1:
         pitch_lo = axis[1] - axis[0]

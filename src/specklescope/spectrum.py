@@ -23,7 +23,6 @@ from .errors import FitError
 from .records import EvidenceRow, EvidenceTable
 
 __all__ = [
-    "MIN_AMPLITUDE_FRACTION",
     "fit_fixed",
     "gate",
     "aggregate",
@@ -32,7 +31,7 @@ __all__ = [
 # Harmonics below this fraction of max(1, offset) are machine noise on a
 # noiseless curve and are never reported by the fit; keeping them out
 # here lets the gate stay purely significance-based.
-MIN_AMPLITUDE_FRACTION = 1e-9
+_MIN_AMPLITUDE_FRACTION = 1e-9
 
 # Fewest bootstrap replica rows whose spread is taken as an error; a curve
 # with fewer is priced by the fit covariance instead.
@@ -117,18 +116,6 @@ def _covariance_errors(
     return math.sqrt(max(float(cov[0, 0]), 0.0)), *map(np.array, out)
 
 
-def _phase_table(delta: np.ndarray, f_grid: np.ndarray) -> np.ndarray:
-    """exp(-i f delta) for every grid frequency (rows) and sample (columns)."""
-    return np.exp(-1j * f_grid[:, None] * delta[None, :])
-
-
-def _periodogram(phases: np.ndarray, resid: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted rectangular-window amplitude estimates on a frequency grid."""
-    weights = w**2
-    wsum = weights.sum()
-    return 2.0 * np.abs(phases @ (weights * resid)) / wsum
-
-
 def _off_comb_peak(delta: np.ndarray, resid: np.ndarray, w: np.ndarray, fundamental: int) -> float:
     """Largest residual periodogram amplitude at least 1/2 from every comb frequency.
 
@@ -142,7 +129,10 @@ def _off_comb_peak(delta: np.ndarray, resid: np.ndarray, w: np.ndarray, fundamen
     f_grid = f_grid[np.abs(f_grid - fundamental * np.round(f_grid / fundamental)) >= 0.5]
     if f_grid.size == 0:
         return 0.0
-    return float(np.max(_periodogram(_phase_table(delta, f_grid), resid, w)))
+    # weighted rectangular-window amplitude estimates on the grid
+    phases = np.exp(-1j * f_grid[:, None] * delta[None, :])
+    weights = w**2
+    return float(np.max(2.0 * np.abs(phases @ (weights * resid)) / weights.sum()))
 
 
 def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectrum:
@@ -191,7 +181,7 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectr
     else:
         sigma_a0, sigma_amp, sigma_c, sigma_q = _replica_errors(coefs[:, 1:])
 
-    floor = MIN_AMPLITUDE_FRACTION * max(1.0, a0)
+    floor = _MIN_AMPLITUDE_FRACTION * max(1.0, a0)
     try:
         harmonics = [
             Harmonic(

@@ -11,11 +11,9 @@ import pytest
 import specklescope
 from specklescope import (
     CorrelationCurve,
-    DetectorArray,
     EvidenceRow,
     EvidenceTable,
     SourceGeometry,
-    SpeckleRun,
     distinct_frequencies,
     g_m_analytic,
     magic_positions,
@@ -45,19 +43,12 @@ def save_frames(frames, path):
             pass
 
 
-def held_stack(run):
-    """The acquisition of `run` as a stream of one held chunk; the program only streams it.
+def held_stack(frames):
+    """The stream `frames` as a stream of one held chunk; the program only streams it.
 
     A tuple of chunks can be read again, so the stream serves several estimates.
     """
-    frames = sample_frames(run)
     return replace(frames, chunks=(held_frames(frames),))
-
-
-def magic_scan(m, samples):
-    """Fixed detectors at the magic offsets, uniform scan over [0, 2*pi)."""
-    scan = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    return DetectorArray(m, magic_positions(m), scan)
 
 
 def magic_curve(x, m, samples=None):
@@ -65,7 +56,8 @@ def magic_curve(x, m, samples=None):
     geometry = SourceGeometry(tuple(x))
     if samples is None:
         samples = max(8 * (geometry.span + 1), 64)
-    return g_m_analytic(geometry, magic_scan(m, samples))
+    scan = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    return g_m_analytic(geometry, scan, magic_positions(m))
 
 
 def noisy_curve(x, m, sigma, rows, seed=0):
@@ -108,10 +100,4 @@ def evidence_table(present, absent=(), orders_measured=()):
 @pytest.fixture(scope="session")
 def two_gap_stack():
     """3000 frames of x=(1,3) on a 120-pixel grid, shared across tests."""
-    run = SpeckleRun(
-        geometry=SourceGeometry((1, 3)),
-        frames=3000,
-        seed=7,
-        delta_axis=uniform_grid(120),
-    )
-    return held_stack(run)
+    return held_stack(sample_frames(SourceGeometry((1, 3)), 3000, 7, uniform_grid(120)))

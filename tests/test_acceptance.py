@@ -17,10 +17,8 @@ import numpy as np
 from conftest import evidence_for, evidence_table, magic_curve
 from search_oracle import oracle_search
 from specklescope import (
-    DetectorArray,
     SearchBounds,
     SourceGeometry,
-    SpeckleRun,
     aggregate,
     aperture_report,
     disambiguate,
@@ -129,19 +127,13 @@ def test_2_permanent_engine():
 def test_3_monte_carlo_tracks_analytic():
     started = time.time()
     geometry = SourceGeometry((3, 1, 4))
-    run = SpeckleRun(
-        geometry=geometry,
-        frames=100_000,
-        seed=1,
-        delta_axis=uniform_grid(120),
-    )
-    axis = run.delta_axis
+    axis = uniform_grid(120)
     pixel_sets = [nearest_magic_pixels(axis, m)[0] for m in (2, 3, 4)]
-    curves = estimate_g_m(sample_frames(run), pixel_sets)
+    curves = estimate_g_m(sample_frames(geometry, 100_000, 1, axis), pixel_sets)
     coverages = {}
     for fixed, estimated in zip(pixel_sets, curves):
         m = estimated.m
-        reference = g_m_analytic(geometry, DetectorArray(m, tuple(axis[list(fixed)]), axis))
+        reference = g_m_analytic(geometry, axis, tuple(axis[list(fixed)]))
         within = np.abs(estimated.values - reference.values) <= 3.0 * estimated.sigma
         coverages[m] = float(np.mean(within))
     elapsed = time.time() - started
@@ -183,14 +175,9 @@ def test_5_sparse_evidence_disambiguation():
     for truth_x in ((1, 3, 5), (1, 3, 1, 4)):
         truth = SourceGeometry(truth_x)
         for trial in range(10):
-            run = SpeckleRun(
-                geometry=truth,
-                frames=100_000,
-                seed=1000 + trial,
-                delta_axis=uniform_grid(120),
-            )
-            fixed, _ = nearest_magic_pixels(run.delta_axis, 5)
-            spectrum = fit_fixed(estimate_g_m(sample_frames(run), (fixed,))[0], span_bound=9)
+            frames = sample_frames(truth, 100_000, 1000 + trial, uniform_grid(120))
+            fixed, _ = nearest_magic_pixels(frames.delta_axis, 5)
+            spectrum = fit_fixed(estimate_g_m(frames, (fixed,))[0], span_bound=9)
             scored = disambiguate(candidates, [spectrum])
             trials += 1
             wins += scored.candidates[0].geometry.x == truth_x
@@ -209,11 +196,9 @@ def test_6_gated_lines_match_theory_at_low_frames():
     orders = (3, 4, 5, 6)
     for x in ((1, 3), (1, 3, 2), (2, 1, 3)):
         geometry = SourceGeometry(x)
-        run = SpeckleRun(
-            geometry=geometry, frames=1000, seed=1, delta_axis=uniform_grid(240)
-        )
-        pixel_sets = [nearest_magic_pixels(run.delta_axis, m)[0] for m in orders]
-        curves = estimate_g_m(sample_frames(run), pixel_sets)
+        frames = sample_frames(geometry, 1000, 1, uniform_grid(240))
+        pixel_sets = [nearest_magic_pixels(frames.delta_axis, m)[0] for m in orders]
+        curves = estimate_g_m(frames, pixel_sets)
         fits, gated = gated_comb_fits(curves)
         for m, raw, kept in zip(orders, fits, gated):
             got = tuple(int(f) for f in kept.frequencies)

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 import shutil
 import subprocess
 import sys
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import evidence_table, fresh_interpreter_env, magic_curve
-from specklescope import cli, estimate_g_m, nearest_magic_pixels, uniform_grid
+from specklescope import cli, estimate_g_m, nearest_magic_pixels
 from specklescope.cli import main
 from specklescope.serialize import (
     evidence_to_dict, read_curve_csv, read_frames, read_replicas, write_curve_csv, write_json,
@@ -404,7 +403,7 @@ def test_config_errors_exit_2(tmp_path):
     for text in ("frames = 0", "pixels = 0", "seed = -1", "orders = []", "orders = [3, 3]",
                  "weights = [1.0, 2.0]", "weights = [1.0, 0.0, 1.0, 1.0]",
                  "weights = [1.0, -2.0, 1.0, 1.0]", "weights = [1.0, 1e999, 1.0, 1.0]",
-                 "bits = 0", "bits = 20"):
+                 "bits = 0", "bits = 20", f"seed = {2**128}"):
         bad.write_text(f"[simulate]\n{text}\n")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, text
     assert not (tmp_path / "o").exists()
@@ -427,7 +426,7 @@ def test_config_errors_exit_2(tmp_path):
 
 def test_order_2_is_refused_before_any_frame_is_drawn(tmp_path, monkeypatch, capsys):
     # no magic placement gives order 2 a comb the fit can resolve
-    def draw(run):
+    def draw(*args):
         raise AssertionError("a frame was drawn")
 
     monkeypatch.setattr(cli, "sample_frames", draw)
@@ -475,17 +474,17 @@ def test_unwritable_output_paths_exit_2_and_name_the_path(tmp_path):
     assert regular.read_text() == "" and not any(directory.iterdir())
 
 
-def test_estimator_errors_exit_2(tmp_path, monkeypatch, capsys):
+def test_estimator_errors_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     # one-bit counts of two frames leave pixels that never light up
     cfg.write_text("[geometry]\nx = [1, 3]\n\n[simulate]\nframes = 2\nbits = 1\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "dead")]) == 2
     assert "zero mean intensity" in capsys.readouterr().err
-    # a grid over half the period cannot hold the order-3 magic offset at pi
-    monkeypatch.setattr(cli, "uniform_grid", lambda pixels: uniform_grid(pixels, hi=math.pi))
-    assert main(["simulate", "--frames", "10", "--orders", "3",
-                 "--out", str(tmp_path / "half")]) == 2
+    # a grid of two pixels, at 0 and pi, cannot hold the order-6 magic offset at 8pi/5
+    cfg.write_text("[simulate]\nframes = 10\npixels = 2\norders = [6]\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "half")]) == 2
     assert "outside the grid" in capsys.readouterr().err
+    assert not (tmp_path / "half").exists()
     # a failed simulate archives no frames
     assert not (tmp_path / "dead" / "frames.sstk").exists()
     assert not (tmp_path / "half" / "frames.sstk").exists()
@@ -546,6 +545,16 @@ def _drop_evidence(report):
     return report
 
 
+def _outputs_as_list(manifest):
+    manifest["outputs"] = []
+    return manifest
+
+
+def _chi2_as_list(report):
+    report["candidates"][0]["chi2_by_order"] = []
+    return report
+
+
 def _json_edit(edit):
     return lambda blob: json.dumps(edit(json.loads(blob))).encode()
 
@@ -563,6 +572,8 @@ MALFORMED_ARTIFACTS = {
     "spectra-old-lines": ("spectra.json", "reconstruct", _json_edit(_old_line_keys)),
     "report-without-evidence": ("reconstruction.json", "report", _json_edit(_drop_evidence)),
     "manifest-as-list": ("manifest.json", "report", _json_edit(list)),
+    "manifest-outputs-as-list": ("manifest.json", "analyze", _json_edit(_outputs_as_list)),
+    "report-chi2-as-list": ("reconstruction.json", "report", _json_edit(_chi2_as_list)),
 }
 
 

@@ -7,10 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import magic_scan
+from conftest import magic_curve
 from specklescope import (
     CorrelationCurve,
-    DetectorArray,
     GeometryError,
     Harmonic,
     MatrixSizeError,
@@ -169,17 +168,16 @@ def test_two_source_second_order_closed_form():
     # one fixed detector at zero, equal weights:
     # g2(d) = 1 + |1 + exp(i x d)|^2 / 4 = 1.5 + 0.5 cos(x d)
     x = 3
-    detectors = DetectorArray(2, (0.0,), np.linspace(0, 2 * math.pi, 97, endpoint=False))
-    curve = g_m_analytic(SourceGeometry((x,)), detectors)
-    np.testing.assert_allclose(curve.values, 1.5 + 0.5 * np.cos(x * detectors.scan), atol=1e-12)
+    scan = np.linspace(0, 2 * math.pi, 97, endpoint=False)
+    curve = g_m_analytic(SourceGeometry((x,)), scan, (0.0,))
+    np.testing.assert_allclose(curve.values, 1.5 + 0.5 * np.cos(x * scan), atol=1e-12)
 
 
 def test_curve_matches_single_point_permanent_ratio():
+    curve = magic_curve((1, 3), 4, samples=32)
     g = SourceGeometry((1, 3))
-    detectors = magic_scan(4, 32)
-    curve = g_m_analytic(g, detectors)
     for idx in (0, 7, 19):
-        deltas = np.array([detectors.scan[idx], *detectors.fixed_deltas])
+        deltas = np.array([curve.delta1[idx], *magic_positions(4)])
         j = coherence_matrix(g, deltas)
         ref = _ryser_batch(j[None])[0].real / np.prod(np.diag(j)).real
         assert curve.values[idx] == pytest.approx(ref, abs=1e-10)
@@ -188,9 +186,9 @@ def test_curve_matches_single_point_permanent_ratio():
 def test_coincident_fixed_detectors_duplicate_matrix_rows():
     g = SourceGeometry((2, 1))
     c = 1.1
-    detectors = DetectorArray(3, (c, c), np.array([0.0, 0.4, 2.2]))
-    curve = g_m_analytic(g, detectors)
-    for i, d1 in enumerate(detectors.scan):
+    scan = np.array([0.0, 0.4, 2.2])
+    curve = g_m_analytic(g, scan, (c, c))
+    for i, d1 in enumerate(scan):
         j = coherence_matrix(g, np.array([d1, c, c]))
         np.testing.assert_allclose(j[1], j[2])
         ref = _ryser_batch(j[None])[0].real / np.prod(np.diag(j)).real
@@ -200,14 +198,13 @@ def test_coincident_fixed_detectors_duplicate_matrix_rows():
 def test_curves_are_non_negative():
     for x in [(1,), (2, 2), (3, 1, 4)]:
         for m in (2, 3, 5):
-            curve = g_m_analytic(SourceGeometry(x), magic_scan(m, 64))
+            curve = magic_curve(x, m, samples=64)
             assert np.all(curve.values >= 0.0)
 
 
 def test_analytic_order_cap():
-    detectors = DetectorArray(13, (0.0,) * 12, np.array([0.0]))
     with pytest.raises(MatrixSizeError):
-        g_m_analytic(SourceGeometry((1,)), detectors)
+        g_m_analytic(SourceGeometry((1,)), np.array([0.0]), (0.0,) * 12)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +218,7 @@ FREQS = tuple(range(1, 20))
 
 def rfft_contrasts(geometry, m, freqs):
     """A_f/A0 read off the DFT of the analytic curve, on a grid of its own."""
-    curve = g_m_analytic(geometry, magic_scan(m, 8 * (geometry.span + 1)))
+    curve = magic_curve(geometry.x, m, samples=8 * (geometry.span + 1))
     coeff = np.fft.rfft(curve.values)
     return np.array([2.0 * abs(coeff[f]) / coeff[0].real for f in freqs])
 
@@ -291,7 +288,7 @@ def test_spectrum_keeps_only_surviving_lines():
 
 def test_single_source_spectrum_is_flat():
     assert not predicted_spectrum((SourceGeometry(()),), 4, FREQS).any()
-    curve = g_m_analytic(SourceGeometry(()), magic_scan(4, 16))
+    curve = magic_curve((), 4, samples=16)
     np.testing.assert_allclose(curve.values, math.factorial(4), rtol=1e-9)
 
 
@@ -356,13 +353,15 @@ def test_curve_replica_shape_checks():
     assert not curve.replicas.flags.writeable
 
 
-def test_detector_array_validation():
-    with pytest.raises(ValueError):
-        DetectorArray(3, (0.0,), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        DetectorArray(3, (0.0, 1.0), np.array([1.0, 0.5]))
+def test_analytic_curve_validation():
+    g = SourceGeometry((1, 3))
+    for scan in (np.array([1.0, 0.5]), np.array([0.0, np.nan]), np.zeros((2, 2)), np.array([])):
+        with pytest.raises(ValueError):
+            g_m_analytic(g, scan, (0.0, 1.0))
     with pytest.raises(OrderError):
-        magic_scan(1, 16)
-    arr = magic_scan(4, 16)
-    assert arr.fixed_deltas == magic_positions(4)
-    assert arr.scan.size == 16
+        magic_curve((1, 3), 1, samples=16)
+    with pytest.raises(OrderError):
+        g_m_analytic(g, np.array([0.0, 1.0]), ())
+    # the order is one more than the fixed detectors
+    curve = magic_curve((1, 3), 4, samples=16)
+    assert curve.m == 4 and len(curve) == 16

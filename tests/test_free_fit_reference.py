@@ -1,11 +1,12 @@
-"""The comb fit's residual periodogram against one that builds its own table.
+"""The comb fit's leakage against a residual periodogram built here.
 
 fit_fixed checks its model with the periodogram of the fit residual away
-from the comb, on a phase table it builds once per fit.  The reference
-below builds the table inside every periodogram call; both routes must
-give the same bits, not merely close numbers.
+from the comb.  The reference below builds the frequency grid and the
+phase table itself; both routes must give the same bits, not merely close
+numbers.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from conftest import magic_curve
 from specklescope import (
     CorrelationCurve,
     SourceGeometry,
-    SpeckleRun,
     estimate_g_m,
     fit_fixed,
     nearest_magic_pixels,
@@ -25,19 +25,24 @@ from specklescope import (
 from specklescope import spectrum as spectrum_module
 
 
-def reference_periodogram(delta, resid, w, f_grid):
-    """Weighted rectangular-window amplitudes, building the phase table each call."""
+def reference_peak(delta, resid, w, fundamental):
+    """Largest weighted rectangular-window amplitude at least 1/2 off the comb."""
+    pitch = float(np.median(np.diff(delta)))
+    df = 2.0 * math.pi / (4 * float(delta[-1] - delta[0]))
+    f_grid = np.arange(0.5, math.pi / pitch, df)
+    f_grid = f_grid[np.abs(f_grid - fundamental * np.round(f_grid / fundamental)) >= 0.5]
+    if f_grid.size == 0:
+        return 0.0
     weights = w**2
     wsum = weights.sum()
     phases = np.exp(-1j * f_grid[:, None] * delta[None, :])
-    return 2.0 * np.abs(phases @ (weights * resid)) / wsum
+    return float(np.max(2.0 * np.abs(phases @ (weights * resid)) / wsum))
 
 
 def bootstrapped_curves():
-    run = SpeckleRun(geometry=SourceGeometry((3, 1, 4)), frames=1000, seed=1,
-                     delta_axis=uniform_grid(120))
-    pixel_sets = [nearest_magic_pixels(run.delta_axis, m)[0] for m in (3, 4, 5, 6)]
-    return {curve.m: curve for curve in estimate_g_m(sample_frames(run), pixel_sets)}
+    frames = sample_frames(SourceGeometry((3, 1, 4)), 1000, 1, uniform_grid(120))
+    pixel_sets = [nearest_magic_pixels(frames.delta_axis, m)[0] for m in (3, 4, 5, 6)]
+    return {curve.m: curve for curve in estimate_g_m(frames, pixel_sets)}
 
 
 @pytest.fixture(scope="module")
@@ -51,27 +56,19 @@ def curves():
     return out
 
 
-def test_periodogram_on_the_shared_table_equals_the_per_call_table(curves, monkeypatch):
-    grids = []
-    build_table = spectrum_module._phase_table
-    periodogram = spectrum_module._periodogram
+def test_leakage_is_the_reference_off_comb_peak(curves, monkeypatch):
+    peak = spectrum_module._off_comb_peak
     compared = []
 
-    def record_table(delta, f_grid):
-        grids.append((delta, f_grid))
-        return build_table(delta, f_grid)
+    def checked_peak(delta, resid, w, fundamental):
+        leakage = peak(delta, resid, w, fundamental)
+        assert leakage == reference_peak(delta, resid, w, fundamental)
+        compared.append(leakage)
+        return leakage
 
-    def checked_periodogram(phases, resid, w):
-        amps = periodogram(phases, resid, w)
-        delta, f_grid = grids[-1]
-        assert np.array_equal(amps, reference_periodogram(delta, resid, w, f_grid))
-        compared.append(f_grid.size)
-        return amps
-
-    monkeypatch.setattr(spectrum_module, "_phase_table", record_table)
-    monkeypatch.setattr(spectrum_module, "_periodogram", checked_periodogram)
+    monkeypatch.setattr(spectrum_module, "_off_comb_peak", checked_peak)
     for curve in curves.values():
         calls = len(compared)
-        fit_fixed(curve)
-        assert len(compared) > calls
-    assert len(grids) == len(curves)  # one table per fit
+        leakage = fit_fixed(curve).leakage
+        assert len(compared) == calls + 1  # one periodogram per fit
+        assert leakage == compared[-1]

@@ -18,7 +18,6 @@ from specklescope import (
     Harmonic,
     ModulationSpectrum,
     SourceGeometry,
-    SpeckleRun,
     aperture_report,
     estimate_g_m,
     nearest_magic_pixels,
@@ -45,13 +44,7 @@ from specklescope.serialize import (
 
 @pytest.fixture
 def stack():
-    run = SpeckleRun(
-        geometry=SourceGeometry((2,)),
-        frames=32,
-        seed=9,
-        delta_axis=uniform_grid(16),
-    )
-    return held_stack(run)
+    return held_stack(sample_frames(SourceGeometry((2,)), 32, 9, uniform_grid(16)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +242,20 @@ def test_frames_round_trip(tmp_path, stack):
 
 
 def test_frames_round_trip_keeps_bits(tmp_path):
-    run = SpeckleRun(geometry=SourceGeometry((2,)), frames=32, seed=9,
-                     delta_axis=uniform_grid(16), quantization_bits=8)
+    def sampled():
+        return sample_frames(SourceGeometry((2,)), 32, 9, uniform_grid(16), bits=8)
+
     path = tmp_path / "frames.sstk"
-    save_frames(sample_frames(run), path)
+    save_frames(sampled(), path)
     back = read_frames(path)
     assert back.bits == 8
-    assert held_frames(back).tobytes() == held_frames(sample_frames(run)).tobytes()
+    assert held_frames(back).tobytes() == held_frames(sampled()).tobytes()
 
 
 def test_frames_reader_streams_the_sampler_chunks(tmp_path):
     # a one-frame tail joins the chunk before, as the sampler draws it
-    run = SpeckleRun(geometry=SourceGeometry((2,)), frames=1025, seed=9,
-                     delta_axis=uniform_grid(16))
     path = tmp_path / "frames.sstk"
-    save_frames(sample_frames(run), path)
+    save_frames(sample_frames(SourceGeometry((2,)), 1025, 9, uniform_grid(16)), path)
     back = read_frames(path)
     assert [len(rows) for rows in back.chunks] == [512, 513]
     assert list(back.chunks) == []  # a file-backed stream is read once
@@ -277,10 +269,9 @@ def test_frame_file_bytes_are_pinned(tmp_path, weights, bits, digest):
     # two chunks, the second with the one-frame tail folded in; a change to
     # the amplitude draw, the propagation or the file layout moves the digest
     # (recorded with numpy 2.4 and OpenBLAS on x86-64)
-    run = SpeckleRun(geometry=SourceGeometry((1, 3, 2)), frames=1025, seed=7,
-                     delta_axis=uniform_grid(40), weights=weights, quantization_bits=bits)
+    frames = sample_frames(SourceGeometry((1, 3, 2)), 1025, 7, uniform_grid(40), weights, bits)
     path = tmp_path / "frames.sstk"
-    save_frames(sample_frames(run), path)
+    save_frames(frames, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 

@@ -12,13 +12,11 @@ from conftest import held_frames, held_stack, save_frames
 from specklescope import (
     CorrelationCurve,
     DegeneratePixelError,
-    DetectorArray,
     FormatError,
     FrameStream,
     GridCoverageError,
     OrderError,
     SourceGeometry,
-    SpeckleRun,
     estimate_g_m,
     g_m_analytic,
     nearest_magic_pixels,
@@ -29,15 +27,12 @@ from specklescope import (
 from specklescope import serialize, speckle
 
 
-def small_run(**overrides):
-    base = dict(
-        geometry=SourceGeometry((1, 3)),
-        frames=64,
-        seed=3,
-        delta_axis=uniform_grid(24),
-    )
-    base.update(overrides)
-    return SpeckleRun(**base)
+SMALL = dict(geometry=SourceGeometry((1, 3)), frames=64, seed=3, delta_axis=uniform_grid(24))
+
+
+def small_stream(**overrides):
+    """A fresh stream of a small acquisition, with some of the sampler's arguments changed."""
+    return sample_frames(**{**SMALL, **overrides})
 
 
 def handmade_stream(intensities, delta_axis=None):
@@ -60,8 +55,6 @@ def test_uniform_grid_excludes_endpoint():
     assert axis[0] == 0.0
     assert axis[-1] < 2 * math.pi
     assert np.allclose(np.diff(axis), 2 * math.pi / 8)
-    custom = uniform_grid(4, lo=1.0, hi=3.0)
-    np.testing.assert_allclose(custom, [1.0, 1.5, 2.0, 2.5])
     with pytest.raises(ValueError):
         uniform_grid(0)
 
@@ -75,13 +68,15 @@ def test_uniform_grid_excludes_endpoint():
         dict(delta_axis=np.zeros((2, 2))),
         dict(weights=(1.0,)),
         dict(weights=(1.0, -2.0, 1.0)),
-        dict(quantization_bits=0),
-        dict(quantization_bits=17),
+        dict(bits=0),
+        dict(bits=17),
+        dict(seed=2**128),  # past Philox's 128-bit key
     ],
 )
 def test_run_rejects_bad_inputs(overrides):
+    # checked when the sampler is called, before any frame is drawn
     with pytest.raises(ValueError):
-        small_run(**overrides)
+        small_stream(**overrides)
 
 
 def test_frame_stack_validation():
@@ -120,23 +115,22 @@ def test_negative_zero_is_a_sample(tmp_path):
 
 
 def test_sampling_is_deterministic():
-    run = small_run()
-    a = held_frames(sample_frames(run))
-    b = held_frames(sample_frames(run))
+    a = held_frames(small_stream())
+    b = held_frames(small_stream())
     np.testing.assert_array_equal(a, b)
-    c = held_frames(sample_frames(small_run(seed=4)))
+    c = held_frames(small_stream(seed=4))
     assert not np.array_equal(a, c)
 
 
 def test_single_frame_regenerates_in_isolation():
-    run = small_run(frames=50)
-    inten = held_frames(sample_frames(run))
-    alpha = np.asarray(phase_prefactors(run.geometry), dtype=float)
-    basis = np.exp(1j * np.outer(alpha, run.delta_axis))
+    stream = small_stream(frames=50)
+    inten = held_frames(stream)
+    alpha = np.asarray(phase_prefactors(SMALL["geometry"]), dtype=float)
+    basis = np.exp(1j * np.outer(alpha, stream.delta_axis))
     for frame in (0, 17, 49):
         # the frame's own Philox stream, drawn by a generator of its own
-        rng = np.random.Generator(np.random.Philox(key=run.seed, counter=frame << 192))
-        xi = rng.standard_normal((run.geometry.n_sources, 2))
+        rng = np.random.Generator(np.random.Philox(key=stream.seed, counter=frame << 192))
+        xi = rng.standard_normal((stream.n_sources, 2))
         field = np.sqrt(0.5) * (xi[:, 0] + 1j * xi[:, 1]) @ basis
         np.testing.assert_allclose(
             np.abs(field) ** 2, inten[frame], atol=1e-12
@@ -148,14 +142,13 @@ def test_single_frame_regenerates_in_isolation():
 def test_sampled_bytes_do_not_depend_on_the_chunk_size(monkeypatch, frames, chunk):
     # 15 and 22 frames leave one-frame tails at chunks of 2, 3 or 7, and
     # 1025 does at the default chunk; such a tail must join the chunk before
-    run = small_run(frames=frames)
-    reference = held_frames(sample_frames(run)).tobytes()
+    reference = held_frames(small_stream(frames=frames)).tobytes()
     monkeypatch.setattr(speckle, "_CHUNK_FRAMES", chunk)
-    assert held_frames(sample_frames(run)).tobytes() == reference
+    assert held_frames(small_stream(frames=frames)).tobytes() == reference
 
 
 def test_stream_folds_a_one_frame_tail_into_the_last_chunk():
-    chunks = sample_frames(small_run(frames=1025)).chunks
+    chunks = small_stream(frames=1025).chunks
     assert [len(rows) for rows in chunks] == [512, 513]
 
 
@@ -169,19 +162,18 @@ _STAGE_BOUND = 10 * 2**20
 
 @pytest.mark.parametrize("bits", [None, 12])
 def test_sampling_archiving_and_estimating_hold_one_chunk(tmp_path, bits):
-    run = SpeckleRun(SourceGeometry((3, 1, 4)), frames=20000, seed=1,
-                     delta_axis=uniform_grid(240), quantization_bits=bits)
-    pixel_sets = [nearest_magic_pixels(run.delta_axis, m)[0] for m in (3, 4, 5, 6)]
+    axis = uniform_grid(240)
+    pixel_sets = [nearest_magic_pixels(axis, m)[0] for m in (3, 4, 5, 6)]
     tracemalloc.start()
     try:
-        frames = sample_frames(run)
+        frames = sample_frames(SourceGeometry((3, 1, 4)), 20000, 1, axis, bits=bits)
         with serialize.write_frames(frames, tmp_path / "frames.sstk") as stream:
             curves = estimate_g_m(stream, pixel_sets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(curves) == 4 and frames.bits == bits
-    assert (tmp_path / "frames.sstk").stat().st_size > run.frames * 240 * 8
+    assert (tmp_path / "frames.sstk").stat().st_size > frames.n_frames * 240 * 8
     assert peak < _STAGE_BOUND
 
 
@@ -193,13 +185,13 @@ def test_the_streamed_stage_holds_only_the_chunk_being_drawn(tmp_path):
     # through the next draw, and each order's bootstrap temporaries through
     # the next order, peaked 0.6 MiB above this bound
     pixels, orders = 240, (3, 4, 5, 6)
-    run = SpeckleRun(SourceGeometry((3, 1, 4)), frames=20000, seed=1,
-                     delta_axis=uniform_grid(pixels))
-    pixel_sets = [nearest_magic_pixels(run.delta_axis, m)[0] for m in orders]
-    list(sample_frames(small_run(frames=2)).chunks)  # numpy.random's import is not the stage's
+    axis = uniform_grid(pixels)
+    pixel_sets = [nearest_magic_pixels(axis, m)[0] for m in orders]
+    list(small_stream(frames=2).chunks)  # numpy.random's import is not the stage's
     tracemalloc.start()
     try:
-        with serialize.write_frames(sample_frames(run), tmp_path / "frames.sstk") as stream:
+        frames = sample_frames(SourceGeometry((3, 1, 4)), 20000, 1, axis)
+        with serialize.write_frames(frames, tmp_path / "frames.sstk") as stream:
             estimate_g_m(stream, pixel_sets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -211,8 +203,8 @@ def test_the_streamed_stage_holds_only_the_chunk_being_drawn(tmp_path):
 
 def test_weights_rescale_frames_exactly():
     # same seed, doubled weights: every intensity doubles (up to rounding)
-    a = held_frames(sample_frames(small_run(weights=(1.0, 1.0, 1.0))))
-    b = held_frames(sample_frames(small_run(weights=(2.0, 2.0, 2.0))))
+    a = held_frames(small_stream(weights=(1.0, 1.0, 1.0)))
+    b = held_frames(small_stream(weights=(2.0, 2.0, 2.0)))
     np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
 
@@ -246,10 +238,7 @@ def test_estimates_track_analytic_curve(two_gap_stack, m):
     fixed, err = nearest_magic_pixels(axis, m)
     assert err < 1e-9
     est = estimate_g_m(two_gap_stack, (fixed,))[0]
-    ref = g_m_analytic(
-        SourceGeometry((1, 3)),
-        DetectorArray(m, tuple(axis[list(fixed)]), axis),
-    )
+    ref = g_m_analytic(SourceGeometry((1, 3)), axis, tuple(axis[list(fixed)]))
     coverage = np.mean(np.abs(est.values - ref.values) <= 3.0 * est.sigma)
     assert coverage >= 0.95
 
@@ -270,7 +259,7 @@ def test_estimator_formula_by_hand():
 
 
 def test_rescaled_intensities_give_identical_estimates():
-    stack = held_stack(small_run())
+    stack = held_stack(small_stream())
     scaled = replace(stack, chunks=(4.0 * stack.chunks[0],))
     a = estimate_g_m(stack, ((0, 6),), n_boot=32)[0]
     b = estimate_g_m(scaled, ((0, 6),), n_boot=32)[0]
@@ -279,7 +268,7 @@ def test_rescaled_intensities_give_identical_estimates():
 
 
 def test_estimator_input_checks():
-    stack = held_stack(small_run())
+    stack = held_stack(small_stream())
     with pytest.raises(OrderError):
         estimate_g_m(stack, ((),))
     with pytest.raises(ValueError):
@@ -289,14 +278,14 @@ def test_estimator_input_checks():
 
 
 def test_single_frame_has_no_error_bars():
-    stack = held_stack(small_run(frames=1))
+    stack = held_stack(small_stream(frames=1))
     curve = estimate_g_m(stack, ((0,),))[0]
     assert curve.sigma is None
     assert curve.replicas is None
 
 
 def test_bootstrap_replicas_are_reproducible():
-    stack = held_stack(small_run(frames=256))
+    stack = held_stack(small_stream(frames=256))
     # the same frames under other seeds: the bootstrap follows the stream's seed
     a = estimate_g_m(replace(stack, seed=5), ((0,),), n_boot=64)[0]
     b = estimate_g_m(replace(stack, seed=5), ((0,),), n_boot=64)[0]
@@ -356,10 +345,9 @@ def test_one_call_equals_the_per_order_oracle(monkeypatch, frames, seed, chunk):
     # of 7 (or the one boundary at 512) leave blocks that straddle two chunks;
     # the bootstrap is seeded by the stream's seed, so another seed draws
     # other resamples
-    run = small_run(frames=frames, seed=seed)
-    stack = held_stack(run)
+    stack = held_stack(small_stream(frames=frames, seed=seed))
     monkeypatch.setattr(speckle, "_CHUNK_FRAMES", chunk)
-    curves = estimate_g_m(sample_frames(run), ORACLE_PIXEL_SETS, n_boot=64)
+    curves = estimate_g_m(small_stream(frames=frames, seed=seed), ORACLE_PIXEL_SETS, n_boot=64)
     held = estimate_g_m(stack, ORACLE_PIXEL_SETS, n_boot=64)
     assert [c.m for c in curves] == [3, 4, 5, 6]
     for pixels, curve, whole in zip(ORACLE_PIXEL_SETS, curves, held):
@@ -376,7 +364,7 @@ def test_one_call_equals_the_per_order_oracle(monkeypatch, frames, seed, chunk):
 
 
 def test_estimator_checks_every_chunk():
-    stack = held_stack(small_run(frames=10))
+    stack = held_stack(small_stream(frames=10))
     (rows,) = stack.chunks
 
     def stream(*chunks):
@@ -405,33 +393,32 @@ def test_dead_pixel_is_reported():
 
 
 def test_quantization_counts():
-    stream = sample_frames(small_run(quantization_bits=8))
+    stream = small_stream(bits=8)
     q8 = held_frames(stream)
     assert stream.bits == 8
     assert q8.min() >= 0
     assert q8.max() == 255
     np.testing.assert_array_equal(q8, np.rint(q8))
     # the same frames, scaled so that the acquisition's maximum reads 2^8 - 1
-    raw = held_frames(sample_frames(small_run()))
+    raw = held_frames(small_stream())
     np.testing.assert_array_equal(q8, np.rint(raw * (255.0 / raw.max())))
 
 
-def clipped_fraction(run):
+def clipped_fraction(frames):
     """Fraction of samples the sampler counted at zero or the top level."""
-    frames = sample_frames(run)
     for _ in frames.chunks:
         pass
     return frames.clipped / (frames.n_frames * frames.n_pixels)
 
 
 def test_low_bit_depth_clips_hard():
-    inten = held_frames(sample_frames(small_run(frames=512)))
+    inten = held_frames(small_stream(frames=512))
     raw = np.mean((inten == 0) | (inten == inten.max()))
     assert raw < 0.01
-    assert clipped_fraction(small_run(frames=512, quantization_bits=1)) == 1.0  # all 0 or 1
-    q12 = held_frames(sample_frames(small_run(frames=512, quantization_bits=12)))
+    assert clipped_fraction(small_stream(frames=512, bits=1)) == 1.0  # all 0 or 1
+    q12 = held_frames(small_stream(frames=512, bits=12))
     pinned = np.mean((q12 == 0) | (q12 == 4095))
-    assert clipped_fraction(small_run(frames=512, quantization_bits=12)) == pinned
+    assert clipped_fraction(small_stream(frames=512, bits=12)) == pinned
     assert pinned < raw + 0.01
 
 
@@ -459,7 +446,7 @@ def test_magic_pixels_off_grid_reports_error():
 
 def test_magic_pixels_coverage_guard():
     with pytest.raises(GridCoverageError):
-        nearest_magic_pixels(uniform_grid(50, hi=math.pi), 3)
+        nearest_magic_pixels(np.linspace(0.0, math.pi, 50, endpoint=False), 3)
     with pytest.raises(OrderError):
         nearest_magic_pixels(uniform_grid(8), 1)
     with pytest.raises(ValueError):
