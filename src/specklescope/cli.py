@@ -283,7 +283,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     from . import serialize
-    from .records import aperture_report
 
     out = Path(args.out)
     config = _load_config_arg(args, None if args.config else _read_manifest(out))
@@ -301,13 +300,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         if gated and candidate_set.candidates:
             try:
                 candidate_set = _stage("disambiguate")(candidate_set, gated)
-            except ValueError as exc:  # e.g. a repeated order or a zero offset
+            except (ValueError, OverflowError) as exc:  # e.g. a zero offset, a line past int64
                 raise FormatError(f"{spectra_path}: cannot score these spectra: {exc}") from exc
 
-    apertures = [aperture_report(m) for m in evidence.orders_measured]
-    serialize.write_json(
-        out / "reconstruction.json", serialize.report_to_dict(candidate_set, apertures)
-    )
+    serialize.write_json(out / "reconstruction.json", serialize.report_to_dict(candidate_set))
 
     print(f"{len(candidate_set.candidates)} candidate geometr"
           f"{'y' if len(candidate_set.candidates) == 1 else 'ies'}")
@@ -335,11 +331,11 @@ def cmd_aperture(args: argparse.Namespace) -> int:
 
     orders = _parse_orders(args.orders)
     reports = [aperture_report(m) for m in orders]
-    rows = [serialize.aperture_to_dict(r) for r in reports]
     if args.out:
         path = Path(args.out)
         _make_dir(path.parent)
-        serialize.write_csv(path, list(rows[0]), rows)
+        rows = ({"m": r.m, "r_moving": r.moving, "r_total": r.total} for r in reports)
+        serialize.write_csv(path, ("m", "r_moving", "r_total"), rows)
     for r in reports:
         print(f"m = {r.m}: moving {r.moving:.4f}, fixed array {r.total:.4f} of full aperture")
     return 0
@@ -352,12 +348,13 @@ def cmd_aperture(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from . import serialize
+    from .records import aperture_report
 
     out = Path(args.out)
     recon_path = out / "reconstruction.json"
     if not recon_path.exists():
         raise ConfigError(f"missing {recon_path}; run reconstruct first")
-    candidate_set, apertures = serialize.read_json(recon_path, serialize.report_from_dict)
+    candidate_set = serialize.read_json(recon_path, serialize.report_from_dict)
     evidence = candidate_set.evidence
 
     print(f"orders measured: {list(evidence.orders_measured)}")
@@ -371,7 +368,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     winners = candidate_set.winners()
     if winners:
         print(f"winner(s) within one chi-square unit: {[list(c.geometry.x) for c in winners]}")
-    for ap in apertures:
+    for ap in map(aperture_report, evidence.orders_measured):
         print(f"order {ap.m}: moving aperture {ap.moving:.4f}, fixed array {ap.total:.4f}")
     manifest = _read_manifest(out)
     if manifest is not None:

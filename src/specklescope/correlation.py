@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import MAX_PERMANENT_ORDER
 from .errors import GeometryError, MatrixSizeError, OrderError
-from .geometry import SourceGeometry, distinct_frequencies, phase_prefactors
+from .geometry import SourceGeometry, phase_prefactors
 
 __all__ = [
     "CorrelationCurve",
@@ -34,7 +34,6 @@ __all__ = [
     "ModulationSpectrum",
     "magic_positions",
     "g_m_analytic",
-    "surviving_frequencies",
     "predicted_spectrum",
     "regular_array_reference",
 ]
@@ -212,22 +211,6 @@ def g_m_analytic(
     mats = _coherence_stack(table, np.arange(geometry.n_sources)[None])[0]
     values = _normalized(_ryser_batch(mats), geometry.n_sources, m)
     return CorrelationCurve(m=m, delta1=scan, values=values)
-
-
-# ---------------------------------------------------------------------------
-# filtering
-# ---------------------------------------------------------------------------
-
-
-def surviving_frequencies(geometry: SourceGeometry, m: int) -> tuple[int, ...]:
-    """Pair distances of the array that remain visible at order m.
-
-    With fixed detectors at the magic offsets the curve retains exactly
-    the frequencies f with f mod (m-1) == 0; everything else averages out.
-    """
-    if m < 3:
-        raise OrderError(f"filtering needs at least two fixed detectors (m >= 3), got m={m}")
-    return tuple(f for f in distinct_frequencies(geometry) if f % (m - 1) == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,20 @@
-"""Source arrays on an integer grid and their pair-distance combinatorics.
+"""Source arrays on an integer grid.
 
 A geometry is the gap sequence x = (x_1, ..., x_{N-1}) between N point
-sources sitting on integer lattice sites.  All correlation observables
-depend on the sources only through the multiset of pairwise distances,
-so that multiset (and its distinct-value set) is computed here.
+sources sitting on integer lattice sites; its source positions are the
+prefix sums of the gaps.  The correlation observables depend on the
+sources only through their pair distances, which the spectra and the
+search read off these positions.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GeometryError
 
-__all__ = [
-    "SourceGeometry",
-    "phase_prefactors",
-    "pair_distances",
-    "distinct_frequencies",
-]
+__all__ = ["SourceGeometry", "phase_prefactors"]
 
 
 @dataclass(frozen=True)
@@ -59,21 +54,3 @@ def phase_prefactors(geometry: SourceGeometry) -> tuple[int, ...]:
     contributes a phase alpha_l * delta at detector offset delta.
     """
     return (0, *itertools.accumulate(geometry.x))
-
-
-def pair_distances(geometry: SourceGeometry) -> Counter[int]:
-    """Multiset of pairwise source distances |alpha_i - alpha_j|, i < j.
-
-    Raises GeometryError for fewer than two sources: a lone source has no
-    pair and hence no modulation at all.
-    """
-    if geometry.n_sources < 2:
-        raise GeometryError("pair distances need at least two sources")
-    alpha = phase_prefactors(geometry)
-    return Counter(b - a for a, b in itertools.combinations(alpha, 2))
-
-
-def distinct_frequencies(geometry: SourceGeometry) -> tuple[int, ...]:
-    """Sorted distinct pair distances; the spatial frequencies the array emits."""
-    return tuple(sorted(pair_distances(geometry)))
-

@@ -112,8 +112,9 @@ def _walk(present: int, absent: int, span: int, cap: int) -> Iterator[tuple[int,
     return cover(ends, ends, 1 << span, 2)
 
 
-def _mask(values: tuple[int, ...]) -> int:
-    return sum(1 << v for v in values)
+def _mask(values: tuple[int, ...], bound: int) -> int:
+    # no walk places a distance past the span bound, so those need no bit
+    return sum(1 << v for v in values if v <= bound)
 
 
 def _canonical_gaps(points: int) -> tuple[int, ...]:
@@ -132,8 +133,8 @@ def search(evidence: EvidenceTable, bounds: SearchBounds | None = None) -> Candi
     count, then gap sequence.
     """
     bounds = bounds or SearchBounds()
-    present = _mask(evidence.present())
-    absent = _mask(evidence.absent())
+    present = _mask(evidence.present(), bounds.max_span)
+    absent = _mask(evidence.absent(), bounds.max_span)
     spans, truncated = _span_candidates(evidence, bounds)
 
     found = {

@@ -70,6 +70,8 @@ class EvidenceTable:
         for f, row in rows.items():
             if f != row.f:
                 raise ValueError(f"row key {f} does not match row frequency {row.f}")
+        if any(m < 2 for m in self.orders_measured):
+            raise OrderError(f"correlation orders must be at least 2, got {self.orders_measured}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "orders_measured", tuple(sorted(self.orders_measured)))
 
@@ -110,13 +112,13 @@ class CandidateSet:
     def geometries(self) -> tuple[SourceGeometry, ...]:
         return tuple(c.geometry for c in self.candidates)
 
-    def winners(self, delta_chi2: float = 1.0) -> tuple[Candidate, ...]:
-        """Scored candidates within delta_chi2 of the best score."""
+    def winners(self) -> tuple[Candidate, ...]:
+        """Scored candidates within one unit of chi-square of the best score."""
         scored = [c for c in self.candidates if c.score is not None]
         if not scored:
             return ()
         best = min(c.score for c in scored)
-        return tuple(c for c in scored if c.score - best < delta_chi2)
+        return tuple(c for c in scored if c.score - best < 1.0)
 
 
 @dataclass(frozen=True)

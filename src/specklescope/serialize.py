@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO
 
 from .errors import FormatError, OutputError
 from .geometry import SourceGeometry
-from .records import ApertureReport, Candidate, CandidateSet, EvidenceRow, EvidenceTable
+from .records import Candidate, CandidateSet, EvidenceRow, EvidenceTable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "gated_from_dict",
     "evidence_to_dict",
     "evidence_from_dict",
-    "aperture_to_dict",
     "report_to_dict",
     "report_from_dict",
     "write_json",
@@ -215,7 +214,6 @@ _EVIDENCE_ROW = {
     "absent_orders": ("absent_orders", _ints),
     "conflict": ("conflict", bool),
 }
-_APERTURE = {"m": ("m", int), "r_moving": ("moving", float), "r_total": ("total", float)}
 
 
 def _record_to_dict(record: Any, keys: dict[str, tuple[str, Callable]]) -> dict[str, Any]:
@@ -287,30 +285,21 @@ def _candidate_from_dict(data: dict[str, Any]) -> Candidate:
     )
 
 
-def aperture_to_dict(report: ApertureReport) -> dict[str, Any]:
-    return _record_to_dict(report, _APERTURE)
-
-
-def report_to_dict(
-    candidate_set: CandidateSet, apertures: list[ApertureReport]
-) -> dict[str, Any]:
+def report_to_dict(candidate_set: CandidateSet) -> dict[str, Any]:
     return {
         "evidence": evidence_to_dict(candidate_set.evidence),
         "candidates": [_candidate_to_dict(c) for c in candidate_set.candidates],
-        "apertures": [aperture_to_dict(a) for a in apertures],
         "exhaustive": candidate_set.exhaustive,
     }
 
 
-def report_from_dict(data: dict[str, Any]) -> tuple[CandidateSet, list[ApertureReport]]:
-    """Inverse of report_to_dict."""
-    candidate_set = CandidateSet(
+def report_from_dict(data: dict[str, Any]) -> CandidateSet:
+    """Inverse of report_to_dict; other keys, such as older runs' `apertures`, are ignored."""
+    return CandidateSet(
         candidates=tuple(_candidate_from_dict(c) for c in data["candidates"]),
         evidence=evidence_from_dict(data["evidence"]),
         exhaustive=bool(data["exhaustive"]),
     )
-    apertures = [_record_from_dict(ApertureReport, a, _APERTURE) for a in data["apertures"]]
-    return candidate_set, apertures
 
 
 def write_json(path: str | Path, data: dict[str, Any]) -> None:

@@ -33,8 +33,10 @@ __all__ = [
 
 # frames sampled per chunk: about 1 MB of complex field at 120 pixels
 _CHUNK_FRAMES = 512
-# the block bootstrap resamples at most this many contiguous frame blocks
+# the block bootstrap draws _N_BOOT resamples of at most _MAX_BLOCKS
+# contiguous frame blocks
 _MAX_BLOCKS = 256
+_N_BOOT = 200
 
 
 def uniform_grid(pixels: int) -> np.ndarray:
@@ -277,9 +279,7 @@ def _block_rows(
 
 
 def estimate_g_m(
-    stream: FrameStream,
-    fixed_pixel_sets: Sequence[Sequence[int]],
-    n_boot: int = 200,
+    stream: FrameStream, fixed_pixel_sets: Sequence[Sequence[int]]
 ) -> tuple[CorrelationCurve, ...]:
     """Estimate one correlation curve per set of fixed pixels.
 
@@ -338,8 +338,8 @@ def estimate_g_m(
     if n_frames >= 2:
         seed_seq = np.random.SeedSequence(entropy=(stream.seed, 0xB0075EED))
         rng = np.random.Generator(np.random.Philox(seed_seq))
-        counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=n_boot)
-        boot_mean_i = counts @ block_mean_i / n_blocks  # (n_boot, P)
+        counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=_N_BOOT)
+        boot_mean_i = counts @ block_mean_i / n_blocks  # (_N_BOOT, P)
         del block_mean_i
         block_len = np.asarray(sizes, dtype=float)[:, None]
 
@@ -352,11 +352,11 @@ def estimate_g_m(
             curves.append(CorrelationCurve(m=m, delta1=stream.delta_axis, values=values))
             continue
 
-        boot_fixed = boot_mean_i[:, idx].prod(axis=1)  # (n_boot,)
+        boot_fixed = boot_mean_i[:, idx].prod(axis=1)  # (_N_BOOT,)
         boot_den = boot_mean_i * boot_fixed[:, None]
         if np.any(boot_den == 0):
             raise DegeneratePixelError("bootstrap resample hit a zero-mean pixel")
-        boot_values = counts @ (sums / block_len) / n_blocks / boot_den  # (n_boot, P)
+        boot_values = counts @ (sums / block_len) / n_blocks / boot_den  # (_N_BOOT, P)
         del boot_den
         curves.append(CorrelationCurve(
             m=m,

@@ -14,13 +14,16 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import GatePolicy
 from .correlation import CorrelationCurve, Harmonic, ModulationSpectrum
 from .errors import FitError
 from .records import EvidenceRow, EvidenceTable
+
+if TYPE_CHECKING:
+    from .config import GatePolicy
 
 __all__ = [
     "fit_fixed",
@@ -135,7 +138,7 @@ def _off_comb_peak(delta: np.ndarray, resid: np.ndarray, w: np.ndarray, fundamen
     return float(np.max(2.0 * np.abs(phases @ (weights * resid)) / weights.sum()))
 
 
-def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectrum:
+def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
     """Least-squares lines on the filtered comb f = kappa*(m-1), f <= span_bound.
 
     Fits the offset A0 plus a cosine/sine pair (a, b) at every comb
@@ -213,18 +216,15 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int = 16) -> ModulationSpectr
 # ---------------------------------------------------------------------------
 
 
-def gate(
-    spectrum: ModulationSpectrum, policy: GatePolicy | None = None, n_tests: int | None = None
-) -> ModulationSpectrum:
+def gate(spectrum: ModulationSpectrum, policy: GatePolicy, n_tests: int) -> ModulationSpectrum:
     """Keep the lines whose contrast a/A0 passes the two-sided test.
 
     A line survives when |a/A0| >= z* sigma(a/A0), with z* from `policy`
-    for a family of n_tests lines: every comb line tested in the run, by
-    default this spectrum's lines.  The offset and bookkeeping fields
-    pass through unchanged.
+    for a family of n_tests lines, every comb line the run tested (across
+    all its orders).  The offset and bookkeeping fields pass through
+    unchanged.
     """
-    policy = policy or GatePolicy()
-    z = policy.threshold(len(spectrum.harmonics) if n_tests is None else n_tests)
+    z = policy.threshold(n_tests)
     kept = tuple(h for h in spectrum.harmonics if abs(h.contrast) >= z * h.sigma_contrast)
     return replace(spectrum, harmonics=kept)
 

@@ -1,7 +1,10 @@
-"""Shared fixtures: analytic curves and a reusable speckle acquisition."""
+"""Shared fixtures: analytic curves, a reusable speckle acquisition, and the
+filter-rule oracles."""
 
+import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,11 +17,10 @@ from specklescope import (
     EvidenceRow,
     EvidenceTable,
     SourceGeometry,
-    distinct_frequencies,
     g_m_analytic,
     magic_positions,
+    phase_prefactors,
     sample_frames,
-    surviving_frequencies,
     uniform_grid,
 )
 from specklescope.serialize import write_frames
@@ -49,6 +51,23 @@ def held_stack(frames):
     A tuple of chunks can be read again, so the stream serves several estimates.
     """
     return replace(frames, chunks=(held_frames(frames),))
+
+
+def pair_distances(geometry):
+    """Multiset of pairwise source distances |alpha_i - alpha_j|, i < j."""
+    alpha = phase_prefactors(geometry)
+    return Counter(b - a for a, b in itertools.combinations(alpha, 2))
+
+
+def distinct_frequencies(geometry):
+    """Sorted distinct pair distances; the spatial frequencies the array emits."""
+    return tuple(sorted(pair_distances(geometry)))
+
+
+def surviving_frequencies(geometry, m):
+    """Pair distances visible at order m >= 3: with the m-1 fixed detectors at
+    the magic offsets only the f divisible by m-1 survive."""
+    return tuple(f for f in distinct_frequencies(geometry) if f % (m - 1) == 0)
 
 
 def magic_curve(x, m, samples=None):

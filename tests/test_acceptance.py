@@ -14,15 +14,17 @@ import time
 
 import numpy as np
 
-from conftest import evidence_for, evidence_table, magic_curve
+from conftest import (
+    distinct_frequencies, evidence_for, evidence_table, magic_curve, surviving_frequencies,
+)
 from search_oracle import oracle_search
 from specklescope import (
+    GatePolicy,
     SearchBounds,
     SourceGeometry,
     aggregate,
     aperture_report,
     disambiguate,
-    distinct_frequencies,
     estimate_g_m,
     fit_fixed,
     g_m_analytic,
@@ -30,7 +32,6 @@ from specklescope import (
     nearest_magic_pixels,
     sample_frames,
     search,
-    surviving_frequencies,
     uniform_grid,
 )
 from specklescope.cli import main
@@ -45,7 +46,7 @@ def gated_comb_fits(curves):
     threshold over every comb line tested across the curves."""
     fits = [fit_fixed(curve, SPAN_BOUND) for curve in curves]
     n_tests = sum(SPAN_BOUND // (fit.m - 1) for fit in fits)
-    return fits, [gate(fit, n_tests=n_tests) for fit in fits]
+    return fits, [gate(fit, GatePolicy(), n_tests) for fit in fits]
 
 
 def verdict(number, label, ok, detail=""):

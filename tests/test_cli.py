@@ -125,6 +125,26 @@ def test_report_command_summarizes(run_dir, capsys):
     assert "seed 1" in text
 
 
+def test_report_prints_the_apertures_of_the_measured_orders(run_dir, tmp_path, capsys):
+    # older runs stored the apertures in reconstruction.json; report derives
+    # them from the orders measured and prints the same lines for both
+    old = tmp_path / "old"
+    shutil.copytree(run_dir, old)
+    report = json.loads((old / "reconstruction.json").read_text())
+    assert "apertures" not in report
+    report["apertures"] = [{"m": 3, "r_moving": 0.5, "r_total": 0.5},
+                           {"m": 4, "r_moving": 1 / 3, "r_total": 2 / 3}]
+    write_json(old / "reconstruction.json", report)
+    printed = []
+    for out in (run_dir, old):
+        assert main(["report", "--out", str(out)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    lines = printed[0].splitlines()
+    assert "order 3: moving aperture 0.5000, fixed array 0.5000" in lines
+    assert "order 4: moving aperture 0.3333, fixed array 0.6667" in lines
+
+
 def test_pipeline_is_deterministic(run_dir, tmp_path):
     again = run_pipeline(tmp_path / "again")
     for name in PIPELINE_ARTIFACTS:
@@ -555,6 +575,23 @@ def _chi2_as_list(report):
     return report
 
 
+def _line_past_int64(spectra):
+    # on the order-3 comb, at a frequency no int64 holds
+    (order_3,) = [s for s in spectra["gated"] if s["m"] == 3]
+    order_3["harmonics"][0].update(kappa=2**64, f=2**65)
+    return spectra
+
+
+def _order_1(evidence):
+    evidence["orders_measured"].insert(0, 1)
+    return evidence
+
+
+def _report_order_1(report):
+    _order_1(report["evidence"])
+    return report
+
+
 def _json_edit(edit):
     return lambda blob: json.dumps(edit(json.loads(blob))).encode()
 
@@ -570,6 +607,9 @@ MALFORMED_ARTIFACTS = {
     "spectra-without-sigmas": ("spectra.json", "reconstruct", _json_edit(_drop_sigmas)),
     "spectra-off-comb-line": ("spectra.json", "reconstruct", _json_edit(_off_comb_line)),
     "spectra-old-lines": ("spectra.json", "reconstruct", _json_edit(_old_line_keys)),
+    "spectra-line-past-int64": ("spectra.json", "reconstruct", _json_edit(_line_past_int64)),
+    "evidence-order-1": ("evidence.json", "reconstruct", _json_edit(_order_1)),
+    "report-order-1": ("reconstruction.json", "report", _json_edit(_report_order_1)),
     "report-without-evidence": ("reconstruction.json", "report", _json_edit(_drop_evidence)),
     "manifest-as-list": ("manifest.json", "report", _json_edit(list)),
     "manifest-outputs-as-list": ("manifest.json", "analyze", _json_edit(_outputs_as_list)),
@@ -592,6 +632,24 @@ def test_malformed_artifacts_exit_2_without_traceback(run_dir, tmp_path, case):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert name in done.stderr
+
+
+def test_a_present_frequency_past_the_span_bound_truncates_the_search(run_dir, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    evidence = json.loads((out / "evidence.json").read_text())
+    evidence["rows"].append({"f": 1e300, "status": "present", "A": 0.1, "sigma_A": 0.01,
+                             "present_orders": [3], "absent_orders": [], "conflict": False})
+    write_json(out / "evidence.json", evidence)
+    # a fresh interpreter, so a traceback would show
+    done = subprocess.run(
+        [sys.executable, "-m", "specklescope.cli", "reconstruct", "--out", str(out)],
+        capture_output=True, text=True, env=fresh_interpreter_env(),
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == "0 candidate geometries\n"
+    assert "warning: bounds truncated the search" in done.stderr
 
 
 def test_empty_evidence_exits_3(tmp_path):

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import magic_curve
+from conftest import magic_curve, surviving_frequencies
 from specklescope import (
     CorrelationCurve,
     GeometryError,
@@ -22,7 +22,6 @@ from specklescope import (
     phase_prefactors,
     predicted_spectrum,
     regular_array_reference,
-    surviving_frequencies,
 )
 from specklescope.correlation import _ryser_batch
 
@@ -105,13 +104,15 @@ def test_roots_of_unity_sum_closed_form():
 
 def test_surviving_frequencies_examples():
     g = SourceGeometry((3, 1, 4))  # distances {1, 3, 4, 5, 8}
-    assert surviving_frequencies(g, 3) == (4, 8)
-    assert surviving_frequencies(g, 4) == (3,)
-    assert surviving_frequencies(g, 5) == (4, 8)
-    assert surviving_frequencies(g, 6) == (5,)
+    expected = {3: (4, 8), 4: (3,), 5: (4, 8), 6: (5,)}
+    for m, want in expected.items():
+        assert surviving_frequencies(g, m) == want
+        # the program's own rule: predicted lines are nonzero exactly there
+        contrasts = predicted_spectrum((g,), m, range(1, 9))[0]
+        assert tuple(f for f, c in zip(range(1, 9), contrasts) if c != 0.0) == want
     assert surviving_frequencies(SourceGeometry((1, 3)), 6) == ()
     with pytest.raises(OrderError):
-        surviving_frequencies(g, 2)
+        predicted_spectrum((g,), 2, [1])
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,6 @@ def test_leakage_is_the_reference_off_comb_peak(curves, monkeypatch):
     monkeypatch.setattr(spectrum_module, "_off_comb_peak", checked_peak)
     for curve in curves.values():
         calls = len(compared)
-        leakage = fit_fixed(curve).leakage
+        leakage = fit_fixed(curve, 16).leakage
         assert len(compared) == calls + 1  # one periodogram per fit
         assert leakage == compared[-1]

@@ -8,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import evidence_for, evidence_table, magic_curve
+from conftest import (
+    distinct_frequencies, evidence_for, evidence_table, magic_curve, surviving_frequencies,
+)
 from search_oracle import BoundsError, oracle_search
 from specklescope import (
     Candidate,
@@ -21,11 +23,9 @@ from specklescope import (
     SourceGeometry,
     aperture_report,
     disambiguate,
-    distinct_frequencies,
     predicted_spectrum,
     reconstruct,
     search,
-    surviving_frequencies,
 )
 
 
@@ -306,17 +306,18 @@ def test_a_tie_across_a_rounding_boundary_keeps_the_search_order():
 
 def test_winner_window():
     table = evidence_table((2,))
-    geoms = [SourceGeometry((2,)), SourceGeometry((1, 1))]
+    geoms = [SourceGeometry((2,)), SourceGeometry((1, 1)), SourceGeometry((1, 1, 1))]
     scored = CandidateSet(
         candidates=(
             Candidate(geoms[0], score=0.1),
             Candidate(geoms[1], score=0.9),
+            Candidate(geoms[2], score=1.1),
         ),
         evidence=table,
         exhaustive=True,
     )
-    assert len(scored.winners()) == 2  # within one unit of chi-square
-    assert len(scored.winners(delta_chi2=0.5)) == 1
+    # within one unit of chi-square of the best
+    assert [c.geometry for c in scored.winners()] == geoms[:2]
     unscored = CandidateSet(
         candidates=(Candidate(geoms[0]),), evidence=table, exhaustive=True
     )

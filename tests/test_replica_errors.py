@@ -44,4 +44,4 @@ def test_too_few_replicas_give_no_spread(rows):
     # under 8 rows the spread is no error estimate; the covariance prices the fit
     curve = noisy_curve((1, 3), 3, sigma=0.02, rows=rows)
     without = CorrelationCurve(m=3, delta1=curve.delta1, values=curve.values, sigma=curve.sigma)
-    assert (fit_fixed(curve) == fit_fixed(without)) == (rows < 8)
+    assert (fit_fixed(curve, 16) == fit_fixed(without, 16)) == (rows < 8)

@@ -261,8 +261,8 @@ def test_estimator_formula_by_hand():
 def test_rescaled_intensities_give_identical_estimates():
     stack = held_stack(small_stream())
     scaled = replace(stack, chunks=(4.0 * stack.chunks[0],))
-    a = estimate_g_m(stack, ((0, 6),), n_boot=32)[0]
-    b = estimate_g_m(scaled, ((0, 6),), n_boot=32)[0]
+    a = estimate_g_m(stack, ((0, 6),))[0]
+    b = estimate_g_m(scaled, ((0, 6),))[0]
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.sigma, b.sigma)
 
@@ -287,19 +287,19 @@ def test_single_frame_has_no_error_bars():
 def test_bootstrap_replicas_are_reproducible():
     stack = held_stack(small_stream(frames=256))
     # the same frames under other seeds: the bootstrap follows the stream's seed
-    a = estimate_g_m(replace(stack, seed=5), ((0,),), n_boot=64)[0]
-    b = estimate_g_m(replace(stack, seed=5), ((0,),), n_boot=64)[0]
-    assert a.replicas.shape == (64, 24)
+    a = estimate_g_m(replace(stack, seed=5), ((0,),))[0]
+    b = estimate_g_m(replace(stack, seed=5), ((0,),))[0]
+    assert a.replicas.shape == (200, 24)
     np.testing.assert_array_equal(a.replicas, b.replicas)
-    c = estimate_g_m(replace(stack, seed=6), ((0,),), n_boot=64)[0]
+    c = estimate_g_m(replace(stack, seed=6), ((0,),))[0]
     assert not np.array_equal(a.replicas, c.replicas)
     # the sampled stream's own seed, so repeats still agree
-    d = estimate_g_m(stack, ((0,),), n_boot=64)[0]
-    e = estimate_g_m(stack, ((0,),), n_boot=64)[0]
+    d = estimate_g_m(stack, ((0,),))[0]
+    e = estimate_g_m(stack, ((0,),))[0]
     np.testing.assert_array_equal(d.replicas, e.replicas)
 
 
-def per_order_estimate(stack, fixed_pixels, n_boot=200):
+def per_order_estimate(stack, fixed_pixels):
     """The estimate for one set of fixed pixels, computed apart from every other set."""
     inten = held_frames(stack)
     n_frames, n_pixels = inten.shape
@@ -322,7 +322,7 @@ def per_order_estimate(stack, fixed_pixels, n_boot=200):
         block_mean_i[b] = inten[idx].mean(axis=0)
     seed_seq = np.random.SeedSequence(entropy=(stack.seed, 0xB0075EED))
     rng = np.random.Generator(np.random.Philox(seed_seq))
-    counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=n_boot)
+    counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=200)
     boot_num = counts @ block_num / n_blocks
     boot_mean_i = counts @ block_mean_i / n_blocks
     boot_fixed = boot_mean_i[:, fixed_idx].prod(axis=1)
@@ -347,13 +347,13 @@ def test_one_call_equals_the_per_order_oracle(monkeypatch, frames, seed, chunk):
     # other resamples
     stack = held_stack(small_stream(frames=frames, seed=seed))
     monkeypatch.setattr(speckle, "_CHUNK_FRAMES", chunk)
-    curves = estimate_g_m(small_stream(frames=frames, seed=seed), ORACLE_PIXEL_SETS, n_boot=64)
-    held = estimate_g_m(stack, ORACLE_PIXEL_SETS, n_boot=64)
+    curves = estimate_g_m(small_stream(frames=frames, seed=seed), ORACLE_PIXEL_SETS)
+    held = estimate_g_m(stack, ORACLE_PIXEL_SETS)
     assert [c.m for c in curves] == [3, 4, 5, 6]
     for pixels, curve, whole in zip(ORACLE_PIXEL_SETS, curves, held):
         # the streamed and the held stack go through the same blocks
         assert curve.values.tobytes() == whole.values.tobytes()
-        expected = per_order_estimate(stack, pixels, n_boot=64)
+        expected = per_order_estimate(stack, pixels)
         # the numerator sums block sums, not one product over the stack
         np.testing.assert_allclose(curve.values, expected.values, rtol=frames * 2.0**-52, atol=0)
         if frames == 1:

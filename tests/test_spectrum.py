@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import evidence_table, magic_curve, noisy_curve
+from conftest import evidence_table, magic_curve, noisy_curve, surviving_frequencies
 from specklescope import (
     CorrelationCurve,
     EvidenceRow,
@@ -20,7 +20,6 @@ from specklescope import (
     fit_fixed,
     gate,
     predicted_spectrum,
-    surviving_frequencies,
 )
 
 
@@ -64,7 +63,7 @@ def test_fixed_fit_needs_one_comb_period():
     axis = np.linspace(0, math.pi / 2, 40)
     curve = CorrelationCurve(m=3, delta1=axis, values=np.full(40, 2.0))
     with pytest.raises(FitError):
-        fit_fixed(curve)
+        fit_fixed(curve, 16)
 
 
 def test_fixed_fit_needs_enough_samples():
@@ -79,7 +78,7 @@ def test_fixed_fit_needs_enough_samples():
 def test_fixed_fit_needs_a_positive_offset():
     axis = np.linspace(0, 2 * math.pi, 64, endpoint=False)
     with pytest.raises(FitError, match="offset"):
-        fit_fixed(CorrelationCurve(m=3, delta1=axis, values=np.zeros(64)))
+        fit_fixed(CorrelationCurve(m=3, delta1=axis, values=np.zeros(64)), 16)
 
 
 def test_replica_scatter_sets_amplitude_errors():
@@ -123,7 +122,8 @@ def test_noiseless_pipeline_finds_exactly_the_surviving_lines(m):
         x for n in (1, 2, 3) for x in itertools.product(range(1, 5), repeat=n)
     ]
     for x in gap_tuples:
-        kept = gate(fit_fixed(magic_curve(x, m)))
+        # as analyze gates one order: every comb line up to the span bound tested
+        kept = gate(fit_fixed(magic_curve(x, m), 16), GatePolicy(), 16 // (m - 1))
         got = tuple(int(f) for f in kept.frequencies)
         want = surviving_frequencies(SourceGeometry(x), m)
         assert got == want, f"x={x} m={m}: gated {got}, expected {want}"
@@ -137,7 +137,7 @@ def test_noiseless_pipeline_finds_exactly_the_surviving_lines(m):
 def test_gate_snaps_significant_lines():
     # comb lines already sit on integers; a significant one passes untouched
     significant = line(4.0, contrast=0.30, sigma_contrast=0.02)
-    kept = gate(line_spectrum(significant), n_tests=25)
+    kept = gate(line_spectrum(significant), GatePolicy(), 25)
     assert kept.frequencies == (4.0,)
     assert kept.harmonics[0] == significant
 
@@ -155,7 +155,7 @@ def test_gate_snaps_significant_lines():
 )
 def test_gate_rejects_weak_or_non_integer_lines(bad):
     harmonic, n_tests = bad
-    assert gate(line_spectrum(harmonic), n_tests=n_tests).harmonics == ()
+    assert gate(line_spectrum(harmonic), GatePolicy(), n_tests).harmonics == ()
 
 
 def test_gate_threshold_moves_with_the_number_of_tests():
@@ -164,18 +164,17 @@ def test_gate_threshold_moves_with_the_number_of_tests():
     assert policy.threshold(25) == pytest.approx(3.5400837992061, rel=1e-12)
     assert GatePolicy(alpha=0.05).threshold(25) < policy.threshold(25)
     three_sigma = line_spectrum(line(4.0, contrast=0.06, sigma_contrast=0.02))
-    assert gate(three_sigma, n_tests=1).frequencies == (4.0,)
-    assert gate(three_sigma, n_tests=25).frequencies == ()
-    assert gate(three_sigma).frequencies == (4.0,)  # N defaults to the spectrum's lines
+    assert gate(three_sigma, policy, 1).frequencies == (4.0,)
+    assert gate(three_sigma, policy, 25).frequencies == ()
 
 
 def test_gate_is_two_sided():
     negative = line(4.0, contrast=-0.30, sigma_contrast=0.02)
-    assert gate(line_spectrum(negative), n_tests=25).harmonics == (negative,)
+    assert gate(line_spectrum(negative), GatePolicy(), 25).harmonics == (negative,)
 
 
 def test_gate_policy_validation():
-    gate(line_spectrum(line(4.0)), GatePolicy(alpha=0.2))
+    gate(line_spectrum(line(4.0)), GatePolicy(alpha=0.2), 1)
     for alpha in (0.0, 1.0, -0.1, math.nan, 1e-301):
         with pytest.raises(ValueError):
             GatePolicy(alpha=alpha)
