@@ -57,7 +57,8 @@ __getattr__ = _stage
 _CURVE_PREFIX = "curves_m"
 _REPLICA_PREFIX = "replicas_m"
 _FRAMES_NAME = "frames.sstk"
-_TABLE_FIELDS = ("m", "f", "A", "sigma_A", "a_A0", "sigma_a_A0", "accepted")
+# what analyze and reconstruct derive from a run's curves; table.csv is an older analyze's
+_RESULTS = ("spectra.json", "evidence.json", "reconstruction.json", "table.csv")
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
@@ -145,7 +146,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"[simulate]: {exc}") from exc
     # every order is placed before the first frame is drawn
     placements = [nearest_magic_pixels(frames.delta_axis, m) for m in sim.orders]
+    # the fit's top comb line f <= max_span must lie below the grid's Nyquist frequency
+    span = config.reconstruct.max_span
+    coarse = [m for m in sim.orders if 2 * (span // (m - 1) * (m - 1)) >= sim.pixels]
+    if coarse:
+        raise ConfigError(f"[simulate] pixels = {sim.pixels}: order(s) {coarse} put a comb line "
+                          f"f <= max_span = {span} at or past the Nyquist frequency pixels / 2")
     out = _make_dir(Path(args.out))
+    try:  # results derived from an earlier run's curves would outlive them
+        for name in _RESULTS:
+            (out / name).unlink(missing_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot remove {exc.filename}: {exc.strerror or exc}") from exc
 
     # one pass: each chunk is sampled, archived and folded into every
     # order's sums; frames.sstk appears only once the estimator has finished
@@ -211,24 +223,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     missing = [m for m, path in paths.items() if not path.exists()]
     if missing:
         raise ConfigError(f"no curve file for order(s) {missing} under {out}")
+    replica_paths = {m: out / f"{_REPLICA_PREFIX}{m}.npy" for m in orders}
     # a manifest names the files its run wrote; any others are left from an earlier run
     listed = None if manifest is None else {name for _, name in manifest.outputs}
-    stale = [] if listed is None else [p.name for p in paths.values() if p.name not in listed]
+    stale = [p.name for p in (*paths.values(), *replica_paths.values())
+             if listed is not None and p.exists() and p.name not in listed]
     if stale:
         raise ConfigError(f"{', '.join(stale)} under {out}: not listed in manifest.json, "
                           "so left from an earlier run")
     curves = {m: serialize.read_curve_csv(path, m) for m, path in paths.items()}
-    for m in orders:
-        replicas_path = out / f"{_REPLICA_PREFIX}{m}.npy"
-        if not replicas_path.exists():
-            reason = f"no {replicas_path.name}"
-        elif listed is not None and replicas_path.name not in listed:
-            reason = f"{replicas_path.name} is not listed in manifest.json"
-        else:
-            curves[m] = serialize.read_replicas(replicas_path, curves[m])
-            continue
-        print(f"warning: order {m}: {reason}; sigmas from the fit covariance miss the "
-              "pixel-correlated estimator noise", file=sys.stderr)
+    for m, path in replica_paths.items():
+        if path.exists():
+            curves[m] = serialize.read_replicas(path, curves[m])
+        else:  # external curves and one-frame runs have none
+            print(f"warning: order {m}: no {path.name}; sigmas from the fit covariance miss the "
+                  "pixel-correlated estimator noise", file=sys.stderr)
 
     span_bound = config.reconstruct.max_span
     raw, failures = [], []
@@ -246,23 +255,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     serialize.write_json(out / "spectra.json", serialize.spectra_to_dict(raw, gated, failures))
     serialize.write_json(out / "evidence.json", serialize.evidence_to_dict(evidence))
 
-    table_rows = []
+    print(f"gate: {n_tests} comb lines tested, |a/A0| >= "
+          f"{config.gate.threshold(n_tests):.2f} sigma (alpha = {config.gate.alpha:g})")
     for spectrum, gated_spectrum in zip(raw, gated):
         kept = set(gated_spectrum.frequencies)
         for h in spectrum.harmonics:
-            cells = (spectrum.m, h.f, h.amplitude, h.sigma_a, h.contrast, h.sigma_contrast,
-                     h.f in kept)
-            table_rows.append(dict(zip(_TABLE_FIELDS, cells)))
-    serialize.write_csv(out / "table.csv", _TABLE_FIELDS, table_rows)
-
-    print(f"gate: {n_tests} comb lines tested, |a/A0| >= "
-          f"{config.gate.threshold(n_tests):.2f} sigma (alpha = {config.gate.alpha:g})")
-    for row in table_rows:
-        flag = "accepted" if row["accepted"] else "rejected"
-        print(
-            f"order {row['m']}: f = {row['f']:g}, A = {row['A']:.3f} +- {row['sigma_A']:.3f}, "
-            f"a/A0 = {row['a_A0']:+.4f} +- {row['sigma_a_A0']:.4f}  [{flag}]"
-        )
+            print(f"order {spectrum.m}: f = {h.f:g}, A = {h.amplitude:.3f} +- {h.sigma_a:.3f}, "
+                  f"a/A0 = {h.contrast:+.4f} +- {h.sigma_contrast:.4f}  "
+                  f"[{'accepted' if h.f in kept else 'rejected'}]")
     for spectrum in raw:
         print(f"order {spectrum.m}: A0 = {spectrum.a0:.3f}, strongest off-comb residual "
               f"peak {spectrum.leakage:.2e}")
@@ -443,8 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     except FitError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return 4
-    except SpeckleScopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpeckleScopeError, MemoryError) as exc:  # a size such as pixels = 10**12
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -41,6 +41,9 @@ __all__ = [
 # Analytic values may dip this far below zero from roundoff and are clamped.
 _NEGATIVE_TOL = 1e-9
 
+# Fewest bootstrap replica rows whose spread is taken as an error.
+_MIN_REPLICA_ROWS = 8
+
 # predicted_spectrum gathers at most this many complex phase terms (4 MB)
 # for one Gray-code walk; larger groups of geometries are chunked
 _CHUNK_ELEMENTS = 1 << 18
@@ -62,9 +65,9 @@ class CorrelationCurve:
     """Correlation values g_m over a scan grid, optionally with errors.
 
     `replicas`, when present, holds resampled realizations of the whole
-    curve (one row per resample).  Estimator noise is coherent across the
-    scan, so fitters use these rows to propagate uncertainty into derived
-    quantities instead of treating per-pixel sigmas as independent.
+    curve (one row per resample, at least 8).  Estimator noise is coherent
+    across the scan, so fitters use these rows to propagate uncertainty into
+    derived quantities instead of treating per-pixel sigmas as independent.
     """
 
     m: int
@@ -98,8 +101,10 @@ class CorrelationCurve:
         replicas = self.replicas
         if replicas is not None:
             replicas = np.asarray(replicas, dtype=float)
-            if replicas.ndim != 2 or replicas.shape[1] != values.size:
-                raise ValueError("replicas must be 2-D with one column per sample")
+            if (replicas.ndim != 2 or replicas.shape[1] != values.size
+                    or len(replicas) < _MIN_REPLICA_ROWS):
+                raise ValueError(f"replicas must be 2-D, at least {_MIN_REPLICA_ROWS} rows "
+                                 "of one column per sample")
             if not np.all(np.isfinite(replicas)):
                 raise ValueError("replicas contain non-finite entries")
             replicas = replicas.copy()

@@ -32,12 +32,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvidenceRow:
-    """What the measured orders say about one integer frequency."""
+    """Which measured orders see a line at integer frequency f, and which could but do not."""
 
     f: int
     status: str  # "present" | "absent" | "unknown"
-    amplitude: float | None = None
-    sigma_a: float | None = None
     present_orders: tuple[int, ...] = ()
     absent_orders: tuple[int, ...] = ()
     conflict: bool = False

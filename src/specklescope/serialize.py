@@ -168,16 +168,15 @@ def write_replicas(replicas: np.ndarray, path: str | Path) -> None:
 def read_replicas(path: str | Path, curve: CorrelationCurve) -> CorrelationCurve:
     """`curve` with its bootstrap replicas read from a .npy file.
 
-    Anything but a finite 2-D float64 array with at least two rows and one
-    column per curve sample is a FormatError; nothing is unpickled.
+    Anything but float64 rows the curve accepts as replicas (see
+    CorrelationCurve) is a FormatError naming the file; nothing is unpickled.
     """
     import numpy as np
 
     with _parsing(path, "not replicas of this curve"), open(path, "rb") as fh:
         replicas = np.lib.format.read_array(fh, allow_pickle=False)
-        if replicas.dtype != np.float64 or replicas.ndim != 2 or len(replicas) < 2:
-            raise ValueError(f"need float64 rows of >= 2 resamples, got {replicas.dtype}"
-                             f" array of shape {replicas.shape}")
+        if replicas.dtype != np.float64:
+            raise ValueError(f"need float64 resamples, got {replicas.dtype}")
         return replace(curve, replicas=replicas)
 
 
@@ -208,8 +207,6 @@ _SPECTRUM = {
 _EVIDENCE_ROW = {
     "f": ("f", int),
     "status": ("status", str),
-    "A": ("amplitude", _optional_float),
-    "sigma_A": ("sigma_a", _optional_float),
     "present_orders": ("present_orders", _ints),
     "absent_orders": ("absent_orders", _ints),
     "conflict": ("conflict", bool),
@@ -395,6 +392,8 @@ def read_frames(path: str | Path) -> FrameStream:
         if fh.tell() + header_len > size:
             raise FormatError(f"{path}: {header_len}-byte header overruns a {size}-byte file")
         header = json.loads(fh.read(header_len).decode("utf-8"))
+        if header["dtype"] != "float64":
+            raise FormatError(f"{path}: samples of dtype {header['dtype']!r}, not 'float64'")
         n_frames, n_pixels = int(header["R"]), int(header["P"])
         delta_axis = np.asarray(header["delta_axis"], dtype=float)
         if n_frames < 1 or delta_axis.shape != (n_pixels,):

@@ -36,10 +36,6 @@ __all__ = [
 # here lets the gate stay purely significance-based.
 _MIN_AMPLITUDE_FRACTION = 1e-9
 
-# Fewest bootstrap replica rows whose spread is taken as an error; a curve
-# with fewer is priced by the fit covariance instead.
-_MIN_REPLICA_ROWS = 8
-
 # Residual periodogram grid points per Fourier resolution 2*pi/scan.
 _OVERSAMPLE = 4
 
@@ -150,9 +146,9 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
     design in the same solve as the curve itself.  For a linear model that
     is the exact refit of every replica (Efron & Tibshirani, An
     Introduction to the Bootstrap, 1993), and each sigma is the spread of
-    its quantity over the replicas.  A curve without replicas (or with
-    fewer than 8) falls back to the fit covariance.  `leakage` records the
-    strongest off-comb peak of the residual periodogram.
+    its quantity over the replicas.  A curve without replicas falls back
+    to the fit covariance.  `leakage` records the strongest off-comb peak
+    of the residual periodogram.
     """
     if span_bound < 1:
         raise ValueError(f"span bound must be positive, got {span_bound}")
@@ -168,8 +164,6 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
     freqs = [kappa * fundamental for kappa in range(1, span_bound // fundamental + 1)]
     w = _weights(curve)
     replicas = curve.replicas
-    if replicas is not None and replicas.shape[0] < _MIN_REPLICA_ROWS:
-        replicas = None
     columns = y[:, None] if replicas is None else np.column_stack([y, replicas.T])
     coefs, design = _linear_fit(delta, columns, w, freqs)
     coef = coefs[:, 0]
@@ -236,13 +230,14 @@ def aggregate(spectra: Sequence[ModulationSpectrum]) -> EvidenceTable:
     divisible by m-1) shows it; Absent when such an order shows nothing
     there; Unknown otherwise.  Lines sit on their order's comb (a
     ModulationSpectrum holds no other), so every sighting is one the
-    order could transmit.  Present is never demoted by new absences; such
-    rows are only flagged as conflicts.
+    order could transmit.  Rows name orders only; line strengths stay in
+    the spectra.  Present is never demoted by new absences; such rows are
+    only flagged as conflicts.
     """
     orders = [s.m for s in spectra]
     if len(set(orders)) != len(orders):
         raise ValueError(f"duplicate correlation orders in {sorted(orders)}")
-    accepted = {s.m: {int(h.f): h for h in s.harmonics} for s in spectra}
+    accepted = {s.m: {int(h.f) for h in s.harmonics} for s in spectra}
 
     span_hint = max((f for lines in accepted.values() for f in lines), default=0)
     rows: dict[int, EvidenceRow] = {}
@@ -252,21 +247,8 @@ def aggregate(spectra: Sequence[ModulationSpectrum]) -> EvidenceTable:
             sorted(m for m, lines in accepted.items() if f % (m - 1) == 0 and f not in lines)
         )
         if present_orders:
-            # report the most significant sighting
-            def _snr(m: int) -> float:
-                h = accepted[m][f]
-                return h.amplitude / h.sigma_a if h.sigma_a > 0 else math.inf
-
-            best = accepted[max(present_orders, key=_snr)][f]
-            rows[f] = EvidenceRow(
-                f=f,
-                status="present",
-                amplitude=best.amplitude,
-                sigma_a=best.sigma_a,
-                present_orders=present_orders,
-                absent_orders=absent_orders,
-                conflict=bool(absent_orders),
-            )
+            rows[f] = EvidenceRow(f=f, status="present", present_orders=present_orders,
+                                  absent_orders=absent_orders, conflict=bool(absent_orders))
         elif absent_orders:
             rows[f] = EvidenceRow(f=f, status="absent", absent_orders=absent_orders)
         else:

@@ -1,7 +1,9 @@
 """End-to-end command pipeline: artifacts, determinism, exit codes."""
 
 import csv
+import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -27,7 +29,7 @@ pixels = 240
 orders = [3, 4]
 """
 
-RESULTS = ["spectra.json", "evidence.json", "table.csv", "reconstruction.json"]
+RESULTS = ["spectra.json", "evidence.json", "reconstruction.json"]
 PIPELINE_ARTIFACTS = ["curves_m3.csv", "replicas_m3.npy", *RESULTS]
 
 
@@ -59,6 +61,8 @@ def test_pipeline_writes_all_artifacts(run_dir):
     ]
     for name in expected:
         assert (run_dir / name).exists(), name
+    # analyze prints its fit table; spectra.json already holds every line
+    assert not (run_dir / "table.csv").exists()
 
 
 def test_manifest_reproduces_the_config(run_dir):
@@ -80,34 +84,41 @@ def test_evidence_matches_the_known_geometry(run_dir):
     assert evidence["orders_measured"] == [3, 4]
 
 
-def test_fit_table_lists_lines(run_dir):
-    with open(run_dir / "table.csv", newline="") as handle:
-        rows = list(csv.DictReader(handle))
+def printed_fit_table(run_dir, tmp_path, capsys):
+    """The (m, f, A, sigma_A, a/A0, its sigma, flag) rows analyze prints for a copy of run_dir."""
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(out)]) == 0
+    line = r"^order (\d+): f = (\S+), A = (\S+) \+- (\S+), a/A0 = (\S+) \+- (\S+)  \[(\w+)\]$"
+    return re.findall(line, capsys.readouterr().out, re.MULTILINE)
+
+
+def test_fit_table_lists_lines(run_dir, tmp_path, capsys):
+    rows = printed_fit_table(run_dir, tmp_path, capsys)
     assert rows, "no fitted lines at all"
-    assert set(rows[0]) == {"m", "f", "A", "sigma_A", "a_A0", "sigma_a_A0", "accepted"}
     # every comb line up to max_span = 20 is tested: 10 at order 3, 6 at order 4
-    assert [(int(r["m"]), float(r["f"])) for r in rows] == (
+    assert [(int(r[0]), float(r[1])) for r in rows] == (
         [(3, 2.0 * k) for k in range(1, 11)] + [(4, 3.0 * k) for k in range(1, 7)]
     )
-    accepted = {
-        (int(r["m"]), round(float(r["f"]))) for r in rows if r["accepted"] == "True"
-    }
+    accepted = {(int(r[0]), round(float(r[1]))) for r in rows if r[6] == "accepted"}
     assert accepted == {(3, 4), (4, 3)}
+    assert {r[6] for r in rows} == {"accepted", "rejected"}
 
 
-def test_fit_table_repeats_the_spectra_lines(run_dir):
-    # each table.csv row is one fitted line of spectra.json, accepted when the gate kept it
-    with open(run_dir / "table.csv", newline="") as handle:
-        rows = list(csv.DictReader(handle))
+def test_fit_table_repeats_the_spectra_lines(run_dir, tmp_path, capsys):
+    # each printed row is one fitted line of spectra.json, accepted when the gate kept it
+    rows = printed_fit_table(run_dir, tmp_path, capsys)
     spectra = json.loads((run_dir / "spectra.json").read_text())
     fitted = [(s["m"], line) for s in spectra["fits"] for line in s["harmonics"]]
     gated = [(s["m"], line) for s in spectra["gated"] for line in s["harmonics"]]
     assert len(rows) == len(fitted) and gated
     for row, (m, line) in zip(rows, fitted):
-        assert int(row["m"]) == m
-        for key in ("f", "A", "sigma_A", "a_A0", "sigma_a_A0"):
-            assert float(row[key]) == line[key], key
-        assert (row["accepted"] == "True") == ((m, line) in gated)
+        assert int(row[0]) == m
+        assert float(row[1]) == line["f"]
+        assert row[2:6] == (f"{line['A']:.3f}", f"{line['sigma_A']:.3f}",
+                            f"{line['a_A0']:+.4f}", f"{line['sigma_a_A0']:.4f}")
+        assert (row[6] == "accepted") == ((m, line) in gated)
 
 
 def test_reconstruction_identifies_the_source(run_dir):
@@ -186,8 +197,8 @@ def test_analyze_accepts_bare_curve_files(tmp_path, capsys):
     write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
     code = main(["analyze", "--out", str(tmp_path)])
     assert code == 0
-    with open(tmp_path / "table.csv", newline="") as handle:
-        kept = [round(float(r["f"])) for r in csv.DictReader(handle) if r["accepted"] == "True"]
+    spectra = json.loads((tmp_path / "spectra.json").read_text())
+    kept = [round(line["f"]) for s in spectra["gated"] for line in s["harmonics"]]
     assert kept == [4]
     # without replicas the sigmas come from the covariance, and analyze says so
     err = capsys.readouterr().err
@@ -213,7 +224,8 @@ def test_analyze_names_orders_without_curve_files(tmp_path, capsys):
 
 
 def test_analyze_reads_only_the_replicas_the_manifest_lists(tmp_path, capsys):
-    # one frame over a 2000-frame run leaves that run's replicas behind
+    # one frame over a 2000-frame run leaves that run's replicas behind, and
+    # analyze refuses them as it refuses an unlisted curve file
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG.replace("frames = 1000", "frames = 2000").replace("[3, 4]", "[3]"))
     stale, fresh = tmp_path / "stale", tmp_path / "fresh"
@@ -225,11 +237,13 @@ def test_analyze_reads_only_the_replicas_the_manifest_lists(tmp_path, capsys):
         codes[out] = main(["analyze", "--out", str(out)])
         errors[out] = capsys.readouterr().err
     assert (stale / "replicas_m3.npy").exists() and not (fresh / "replicas_m3.npy").exists()
-    assert "order 3: replicas_m3.npy is not listed in manifest.json" in errors[stale]
+    assert codes[stale] == 2
+    assert f"replicas_m3.npy under {stale}: not listed in manifest.json" in errors[stale]
+    assert not (stale / "spectra.json").exists()
+    # a run without replicas is fitted with covariance sigmas, and analyze says so
+    assert codes[fresh] == 0
     assert "order 3: no replicas_m3.npy" in errors[fresh]
-    assert "covariance" in errors[stale]
-    assert codes[stale] == codes[fresh]
-    assert (stale / "spectra.json").read_bytes() == (fresh / "spectra.json").read_bytes()
+    assert "covariance" in errors[fresh]
 
 
 def test_analyze_refuses_curve_files_the_manifest_does_not_list(tmp_path, capsys):
@@ -243,6 +257,25 @@ def test_analyze_refuses_curve_files_the_manifest_does_not_list(tmp_path, capsys
     assert "curves_m4.csv" in capsys.readouterr().err
     assert not (out / "spectra.json").exists()
     assert not (out / "evidence.json").exists()
+
+
+def test_resimulating_clears_the_previous_runs_results(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    cfg.write_text("[geometry]\nx = [3, 1, 4]\n\n[simulate]\nframes = 2000\npixels = 240\n")
+    for command in ("simulate", "analyze", "reconstruct"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+    (out / "table.csv").write_text("m,f\n")  # an older analyze's fit table
+    cfg.write_text("[geometry]\nx = [2, 5]\n\n[simulate]\nframes = 2000\npixels = 240\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in RESULTS + ["table.csv"]:
+        assert not (out / name).exists(), name
+    capsys.readouterr()
+    # the first run's answer is gone, not reported for the second run's curves
+    assert main(["reconstruct", "--out", str(out)]) == 2
+    assert f"missing {out / 'evidence.json'}; run analyze first" in capsys.readouterr().err
+    assert main(["report", "--out", str(out)]) == 2
+    assert "[3, 1, 4]" not in capsys.readouterr().out
 
 
 def test_analyze_takes_orders_from_the_manifest(tmp_path):
@@ -423,7 +456,8 @@ def test_config_errors_exit_2(tmp_path):
     for text in ("frames = 0", "pixels = 0", "seed = -1", "orders = []", "orders = [3, 3]",
                  "weights = [1.0, 2.0]", "weights = [1.0, 0.0, 1.0, 1.0]",
                  "weights = [1.0, -2.0, 1.0, 1.0]", "weights = [1.0, 1e999, 1.0, 1.0]",
-                 "bits = 0", "bits = 20", f"seed = {2**128}"):
+                 "bits = 0", "bits = 20", f"seed = {2**128}",
+                 "pixels = 1000000000000"):  # 8 TB of offsets: refused at once, not allocated
         bad.write_text(f"[simulate]\n{text}\n")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, text
     assert not (tmp_path / "o").exists()
@@ -436,6 +470,8 @@ def test_config_errors_exit_2(tmp_path):
     assert not (tmp_path / "spectra.json").exists()
     assert main(["analyze", "--orders", "3,3", "--out", str(tmp_path)]) == 2
     assert main(["aperture", "--orders", "1..3"]) == 2
+    # 800 GB of orders: refused at once too, with a one-line error
+    assert main(["aperture", "--orders", "2..100000000000"]) == 2
     # the fit table and the aperture file have one format, CSV
     for argv in (["analyze", "--format", "json"], ["aperture", "--orders", "3", "--format", "csv"]):
         with pytest.raises(SystemExit) as usage:
@@ -470,6 +506,30 @@ def test_order_2_is_refused_before_any_frame_is_drawn(tmp_path, monkeypatch, cap
     # the aperture table still covers the pair correlation
     assert main(["aperture", "--orders", "2..8"]) == 0
     assert capsys.readouterr().out.startswith("m = 2: ")
+
+
+def test_a_grid_too_coarse_for_the_comb_is_refused_before_any_frame_is_drawn(
+    tmp_path, monkeypatch, capsys
+):
+    # at 40 pixels the order-3 line f = 20 <= max_span sits at the Nyquist frequency
+    def estimate(*args):
+        raise AssertionError("a frame was drawn")
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[geometry]\nx = [1, 3]\n\n[simulate]\nframes = 200\npixels = 40\n"
+                   "orders = [3]\n")
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "estimate_g_m", estimate)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [simulate] pixels = 40: order(s) [3]")
+    assert "Nyquist" in err
+    assert not out.exists()
+    # a lower span bound leaves the top line below Nyquist, and the fit resolves it
+    cfg.write_text(cfg.read_text() + "\n[reconstruct]\nmax_span = 19\n")
+    for command in ("simulate", "analyze"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
 
 
 def test_unwritable_output_paths_exit_2_and_name_the_path(tmp_path):
@@ -596,9 +656,17 @@ def _json_edit(edit):
     return lambda blob: json.dumps(edit(json.loads(blob))).encode()
 
 
+def _five_replica_rows(blob):
+    # too few resamples for their spread to be an error
+    cut = io.BytesIO()
+    np.save(cut, np.load(io.BytesIO(blob))[:5])
+    return cut.getvalue()
+
+
 # artifact, the command that reads it, and how it is broken; every case exits 2
 MALFORMED_ARTIFACTS = {
     "replicas-truncated": ("replicas_m3.npy", "analyze", lambda blob: blob[:100]),
+    "replicas-five-rows": ("replicas_m3.npy", "analyze", _five_replica_rows),
     "evidence-row-without-f": ("evidence.json", "reconstruct", _json_edit(_drop_first_row_f)),
     "spectra-without-gated": ("spectra.json", "reconstruct", _json_edit(_drop_gated)),
     "spectra-repeated-order": ("spectra.json", "reconstruct", _json_edit(_repeat_gated_order)),

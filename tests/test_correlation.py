@@ -348,9 +348,12 @@ def test_spectra_refuse_non_finite_fields(bad):
 def test_curve_replica_shape_checks():
     d = np.linspace(0, 1, 10)
     with pytest.raises(ValueError):
-        CorrelationCurve(m=3, delta1=d, values=np.ones(10), replicas=np.ones((4, 9)))
-    curve = CorrelationCurve(m=3, delta1=d, values=np.ones(10), replicas=np.ones((4, 10)))
-    assert curve.replicas.shape == (4, 10)
+        CorrelationCurve(m=3, delta1=d, values=np.ones(10), replicas=np.ones((8, 9)))
+    # fewer than 8 rows give no spread to take as an error
+    with pytest.raises(ValueError, match="at least 8 rows"):
+        CorrelationCurve(m=3, delta1=d, values=np.ones(10), replicas=np.ones((7, 10)))
+    curve = CorrelationCurve(m=3, delta1=d, values=np.ones(10), replicas=np.ones((8, 10)))
+    assert curve.replicas.shape == (8, 10)
     assert not curve.replicas.flags.writeable
 
 

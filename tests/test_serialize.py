@@ -106,17 +106,20 @@ def test_replicas_round_trip_is_exact(tmp_path, stack):
 @pytest.mark.parametrize(
     "bad",
     [
-        np.ones((4, 16), dtype=np.float32),  # not float64
+        np.ones((8, 16), dtype=np.float32),  # not float64
         np.ones(16),  # one curve, not a stack of them
         np.ones((1, 16)),  # one row has no spread
-        np.ones((4, 15)),  # wrong sample count
-        np.full((4, 16), np.inf),
+        np.ones((8, 15)),  # wrong sample count
+        np.full((8, 16), np.inf),
+        np.ones((7, 16)),  # too few rows for a spread to be an error
     ],
 )
 def test_replicas_reader_rejects_malformed_arrays(tmp_path, bad):
     path = tmp_path / "replicas.npy"
+    np.save(path, np.ones((8, 16)))
+    assert read_replicas(path, magic_curve((2,), 3, samples=16)).replicas.shape == (8, 16)
     np.save(path, bad)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="replicas.npy"):
         read_replicas(path, magic_curve((2,), 3, samples=16))
 
 
@@ -130,7 +133,7 @@ def test_replicas_reader_rejects_corruption(tmp_path):
         np.savez(fh, np.ones((4, 16)))
     with pytest.raises(FormatError):
         read_replicas(path, curve)  # an .npz archive is not an .npy array
-    write_replicas(np.ones((4, 16)), path)
+    write_replicas(np.ones((8, 16)), path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FormatError):
         read_replicas(path, curve)
@@ -162,15 +165,22 @@ def test_spectrum_dict_round_trip():
 
 
 def test_evidence_dict_round_trip():
-    rows = (EvidenceRow(3, "present", 0.5, 0.05), EvidenceRow(4, "present", 0.9, 0.02),
-            EvidenceRow(2, "absent"), EvidenceRow(6, "absent"))
+    rows = (EvidenceRow(3, "present", present_orders=(4,), absent_orders=(3,), conflict=True),
+            EvidenceRow(4, "present", present_orders=(3, 5)),
+            EvidenceRow(2, "absent", absent_orders=(3,)), EvidenceRow(6, "absent"))
     table = EvidenceTable(span_hint=8, rows={r.f: r for r in rows}, orders_measured=(3, 4, 5))
-    back = evidence_from_dict(evidence_to_dict(table))
+    data = evidence_to_dict(table)
+    back = evidence_from_dict(data)
     assert back.span_hint == table.span_hint
     assert back.orders_measured == table.orders_measured
     assert back.present() == table.present()
     assert back.absent() == table.absent()
-    assert back.rows[3].amplitude == pytest.approx(0.5)
+    assert back.rows == table.rows
+    # rows hold no line strengths; an older run's A and sigma_A keys are ignored
+    assert "A" not in data["rows"][0]
+    for row in data["rows"]:
+        row.update(A=0.5, sigma_A=0.05)
+    assert evidence_from_dict(data) == back
 
 
 def test_report_dict_shape():
@@ -301,7 +311,8 @@ def test_frames_reader_rejects_corruption(tmp_path, stack):
     {"P": 3},  # delta_axis holds four offsets
     {"R": 1e999},  # a count no int holds
     {"R": 3},  # more frames than the payload holds
-], ids=["no-frames", "axis-too-long", "overflowing-count", "short-payload"])
+    {"dtype": "float32"},  # samples the reader would misread as float64
+], ids=["no-frames", "axis-too-long", "overflowing-count", "short-payload", "float32-samples"])
 def test_frames_reader_checks_the_header(tmp_path, change):
     header = {"N": 1, "R": 2, "P": 4, "seed": 0, "bits": None,
               "delta_axis": [0.0, 1.0, 2.0, 3.0], "dtype": "float64"}

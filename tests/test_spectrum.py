@@ -234,24 +234,25 @@ def test_aggregate_input_checks():
         aggregate([gated_lines(3, [4]), gated_lines(3, [2])])
 
 
-def test_aggregate_keeps_best_sighting():
+def test_aggregate_names_every_order_that_sees_a_line():
     strong = line_spectrum(line(4.0, amplitude=0.9, sigma_a=0.01, m=5), m=5)
     weak = line_spectrum(line(4.0, amplitude=0.5, sigma_a=0.20), m=3)
     table = aggregate([weak, strong])
-    assert table.rows[4].amplitude == pytest.approx(0.9)
+    # the row names both sightings and copies neither line; their strengths stay in the spectra
+    assert table.rows[4] == EvidenceRow(4, "present", present_orders=(3, 5))
 
 
 def test_evidence_table_sorts_its_sets():
-    rows = (EvidenceRow(8, "present", 0.2, 0.04), EvidenceRow(6, "absent"),
-            EvidenceRow(3, "present", 0.5, 0.05), EvidenceRow(2, "absent"))
+    rows = (EvidenceRow(8, "present", present_orders=(3,)), EvidenceRow(6, "absent"),
+            EvidenceRow(3, "present", present_orders=(4,)), EvidenceRow(2, "absent"))
     table = EvidenceTable(span_hint=8, rows={r.f: r for r in rows})
     assert table.present() == (3, 8)
     assert table.absent() == (2, 6)
     assert table.span_hint == 8
-    assert table.rows[3].amplitude == pytest.approx(0.5)
+    assert table.rows[3].present_orders == (4,)
     bare = EvidenceTable(span_hint=10, rows={3: EvidenceRow(3, "present")})
     assert bare.span_hint == 10
-    assert bare.rows[3].amplitude is None
+    assert bare.rows[3].present_orders == ()
 
 
 def test_evidence_containers_validate():
