@@ -153,8 +153,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"[simulate] pixels = {sim.pixels}: order(s) {coarse} put a comb line "
                           f"f <= max_span = {span} at or past the Nyquist frequency pixels / 2")
     out = _make_dir(Path(args.out))
-    try:  # results derived from an earlier run's curves would outlive them
-        for name in _RESULTS:
+    try:  # an earlier run's frames, and results derived from its curves, would outlive them
+        for name in (_FRAMES_NAME, *_RESULTS):
             (out / name).unlink(missing_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot remove {exc.filename}: {exc.strerror or exc}") from exc
@@ -295,12 +295,17 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     spectra_path = out / "spectra.json"
     if spectra_path.exists():
-        gated = serialize.read_json(spectra_path, serialize.gated_from_dict)
-        gated = [s for s in gated if s.harmonics]
+        from dataclasses import replace
+
+        fits = serialize.read_json(spectra_path, serialize.fits_from_dict)
+        # the lines the gate accepted: those evidence.json marks Present at their order
+        present = {(m, f) for f, row in evidence.rows.items() for m in row.present_orders}
+        gated = [replace(s, harmonics=kept) for s in fits  # orders left empty are dropped
+                 if (kept := tuple(h for h in s.harmonics if (s.m, h.f) in present))]
         if gated and candidate_set.candidates:
             try:
                 candidate_set = _stage("disambiguate")(candidate_set, gated)
-            except (ValueError, OverflowError) as exc:  # e.g. a zero offset, a line past int64
+            except ValueError as exc:  # e.g. a zero offset or a repeated order
                 raise FormatError(f"{spectra_path}: cannot score these spectra: {exc}") from exc
 
     serialize.write_json(out / "reconstruction.json", serialize.report_to_dict(candidate_set))
@@ -318,6 +323,9 @@ def _print_candidates(candidate_set: CandidateSet) -> None:
     for cand in candidate_set.candidates:
         score = "" if cand.score is None else f"  chi2 = {cand.score:.2f}"
         print(f"  x = {list(cand.geometry.x)}{score}")
+    if not candidate_set.candidates:
+        print("warning: no geometry within the [reconstruct] bounds fits the evidence",
+              file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

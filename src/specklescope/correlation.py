@@ -227,13 +227,11 @@ def g_m_analytic(
 class Harmonic:
     """One cosine component a cos(f delta) + b sin(f delta) of a correlation curve.
 
-    kappa counts multiples of the filter fundamental; f = kappa*(m-1) is
-    the spatial frequency in lattice units, and amplitude is hypot(a, b).
+    f is the spatial frequency in lattice units, and amplitude is hypot(a, b).
     A fitted line also carries its contrast a/A0 and the null channel
     b/A0 relative to the curve's offset A0, each with its error.
     """
 
-    kappa: int
     f: float
     amplitude: float
     sigma_a: float = 0.0
@@ -243,8 +241,6 @@ class Harmonic:
     sigma_quadrature: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kappa < 1:
-            raise ValueError(f"harmonic index must be >= 1, got {self.kappa}")
         sigmas = (self.sigma_a, self.sigma_contrast, self.sigma_quadrature)
         if not all(map(math.isfinite, (self.f, self.amplitude, self.contrast, self.quadrature,
                                        *sigmas))):
@@ -259,7 +255,7 @@ class Harmonic:
 class ModulationSpectrum:
     """Offset plus comb lines fitted to one order-m correlation curve.
 
-    Every line sits on the filtered comb, f = kappa*(m-1), since the
+    Every line sits on the filtered comb, f = kappa*(m-1) < 2**63, since the
     magic placement transmits nothing else (fit_fixed).  residual_rms is
     the rms of the fit residual, and leakage the largest amplitude of its
     periodogram away from the comb.
@@ -281,11 +277,8 @@ class ModulationSpectrum:
         if self.a0 < 0 or self.sigma_a0 < 0:
             raise ValueError("offset and its uncertainty must be non-negative")
         for h in self.harmonics:
-            if h.f != h.kappa * (self.m - 1):
-                raise ValueError(
-                    "lines must sit on the comb f = kappa*(m-1), "
-                    f"got f={h.f} kappa={h.kappa} at m={self.m}"
-                )
+            if h.f % (self.m - 1) or not h.f < 2**63:
+                raise ValueError(f"f={h.f} is off the order-{self.m} comb kappa*(m-1) < 2**63")
 
     @property
     def frequencies(self) -> tuple[float, ...]:

@@ -42,7 +42,7 @@ __all__ = [
     "spectrum_to_dict",
     "spectrum_from_dict",
     "spectra_to_dict",
-    "gated_from_dict",
+    "fits_from_dict",
     "evidence_to_dict",
     "evidence_from_dict",
     "report_to_dict",
@@ -186,9 +186,8 @@ def read_replicas(path: str | Path, curve: CorrelationCurve) -> CorrelationCurve
 
 # JSON key -> (attribute, reader that converts the value back) for each flat
 # record; writer and reader share one table, so the reader requires exactly
-# the keys the writer writes.
+# the keys the writer writes; others, such as older lines' `kappa`, are ignored.
 _HARMONIC = {
-    "kappa": ("kappa", int),
     "f": ("f", float),
     "A": ("amplitude", float),
     "sigma_A": ("sigma_a", float),
@@ -238,14 +237,14 @@ def spectra_to_dict(fits: list[ModulationSpectrum], gated: list[ModulationSpectr
     """spectra.json: the comb fits, their gated versions and the failed orders."""
     return {
         "fits": [spectrum_to_dict(s) for s in fits],
-        "gated": [spectrum_to_dict(s) for s in gated],
+        "gated": [spectrum_to_dict(s) for s in gated],  # read only by perfbench/checks.py
         "failures": [{"m": m, "error": msg} for m, msg in failures],
     }
 
 
-def gated_from_dict(data: dict[str, Any]) -> list[ModulationSpectrum]:
-    """The gated spectra of a spectra.json."""
-    return [spectrum_from_dict(d) for d in data["gated"]]
+def fits_from_dict(data: dict[str, Any]) -> list[ModulationSpectrum]:
+    """The comb fits of a spectra.json, every tested line of each fitted order."""
+    return [spectrum_from_dict(d) for d in data["fits"]]
 
 
 def evidence_to_dict(table: EvidenceTable) -> dict[str, Any]:

@@ -182,7 +182,6 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
     try:
         harmonics = [
             Harmonic(
-                kappa=i + 1,
                 f=float(f),
                 amplitude=math.hypot(coef[1 + 2 * i], coef[2 + 2 * i]),
                 sigma_a=float(sigma_amp[i]),

@@ -125,7 +125,36 @@ def test_reconstruction_identifies_the_source(run_dir):
     report = json.loads((run_dir / "reconstruction.json").read_text())
     assert [c["x"] for c in report["candidates"]] == [[1, 3]]
     assert report["exhaustive"] is True
-    assert report["candidates"][0]["score"] is not None  # gated spectra scored it
+    assert report["candidates"][0]["score"] is not None  # the accepted lines scored it
+
+
+def rescored(run_dir, out, edit):
+    """reconstruction.json of a bare reconstruct on a copy of run_dir with spectra.json edited."""
+    shutil.copytree(run_dir, out)
+    spectra = json.loads((out / "spectra.json").read_text())
+    edit(spectra)
+    write_json(out / "spectra.json", spectra)
+    assert main(["reconstruct", "--out", str(out)]) == 0
+    return (out / "reconstruction.json").read_bytes()
+
+
+def test_reconstruct_scores_the_fitted_lines_the_evidence_accepts(run_dir, tmp_path):
+    # evidence.json marks the gate's lines Present at their order; the fits carry their strengths
+    def double_accepted_fits(spectra):
+        (order_3,) = [s for s in spectra["fits"] if s["m"] == 3]
+        (accepted,) = [line for line in order_3["harmonics"] if line["f"] == 4.0]
+        accepted["A"] *= 2
+
+    def double_gated(spectra):
+        for spectrum in spectra["gated"]:
+            for line in spectrum["harmonics"]:
+                line["A"] *= 2
+
+    original = (run_dir / "reconstruction.json").read_bytes()
+    scaled = json.loads(rescored(run_dir, tmp_path / "fits", double_accepted_fits))
+    assert scaled["candidates"][0]["score"] != json.loads(original)["candidates"][0]["score"]
+    # the gated copy is read by no command
+    assert rescored(run_dir, tmp_path / "gated", double_gated) == original
 
 
 def test_report_command_summarizes(run_dir, capsys):
@@ -276,6 +305,20 @@ def test_resimulating_clears_the_previous_runs_results(tmp_path, capsys):
     assert f"missing {out / 'evidence.json'}; run analyze first" in capsys.readouterr().err
     assert main(["report", "--out", str(out)]) == 2
     assert "[3, 1, 4]" not in capsys.readouterr().out
+
+
+def test_simulate_without_frames_removes_an_earlier_archive(tmp_path):
+    # an earlier run's frames.sstk would be read back beside this run's curves
+    first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+    first.write_text("[geometry]\nx = [1, 3]\n\n[simulate]\nframes = 600\norders = [3]\n")
+    second.write_text("[geometry]\nx = [2, 5]\n\n[simulate]\nframes = 300\norders = [3]\n"
+                      "save_frames = False\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(first), "--out", str(out)]) == 0
+    assert read_frames(out / "frames.sstk").n_frames == 600
+    assert main(["simulate", "--config", str(second), "--out", str(out)]) == 0
+    assert not (out / "frames.sstk").exists()
+    assert "frames" not in json.loads((out / "manifest.json").read_text())["outputs"]
 
 
 def test_analyze_takes_orders_from_the_manifest(tmp_path):
@@ -575,28 +618,28 @@ def _drop_first_row_f(evidence):
     return evidence
 
 
-def _drop_gated(spectra):
-    del spectra["gated"]
+def _drop_fits(spectra):
+    del spectra["fits"]
     return spectra
 
 
-def _repeat_gated_order(spectra):
-    spectra["gated"].append(spectra["gated"][0])
+def _repeat_fitted_order(spectra):
+    spectra["fits"].append(spectra["fits"][0])
     return spectra
 
 
 def _zero_offset(spectra):
-    spectra["gated"][0]["A0"] = 0.0
+    spectra["fits"][0]["A0"] = 0.0
     return spectra
 
 
 def _nan_offset(spectra):
-    spectra["gated"][0]["A0"] = float("nan")
+    spectra["fits"][0]["A0"] = float("nan")
     return spectra
 
 
 def _drop_sigmas(spectra):
-    for spectrum in spectra["gated"]:
+    for spectrum in spectra["fits"]:
         del spectrum["sigma_A0"]
         for line in spectrum["harmonics"]:
             del line["sigma_A"], line["sigma_a_A0"]
@@ -605,14 +648,14 @@ def _drop_sigmas(spectra):
 
 def _off_comb_line(spectra):
     # order 4 transmits only multiples of 3, so no order-4 line sits at f = 4
-    (order_4,) = [s for s in spectra["gated"] if s["m"] == 4]
+    (order_4,) = [s for s in spectra["fits"] if s["m"] == 4]
     order_4["harmonics"][0]["f"] = 4.0
     return spectra
 
 
 def _old_line_keys(spectra):
     # a spectra.json from the free fit: frequency errors, no contrasts
-    for spectrum in spectra["gated"]:
+    for spectrum in spectra["fits"]:
         for line in spectrum["harmonics"]:
             line["sigma_f"] = 0.01
             for key in ("a_A0", "sigma_a_A0", "b_A0", "sigma_b_A0"):
@@ -637,8 +680,8 @@ def _chi2_as_list(report):
 
 def _line_past_int64(spectra):
     # on the order-3 comb, at a frequency no int64 holds
-    (order_3,) = [s for s in spectra["gated"] if s["m"] == 3]
-    order_3["harmonics"][0].update(kappa=2**64, f=2**65)
+    (order_3,) = [s for s in spectra["fits"] if s["m"] == 3]
+    order_3["harmonics"][0]["f"] = 2**65
     return spectra
 
 
@@ -668,8 +711,8 @@ MALFORMED_ARTIFACTS = {
     "replicas-truncated": ("replicas_m3.npy", "analyze", lambda blob: blob[:100]),
     "replicas-five-rows": ("replicas_m3.npy", "analyze", _five_replica_rows),
     "evidence-row-without-f": ("evidence.json", "reconstruct", _json_edit(_drop_first_row_f)),
-    "spectra-without-gated": ("spectra.json", "reconstruct", _json_edit(_drop_gated)),
-    "spectra-repeated-order": ("spectra.json", "reconstruct", _json_edit(_repeat_gated_order)),
+    "spectra-without-fits": ("spectra.json", "reconstruct", _json_edit(_drop_fits)),
+    "spectra-repeated-order": ("spectra.json", "reconstruct", _json_edit(_repeat_fitted_order)),
     "spectra-zero-offset": ("spectra.json", "reconstruct", _json_edit(_zero_offset)),
     "spectra-nan-offset": ("spectra.json", "reconstruct", _json_edit(_nan_offset)),
     "spectra-without-sigmas": ("spectra.json", "reconstruct", _json_edit(_drop_sigmas)),
@@ -724,6 +767,20 @@ def test_empty_evidence_exits_3(tmp_path):
     table = evidence_table((), absent=(2,), orders_measured=(3,))
     write_json(tmp_path / "evidence.json", evidence_to_dict(table))
     assert main(["reconstruct", "--out", str(tmp_path)]) == 3
+
+
+def test_a_search_without_candidates_warns(tmp_path, capsys):
+    # distances 1 and 3 without 2 fit no set of sites within span 3
+    table = evidence_table((1, 3), absent=(2,), orders_measured=(3, 4))
+    write_json(tmp_path / "evidence.json", evidence_to_dict(table))
+    assert main(["reconstruct", "--out", str(tmp_path)]) == 0
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    done = capsys.readouterr()
+    assert done.out.startswith("0 candidate geometries\norders measured: [3, 4]\n")
+    assert "exhaustive search: True" in done.out and "winner" not in done.out
+    # one warning from each command
+    warning = "warning: no geometry within the [reconstruct] bounds fits the evidence"
+    assert done.err.splitlines() == [warning, warning]
 
 
 def test_fit_failure_exits_4(tmp_path):

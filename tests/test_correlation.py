@@ -337,9 +337,9 @@ def test_curve_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_spectra_refuse_non_finite_fields(bad):
     with pytest.raises(ValueError):
-        Harmonic(kappa=1, f=2.0, amplitude=bad)
+        Harmonic(f=2.0, amplitude=bad)
     with pytest.raises(ValueError):
-        Harmonic(kappa=1, f=2.0, amplitude=1.0, sigma_a=bad)
+        Harmonic(f=2.0, amplitude=1.0, sigma_a=bad)
     for field in ("a0", "sigma_a0", "residual_rms", "leakage"):
         with pytest.raises(ValueError):
             ModulationSpectrum(m=3, **{"a0": 1.0, field: bad}, harmonics=())

@@ -21,7 +21,7 @@ from specklescope import FormatError, RunManifest, SpeckleScopeError
 from specklescope.cli import main
 from specklescope.serialize import (
     evidence_from_dict,
-    gated_from_dict,
+    fits_from_dict,
     read_curve_csv,
     read_frames,
     read_json,
@@ -70,7 +70,7 @@ def _readers(run_dir):
         "replicas_m3.npy": lambda path: read_replicas(path, curve),
         # the payload is read as the chunks are reached, so they are drained
         "frames.sstk": lambda path: list(read_frames(path).chunks),
-        "spectra.json": lambda path: read_json(path, gated_from_dict),
+        "spectra.json": lambda path: read_json(path, fits_from_dict),
         "evidence.json": lambda path: read_json(path, evidence_from_dict),
         "reconstruction.json": lambda path: read_json(path, report_from_dict),
         "manifest.json": lambda path: read_json(path, RunManifest.from_dict),
@@ -156,14 +156,14 @@ def test_commands_return_a_code_on_damaged_artifacts(run_dir, name):
 
 
 # the per-line record of spectra.json, contrast fields included
-LINE_KEYS = ("kappa", "f", "A", "sigma_A", "a_A0", "sigma_a_A0", "b_A0", "sigma_b_A0")
+LINE_KEYS = ("f", "A", "sigma_A", "a_A0", "sigma_a_A0", "b_A0", "sigma_b_A0")
 DROP = object()
 
 
 def test_spectra_reader_checks_every_line_field(run_dir):
     data = json.loads((run_dir / "spectra.json").read_text())
-    lines = [(i, j) for i, s in enumerate(data["gated"]) for j in range(len(s["harmonics"]))]
-    assert lines, "the run gated no line"
+    lines = [(i, j) for i, s in enumerate(data["fits"]) for j in range(len(s["harmonics"]))]
+    assert lines, "the run fitted no line"
     values = st.one_of(
         st.just(DROP), st.none(), st.booleans(), st.text(max_size=3),
         st.floats(allow_nan=True, allow_infinity=True), st.lists(st.integers(), max_size=2),
@@ -173,7 +173,7 @@ def test_spectra_reader_checks_every_line_field(run_dir):
     @given(st.sampled_from(lines), st.sampled_from(LINE_KEYS), values)
     def check(at, key, value):
         broken = copy.deepcopy(data)
-        line = broken["gated"][at[0]]["harmonics"][at[1]]
+        line = broken["fits"][at[0]]["harmonics"][at[1]]
         if value is DROP:
             del line[key]
         else:
@@ -182,7 +182,7 @@ def test_spectra_reader_checks_every_line_field(run_dir):
             path = Path(tmp) / "spectra.json"
             path.write_text(json.dumps(broken))
             try:
-                read_json(path, gated_from_dict)
+                read_json(path, fits_from_dict)
             except FormatError:
                 return
             assert value is not DROP, f"a line without {key} was read"

@@ -35,7 +35,7 @@ def measured_spectrum(truth, m, sigma_a=0.02):
     contrasts = predicted_spectrum((truth,), m, surviving)[0]
     a0 = float(np.mean(magic_curve(truth.x, m).values))
     lines = tuple(
-        Harmonic(kappa=f // (m - 1), f=float(f), amplitude=float(c) * a0, sigma_a=sigma_a)
+        Harmonic(f=float(f), amplitude=float(c) * a0, sigma_a=sigma_a)
         for f, c in zip(surviving, contrasts)
     )
     return ModulationSpectrum(m=m, a0=a0, harmonics=lines)
@@ -279,8 +279,8 @@ HOMOMETRIC_AT_5 = CandidateSet(
 def order_5_lines(a4):
     """The lines at f = 4 and 8 fitted from 100000 frames of x=(1, 3, 5), with A_4 = a4."""
     lines = (
-        Harmonic(kappa=1, f=4.0, amplitude=a4, sigma_a=0.05988458346151628),
-        Harmonic(kappa=2, f=8.0, amplitude=1.4157072190937008, sigma_a=0.07236950067110268),
+        Harmonic(f=4.0, amplitude=a4, sigma_a=0.05988458346151628),
+        Harmonic(f=8.0, amplitude=1.4157072190937008, sigma_a=0.07236950067110268),
     )
     return ModulationSpectrum(
         m=5, a0=5.795499453322755, sigma_a0=0.14567705295292302, harmonics=lines,

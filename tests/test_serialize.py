@@ -153,9 +153,9 @@ def test_spectrum_dict_round_trip():
         a0=3.25,
         sigma_a0=0.01,
         harmonics=(
-            Harmonic(kappa=1, f=3.0, amplitude=0.8, sigma_a=0.02, contrast=0.24,
+            Harmonic(f=3.0, amplitude=0.8, sigma_a=0.02, contrast=0.24,
                      sigma_contrast=0.006, quadrature=-0.01, sigma_quadrature=0.005),
-            Harmonic(kappa=2, f=6.0, amplitude=0.4, sigma_a=0.03, contrast=-0.12,
+            Harmonic(f=6.0, amplitude=0.4, sigma_a=0.03, contrast=-0.12,
                      sigma_contrast=0.009, quadrature=0.02, sigma_quadrature=0.008),
         ),
         residual_rms=0.007,
