@@ -57,7 +57,8 @@ __getattr__ = _stage
 _CURVE_PREFIX = "curves_m"
 _REPLICA_PREFIX = "replicas_m"
 _FRAMES_NAME = "frames.sstk"
-# what analyze and reconstruct derive from a run's curves; table.csv is an older analyze's
+# what analyze and reconstruct derive from a run's curves; table.csv is an older
+# analyze's.  analyze rewrites the first two and deletes the rest
 _RESULTS = ("spectra.json", "evidence.json", "reconstruction.json", "table.csv")
 
 
@@ -122,6 +123,15 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
+def _remove(out: Path, names: tuple[str, ...]) -> None:
+    """Delete the named files from `out`, those that exist."""
+    try:
+        for name in names:
+            (out / name).unlink(missing_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot remove {exc.filename}: {exc.strerror or exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -153,11 +163,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"[simulate] pixels = {sim.pixels}: order(s) {coarse} put a comb line "
                           f"f <= max_span = {span} at or past the Nyquist frequency pixels / 2")
     out = _make_dir(Path(args.out))
-    try:  # an earlier run's frames, and results derived from its curves, would outlive them
-        for name in (_FRAMES_NAME, *_RESULTS):
-            (out / name).unlink(missing_ok=True)
-    except OSError as exc:
-        raise OutputError(f"cannot remove {exc.filename}: {exc.strerror or exc}") from exc
+    # an earlier run's frames, and results derived from its curves, would outlive them
+    _remove(out, (_FRAMES_NAME, *_RESULTS))
 
     # one pass: each chunk is sampled, archived and folded into every
     # order's sums; frames.sstk appears only once the estimator has finished
@@ -252,6 +259,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     gated = [_stage("gate")(s, config.gate, n_tests) for s in raw]
 
     evidence = _stage("aggregate")(gated)
+    # an earlier reconstruction answers the earlier evidence, not this one
+    _remove(out, _RESULTS[2:])
     serialize.write_json(out / "spectra.json", serialize.spectra_to_dict(raw, gated, failures))
     serialize.write_json(out / "evidence.json", serialize.evidence_to_dict(evidence))
 

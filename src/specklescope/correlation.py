@@ -85,6 +85,8 @@ class CorrelationCurve:
             raise ValueError("delta1 and values must be 1-D arrays of equal length")
         if not np.all(np.isfinite(delta1)) or not np.all(np.isfinite(values)):
             raise ValueError("curve contains non-finite entries")
+        if not np.all(np.diff(delta1) > 0):
+            raise ValueError("delta1 must be strictly increasing")
         scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
         if np.any(values < -_NEGATIVE_TOL * scale):
             raise ValueError("correlation values must be non-negative")
@@ -209,8 +211,6 @@ def g_m_analytic(
         raise ValueError("scan grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(scan)):
         raise ValueError("scan grid contains non-finite offsets")
-    if scan.size > 1 and not np.all(np.diff(scan) > 0):
-        raise ValueError("scan grid must be strictly increasing")
     m = len(fixed_deltas) + 1
     table = _phase_table(phase_prefactors(geometry), scan, fixed_deltas)
     mats = _coherence_stack(table, np.arange(geometry.n_sources)[None])[0]

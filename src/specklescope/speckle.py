@@ -75,28 +75,6 @@ class FrameStream:
         return int(self.delta_axis.size)
 
 
-def _draw_amplitudes(stream: FrameStream, scale: np.ndarray) -> Iterator[np.ndarray]:
-    """Complex source amplitudes of each sampling chunk, one row per frame.
-
-    Frame r draws from the Philox stream keyed by stream.seed at counter
-    r << 192.  One bit generator serves every chunk, its counter reset per
-    frame through a state of plain ints (numpy words cost a conversion each).
-    """
-    bitgen = np.random.Philox(key=stream.seed)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    state["state"] = {word: v.tolist() for word, v in state["state"].items()}
-    state["buffer"] = state["buffer"].tolist()
-    counter = state["state"]["counter"]
-    for start, stop in _frame_chunks(stream.n_frames):
-        xi = np.empty((stop - start, stream.n_sources, 2))
-        for i, frame in enumerate(range(start, stop)):
-            counter[3] = frame
-            bitgen.state = state
-            rng.standard_normal(out=xi[i])
-        yield scale * (xi[..., 0] + 1j * xi[..., 1])
-
-
 def _frame_chunks(n_frames: int) -> Iterator[tuple[int, int]]:
     """(start, stop) of each sampling chunk; none holds a single frame of several.
 
@@ -112,12 +90,19 @@ def _frame_chunks(n_frames: int) -> Iterator[tuple[int, int]]:
 def _drawn_chunks(
     stream: FrameStream, field_matrix: np.ndarray, scale: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Unquantized intensities of each sampling chunk, in frame order."""
-    for amplitudes in _draw_amplitudes(stream, scale):
-        fields = amplitudes @ field_matrix
+    """Unquantized intensities of each sampling chunk, in frame order.
+
+    Each call draws from its own Philox generator keyed by stream.seed, so
+    every pass sees the same frames: each chunk takes its frames' (sources,
+    2) blocks of amplitude parts in turn from one stream, whatever its size.
+    """
+    rng = np.random.Generator(np.random.Philox(key=stream.seed))
+    for start, stop in _frame_chunks(stream.n_frames):
+        xi = rng.standard_normal((stop - start, stream.n_sources, 2))
+        fields = (scale * (xi[..., 0] + 1j * xi[..., 1])) @ field_matrix
         rows = np.square(fields.real)
         rows += np.square(fields.imag, out=fields.imag)
-        del fields  # not held while the chunk is read
+        del xi, fields  # not held while the chunk is read
         yield rows
         del rows  # nor the chunk while the next is drawn
 
@@ -153,10 +138,11 @@ def sample_frames(
 
     `frames` independent speckle frames of `geometry` over the strictly
     increasing camera offsets `delta_axis`.  The Philox key `seed`, in
-    [0, 2**128), together with the frame index pins every frame.  `weights`
-    are the relative source intensities (equal if omitted), and `bits`, if
-    set, the ADC depth the frames are quantized to.  The arguments are
-    checked here, so a bad one is a ValueError before any frame is drawn.
+    [0, 2**128), pins every frame: one stream draws the source amplitudes
+    in frame order.  `weights` are the relative source intensities (equal
+    if omitted), and `bits`, if set, the ADC depth the frames are quantized
+    to.  The arguments are checked here, so a bad one is a ValueError
+    before any frame is drawn.
 
     Each chunk draws its frames' source amplitudes, propagates them to the
     camera grid and squares them, and is quantized if `bits` is set.  A

@@ -98,7 +98,10 @@ def _covariance_errors(
     input sigmas do not propagate verbatim.
     """
     dof = design_w.shape[0] - design_w.shape[1]
-    cov = np.linalg.inv(design_w.T @ design_w) * (float(resid_w @ resid_w) / dof)
+    try:  # weights near the float range can underflow the normal matrix to singular
+        cov = np.linalg.inv(design_w.T @ design_w) * (float(resid_w @ resid_w) / dof)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"fit covariance cannot be inverted: {exc}") from exc
 
     def sigma(idx: list[int], grad: list[float]) -> float:
         g = np.array(grad)

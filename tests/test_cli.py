@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,10 +237,15 @@ def test_analyze_accepts_bare_curve_files(tmp_path, capsys):
 
 
 def test_malformed_curve_csv_exits_2(tmp_path, capsys):
+    write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
+    curve = (tmp_path / "curves_m3.csv").read_bytes()
+    header, *rows = curve.decode().splitlines(keepends=True)
     for text in [
         "nonsense,header\n1,2\n",  # foreign header
         "delta1_rad,g_value,sigma\n0.0,2.0\n",  # short row
         "delta1_rad,g_value\n0.0,two\n",  # non-numeric cell
+        _repeated_offsets(curve).decode(),
+        "".join([header, *rows[::-1]]),  # offsets in reverse
     ]:
         (tmp_path / "curves_m3.csv").write_text(text)
         assert main(["analyze", "--out", str(tmp_path)]) == 2, text
@@ -305,6 +311,22 @@ def test_resimulating_clears_the_previous_runs_results(tmp_path, capsys):
     assert f"missing {out / 'evidence.json'}; run analyze first" in capsys.readouterr().err
     assert main(["report", "--out", str(out)]) == 2
     assert "[3, 1, 4]" not in capsys.readouterr().out
+
+
+def test_reanalyzing_removes_the_earlier_reconstruction(run_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    (out / "table.csv").write_text("m,f\n")  # an older analyze's fit table
+    assert main(["analyze", "--orders", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "evidence.json").read_text())["orders_measured"] == [3]
+    assert not (out / "reconstruction.json").exists()
+    assert not (out / "table.csv").exists()
+    capsys.readouterr()
+    # the answer to the earlier, two-order evidence is not reported for this one
+    assert main(["report", "--out", str(out)]) == 2
+    done = capsys.readouterr()
+    assert f"missing {out / 'reconstruction.json'}; run reconstruct first" in done.err
+    assert done.out == ""
 
 
 def test_simulate_without_frames_removes_an_earlier_archive(tmp_path):
@@ -695,6 +717,12 @@ def _report_order_1(report):
     return report
 
 
+def _repeated_offsets(blob):
+    # every row twice, so delta1_rad repeats each offset
+    header, *rows = blob.decode().splitlines(keepends=True)
+    return "".join([header, *(row * 2 for row in rows)]).encode()
+
+
 def _json_edit(edit):
     return lambda blob: json.dumps(edit(json.loads(blob))).encode()
 
@@ -708,6 +736,7 @@ def _five_replica_rows(blob):
 
 # artifact, the command that reads it, and how it is broken; every case exits 2
 MALFORMED_ARTIFACTS = {
+    "curve-repeated-offsets": ("curves_m3.csv", "analyze", _repeated_offsets),
     "replicas-truncated": ("replicas_m3.npy", "analyze", lambda blob: blob[:100]),
     "replicas-five-rows": ("replicas_m3.npy", "analyze", _five_replica_rows),
     "evidence-row-without-f": ("evidence.json", "reconstruct", _json_edit(_drop_first_row_f)),
@@ -789,6 +818,19 @@ def test_fit_failure_exits_4(tmp_path):
     # failures are still recorded for inspection
     spectra = json.loads((tmp_path / "spectra.json").read_text())
     assert spectra["failures"][0]["m"] == 3
+
+
+def test_a_singular_fit_covariance_is_a_fit_failure(tmp_path, capsys):
+    # without replicas the sigmas come from the covariance; weights of 1e-307
+    # underflow its normal matrix to zero
+    curve = magic_curve((1, 3), 3)
+    values = 1e307 * curve.values / curve.values.max()
+    write_curve_csv(replace(curve, values=values, sigma=np.full(len(curve), 1e307)),
+                    tmp_path / "curves_m3.csv")
+    assert main(["analyze", "--out", str(tmp_path)]) == 4
+    assert "order 3: fit failed: fit covariance cannot be inverted" in capsys.readouterr().err
+    spectra = json.loads((tmp_path / "spectra.json").read_text())
+    assert [failure["m"] for failure in spectra["failures"]] == [3]
 
 
 def test_an_old_manifest_exits_2_and_names_the_removed_keys(run_dir, tmp_path, capsys):

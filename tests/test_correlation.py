@@ -329,6 +329,10 @@ def test_curve_validation():
         CorrelationCurve(m=3, delta1=d, values=np.ones(9))
     with pytest.raises(OrderError):
         CorrelationCurve(m=1, delta1=d, values=np.ones(10))
+    # offsets repeated, reversed or shuffled: the fit needs a strictly increasing scan
+    for scan in (np.repeat(d[:5], 2), d[::-1], d[[0, 2, 1, *range(3, 10)]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CorrelationCurve(m=3, delta1=scan, values=np.ones(10))
     curve = CorrelationCurve(m=3, delta1=d, values=np.ones(10))
     assert len(curve) == 10
     assert not curve.values.flags.writeable

@@ -271,9 +271,9 @@ def test_frames_reader_streams_the_sampler_chunks(tmp_path):
 
 
 @pytest.mark.parametrize("weights, bits, digest", [
-    (None, None, "dab587554c8c3bf83b19c8f727ed05b06ea70ab89290fb8b89bb71121925d5af"),
-    ((1.0, 0.5, 0.8, 0.6), 12, "ab48c21ba5c16520289fefd8aadeca26ea337a44054226e417c0c39304bd5569"),
-])
+    (None, None, "3dadb673bef7eacda8587a6d312ff31d004ffe4c584e6bf9fbf4ccbc5a37c403"),
+    ((1.0, 0.5, 0.8, 0.6), 12, "727ccddb5b69b02d7f83b52c5e7cc53cd37e4373c11a75ef7f839ae3b7d6b7f0"),
+], ids=["equal-weights", "weighted-12-bits"])
 def test_frame_file_bytes_are_pinned(tmp_path, weights, bits, digest):
     # two chunks, the second with the one-frame tail folded in; a change to
     # the amplitude draw, the propagation or the file layout moves the digest

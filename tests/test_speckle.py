@@ -122,19 +122,17 @@ def test_sampling_is_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_single_frame_regenerates_in_isolation():
-    stream = small_stream(frames=50)
+def test_frames_are_one_normal_stream_through_the_field_basis():
+    # the whole acquisition's amplitudes, drawn at once from the seed's Philox
+    # stream and propagated without chunks, are the frames sampled in two
+    stream = small_stream(frames=1025)
     inten = held_frames(stream)
+    rng = np.random.Generator(np.random.Philox(key=stream.seed))
+    xi = rng.standard_normal((stream.n_frames, stream.n_sources, 2))
     alpha = np.asarray(phase_prefactors(SMALL["geometry"]), dtype=float)
     basis = np.exp(1j * np.outer(alpha, stream.delta_axis))
-    for frame in (0, 17, 49):
-        # the frame's own Philox stream, drawn by a generator of its own
-        rng = np.random.Generator(np.random.Philox(key=stream.seed, counter=frame << 192))
-        xi = rng.standard_normal((stream.n_sources, 2))
-        field = np.sqrt(0.5) * (xi[:, 0] + 1j * xi[:, 1]) @ basis
-        np.testing.assert_allclose(
-            np.abs(field) ** 2, inten[frame], atol=1e-12
-        )
+    field = np.sqrt(0.5) * (xi[..., 0] + 1j * xi[..., 1]) @ basis
+    np.testing.assert_allclose(np.abs(field) ** 2, inten, atol=1e-12)
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 7, 100_000])
