@@ -19,9 +19,10 @@ CandidateSet) in records.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import replace
+
+import numpy as np
 
 from .config import SearchBounds
 from .correlation import ModulationSpectrum, predicted_spectrum
@@ -180,37 +181,35 @@ def disambiguate(
     if len(set(orders)) != len(orders):
         raise ValueError(f"duplicate correlation orders in {sorted(orders)}")
 
-    measured: list[tuple[int, int, float, float]] = []  # (m, line index, ratio, sigma)
+    ratios, sigmas = {}, {}  # per order, one entry per measured line
     for s in spectra:
         if s.a0 <= 0:
             raise ValueError(f"order-{s.m} spectrum has non-positive offset")
-        for j, h in enumerate(s.harmonics):
-            ratio = h.amplitude / s.a0
-            var = (h.sigma_a / s.a0) ** 2 + (h.amplitude * s.sigma_a0 / s.a0**2) ** 2
-            measured.append((s.m, j, ratio, math.sqrt(var)))
-    if measured and all(sig == 0.0 for _, _, _, sig in measured):
+        amplitude = np.array([h.amplitude for h in s.harmonics], dtype=float)
+        sigma_a = np.array([h.sigma_a for h in s.harmonics], dtype=float)
+        ratios[s.m] = amplitude / s.a0
+        sigmas[s.m] = np.sqrt(
+            np.square(sigma_a / s.a0) + np.square(amplitude * s.sigma_a0 / s.a0**2)
+        )
+    measured = np.concatenate([[], *sigmas.values()])
+    if measured.size and not measured.any():
         raise ValueError("all measured amplitude errors are zero; weighting degenerate")
 
-    # one contrast table of every candidate per order with measured lines,
-    # one column per measured line of that order
+    # one chi-square array per order over every candidate: each measured
+    # line adds its column of the order's contrast table, in line order
     geometries = candidate_set.geometries()
-    tables = {
-        s.m: predicted_spectrum(geometries, s.m, [int(h.f) for h in s.harmonics]).tolist()
-        for s in spectra
-        if s.harmonics
-    }
-
-    sigma_floor = 1e-12
-    rescored = []
-    for k, cand in enumerate(candidate_set.candidates):
-        chi2_by_order: dict[int, float] = {m: 0.0 for m in orders}
-        for m, j, ratio, sig in measured:
-            pred_ratio = tables[m][k][j]
-            chi2_by_order[m] += ((ratio - pred_ratio) / max(sig, sigma_floor)) ** 2
-        score = float(sum(chi2_by_order.values()))
-        rescored.append(
-            replace(cand, score=score, chi2_by_order=tuple(sorted(chi2_by_order.items())))
-        )
+    chi2 = {s.m: np.zeros(len(geometries)) for s in spectra}
+    for s in spectra:
+        if s.harmonics:
+            table = predicted_spectrum(geometries, s.m, [int(h.f) for h in s.harmonics])
+            terms = np.square((ratios[s.m] - table) / np.maximum(sigmas[s.m], 1e-12))
+            chi2[s.m] = sum(terms.T, chi2[s.m])
+    scores = sum(chi2.values(), np.zeros(len(geometries))).tolist()
+    by_order = [(m, c.tolist()) for m, c in sorted(chi2.items())]
+    rescored = [
+        replace(cand, score=score, chi2_by_order=tuple((m, c[k]) for m, c in by_order))
+        for k, (cand, score) in enumerate(zip(candidate_set.candidates, scores))
+    ]
     # equal spectra differ in the last bits of their chi-square sums, real
     # groups by far more: a run of scores this close to its first is one tie
     runs: list[list[Candidate]] = []

@@ -214,56 +214,6 @@ def nearest_magic_pixels(
     return tuple(indices), worst
 
 
-def _block_rows(
-    chunks: Iterable[np.ndarray], sizes: Sequence[int], pixel_sums: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Rows of each bootstrap block in turn, read off consecutive chunks.
-
-    A block inside one chunk is a view of it, and one that straddles chunks
-    is gathered in a buffer: either is laid out as a slice of the whole
-    stack, so its products round as that slice's do.  Each chunk's samples
-    are checked, and `pixel_sums` continues over its rows as one axis-0 sum.
-    """
-    n_pixels = pixel_sums.size
-    sizes = iter(sizes)
-    want = next(sizes, 0)
-    buffer = None
-    held = 0  # rows of the current block already in the buffer
-    first = True
-    # no chunk is bound while the next is drawn: no enumerate, whose cached
-    # result tuple keeps the last item, and each chunk is deleted when done
-    for rows in chunks:
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != n_pixels:
-            raise ValueError(f"chunks must be frames x {n_pixels} arrays")
-        _check_samples(rows)
-        summands = rows if first else np.concatenate((pixel_sums[None], rows))
-        np.add.reduce(summands, axis=0, out=pixel_sums)
-        del summands
-        first = False
-        at = 0
-        while at < len(rows):
-            if not want:
-                raise ValueError("the chunks hold more frames than the stream declares")
-            take = min(want - held, len(rows) - at)
-            if not held and take == want:
-                yield rows[at:at + take]
-            else:
-                if buffer is None or len(buffer) < want:
-                    buffer = np.empty((want, n_pixels))
-                buffer[held:held + take] = rows[at:at + take]
-                held += take
-                if held < want:
-                    break
-                yield buffer[:want]
-                held = 0
-            at += take
-            want = next(sizes, 0)
-        del rows
-    if want:
-        raise ValueError("the chunks hold fewer frames than the stream declares")
-
-
 def estimate_g_m(
     stream: FrameStream, fixed_pixel_sets: Sequence[Sequence[int]]
 ) -> tuple[CorrelationCurve, ...]:
@@ -280,13 +230,17 @@ def estimate_g_m(
     the (strongly pixel-correlated) estimator noise honestly.  With a
     single frame the estimate is defined but sigma and replicas are None.
 
-    One pass over the chunks serves every set: it continues the pixel sums
-    and, per contiguous frame block, the block means and each set's block
-    sum of I_p * prod_j I_fj.  The numerator is the sum of those block sums,
-    so a value can differ from the product over the whole stack in its last
-    bits (at most R * 2^-52 relative); each sigma and replica is exactly
-    the one a whole-stack pass gives, and replica row b is the same frame
-    resample in every curve, drawn from a generator seeded by stream.seed.
+    One pass over the chunks fills one table of block sums: per contiguous
+    frame block, row 0 holds the sum of I_p and row 1 + k set k's sum of
+    I_p * prod_j I_fj.  A block inside a chunk is read as a view of it, and
+    one that straddles chunks is first copied into a block-sized buffer.
+    Every moment comes from the table: a mean is the sum of its block sums
+    over the frame count, a block mean is a block sum over the block's
+    length, and the bootstrap resamples block means.  So a value can differ
+    from the moments of the whole stack in its last bits (at most R * 2^-52
+    relative); each sigma and replica is exactly the one a whole-stack pass
+    gives, and replica row b is the same frame resample in every curve,
+    drawn from a generator seeded by stream.seed.
     """
     n_frames, n_pixels = stream.n_frames, stream.n_pixels
     if n_frames < 1:
@@ -304,18 +258,42 @@ def estimate_g_m(
     n_blocks = min(_MAX_BLOCKS, n_frames)
     size, extra = divmod(n_frames, n_blocks)
     sizes = [size + 1] * extra + [size] * (n_blocks - extra)
-    pixel_sums = np.zeros(n_pixels)
-    block_mean_i = np.empty((n_blocks, n_pixels))
-    block_sum = np.empty((len(fixed_sets), n_blocks, n_pixels))
-    b = 0  # not enumerate, which holds the last block through the next draw
-    for rows in _block_rows(stream.chunks, sizes, pixel_sums):
-        block_mean_i[b] = rows.mean(axis=0)
-        for k, idx in enumerate(fixed_idx):
-            block_sum[k, b] = rows[:, idx].prod(axis=1) @ rows
-        b += 1
-        del rows
+    sums = np.empty((1 + len(fixed_idx), n_blocks, n_pixels))
+    buffer = np.empty((sizes[0], n_pixels))
+    b = held = 0  # the block being read, and its rows already in the buffer
+    # no chunk is bound while the next is drawn: no enumerate, whose cached
+    # result tuple keeps the last item, and each chunk is dropped when done
+    for rows in stream.chunks:
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != n_pixels:
+            raise ValueError(f"chunks must be frames x {n_pixels} arrays")
+        _check_samples(rows)
+        at = 0
+        while at < len(rows):
+            if b == n_blocks:
+                raise ValueError("the chunks hold more frames than the stream declares")
+            take = min(sizes[b] - held, len(rows) - at)
+            block = rows[at:at + take]
+            at += take
+            if held or take < sizes[b]:  # the block straddles chunks
+                buffer[held:held + take] = block
+                held += take
+                block = buffer[:held]
+                if held < sizes[b]:
+                    continue
+                held = 0
+            # a view and the buffer are laid out as that slice of the whole
+            # stack, so their sums and products round as the slice's do
+            sums[0, b] = np.add.reduce(block, axis=0)
+            for k, idx in enumerate(fixed_idx, 1):
+                sums[k, b] = block[:, idx].prod(axis=1) @ block
+            b += 1
+        rows = block = None
+    del buffer  # nor the block buffer through the bootstrap
+    if b < n_blocks:
+        raise ValueError("the chunks hold fewer frames than the stream declares")
 
-    mean_i = pixel_sums / n_frames
+    mean_i = np.add.reduce(sums[0], axis=0) / n_frames
     if np.any(mean_i == 0):
         bad = int(np.flatnonzero(mean_i == 0)[0])
         raise DegeneratePixelError(f"pixel {bad} has zero mean intensity")
@@ -325,14 +303,13 @@ def estimate_g_m(
         seed_seq = np.random.SeedSequence(entropy=(stream.seed, 0xB0075EED))
         rng = np.random.Generator(np.random.Philox(seed_seq))
         counts = rng.multinomial(n_blocks, np.full(n_blocks, 1.0 / n_blocks), size=_N_BOOT)
-        boot_mean_i = counts @ block_mean_i / n_blocks  # (_N_BOOT, P)
-        del block_mean_i
         block_len = np.asarray(sizes, dtype=float)[:, None]
+        boot_mean_i = counts @ (sums[0] / block_len) / n_blocks  # (_N_BOOT, P)
 
     curves = []
-    for fixed, idx, sums in zip(fixed_sets, fixed_idx, block_sum):
+    for fixed, idx, moment in zip(fixed_sets, fixed_idx, sums[1:]):
         m = len(fixed) + 1
-        numerator = np.add.reduce(sums, axis=0) / n_frames  # (P,)
+        numerator = np.add.reduce(moment, axis=0) / n_frames  # (P,)
         values = numerator / (mean_i * float(np.prod(mean_i[idx])))
         if n_frames < 2:
             curves.append(CorrelationCurve(m=m, delta1=stream.delta_axis, values=values))
@@ -342,7 +319,7 @@ def estimate_g_m(
         boot_den = boot_mean_i * boot_fixed[:, None]
         if np.any(boot_den == 0):
             raise DegeneratePixelError("bootstrap resample hit a zero-mean pixel")
-        boot_values = counts @ (sums / block_len) / n_blocks / boot_den  # (_N_BOOT, P)
+        boot_values = counts @ (moment / block_len) / n_blocks / boot_den  # (_N_BOOT, P)
         del boot_den
         curves.append(CorrelationCurve(
             m=m,

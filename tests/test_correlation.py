@@ -287,6 +287,25 @@ def test_spectrum_keeps_only_surviving_lines():
     assert predicted_spectrum((SourceGeometry((3, 1, 4)),), 3, []).shape == (1, 0)
 
 
+def test_every_transmitted_line_has_a_positive_signed_contrast():
+    # predicted_spectrum reports |A_f|/A0; the sign of the cosine itself
+    # decides whether a negative measured a/A0 can be a real line.  Every
+    # gap sequence of 2 to 6 sources with span <= 10, at equal weights: the
+    # signed contrast 2 Re(c_f)/c_0 of the analytic curve's DFT is positive
+    # at each pair distance the order transmits
+    gaps = [tuple(b - a for a, b in zip((0, *sites), sites))
+            for span in range(1, 11) for k in range(1, 6)
+            for sites in itertools.combinations(range(1, span + 1), k) if sites[-1] == span]
+    contrasts = []
+    for x in gaps:
+        for m in (3, 4, 5, 6):
+            coeff = np.fft.rfft(magic_curve(x, m).values)
+            contrasts += [2.0 * coeff[f].real / coeff[0].real
+                          for f in surviving_frequencies(SourceGeometry(x), m)]
+    assert len(gaps) == 637 and len(contrasts) == 5048
+    assert min(contrasts) > 0.04  # the smallest is 0.05
+
+
 def test_single_source_spectrum_is_flat():
     assert not predicted_spectrum((SourceGeometry(()),), 4, FREQS).any()
     curve = magic_curve((), 4, samples=16)

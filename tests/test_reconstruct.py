@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -230,6 +231,41 @@ def test_scores_are_scale_invariant():
     for ca, cb in zip(a.candidates, b.candidates):
         assert ca.geometry == cb.geometry
         assert ca.score == pytest.approx(cb.score, rel=1e-9)
+
+
+def test_scores_match_a_loop_over_candidates_and_lines():
+    # each candidate's chi-square summed line by line in Python floats, every
+    # comb line up to f = 12 measured with noise on A and A0.  numpy squares
+    # where ** 2 calls pow, so a term may move in its last bit; the sums keep
+    # their order, so a score moves by a few ulps of each of its terms
+    rng = random.Random(7)
+    truth = SourceGeometry((1, 3, 5))
+    spectra = []
+    for m in (3, 5):
+        freqs = range(m - 1, 13, m - 1)
+        a0 = float(np.mean(magic_curve(truth.x, m).values))
+        lines = tuple(
+            Harmonic(f=float(f), amplitude=a0 * abs(c + rng.gauss(0.0, 0.05)),
+                     sigma_a=a0 * rng.uniform(0.01, 0.05))
+            for f, c in zip(freqs, predicted_spectrum((truth,), m, freqs)[0])
+        )
+        spectra.append(ModulationSpectrum(m=m, a0=a0, sigma_a0=0.02 * a0, harmonics=lines))
+    candidates = search(AMBIGUOUS)
+    scored = {c.geometry: c for c in disambiguate(candidates, spectra).candidates}
+    assert scored.keys() == set(candidates.geometries())
+    for geometry, cand in scored.items():
+        chi2 = {}
+        for s in spectra:
+            row = predicted_spectrum((geometry,), s.m, [int(h.f) for h in s.harmonics])[0]
+            chi2[s.m] = 0.0
+            for h, pred in zip(s.harmonics, row.tolist()):
+                var = (h.sigma_a / s.a0) ** 2 + (h.amplitude * s.sigma_a0 / s.a0**2) ** 2
+                chi2[s.m] += ((h.amplitude / s.a0 - pred) / max(math.sqrt(var), 1e-12)) ** 2
+        rtol = 4 * 10 * 2.0**-52  # ten lines in all
+        assert [m for m, _ in cand.chi2_by_order] == [3, 5]
+        for (m, value) in cand.chi2_by_order:
+            assert value == pytest.approx(chi2[m], rel=rtol, abs=0)
+        assert cand.score == pytest.approx(sum(chi2.values()), rel=rtol, abs=0)
 
 
 def test_disambiguation_input_checks():

@@ -153,8 +153,8 @@ def test_stream_folds_a_one_frame_tail_into_the_last_chunk():
 # the 20000 x 240 stack is 36.6 MiB; sampling, archiving and estimating it
 # hold about 7.5 MiB: the complex field of the 512-frame chunk being drawn
 # (1.9 MiB) while the chunk before it is still referenced (two chunks of
-# intensities, 1.9 MiB), the block sums and block means of four orders
-# (2.3 MiB) and the bootstrap tables at the end
+# intensities, 1.9 MiB), the table of block sums of the pixels and of four
+# orders (2.3 MiB) and the bootstrap tables at the end
 _STAGE_BOUND = 10 * 2**20
 
 
@@ -329,6 +329,19 @@ def per_order_estimate(stack, fixed_pixels):
                             sigma=boot_values.std(axis=0, ddof=1), replicas=boot_values)
 
 
+def block_sum_values(stack, fixed_pixels):
+    """The values as sums of the oracle's block sums, each over the frame count."""
+    inten = held_frames(stack)
+    n_frames = len(inten)
+    fixed_idx = np.asarray(fixed_pixels, dtype=int)
+    fixed_product = inten[:, fixed_idx].prod(axis=1)
+    blocks = np.array_split(np.arange(n_frames), min(256, n_frames))
+    sum_i = np.add.reduce([inten[idx].sum(axis=0) for idx in blocks], axis=0)
+    sum_num = np.add.reduce([fixed_product[idx] @ inten[idx] for idx in blocks], axis=0)
+    mean_i = sum_i / n_frames
+    return sum_num / n_frames / (mean_i * float(np.prod(mean_i[fixed_idx])))
+
+
 # orders 3-6, with coincident fixed detectors in the order-5 and order-6 sets
 ORACLE_PIXEL_SETS = ((0, 12), (0, 8, 16), (3, 3, 9, 20), (0, 6, 6, 12, 18))
 
@@ -352,7 +365,8 @@ def test_one_call_equals_the_per_order_oracle(monkeypatch, frames, seed, chunk):
         # the streamed and the held stack go through the same blocks
         assert curve.values.tobytes() == whole.values.tobytes()
         expected = per_order_estimate(stack, pixels)
-        # the numerator sums block sums, not one product over the stack
+        # both moments sum block sums, not one sum over the stack
+        assert curve.values.tobytes() == block_sum_values(stack, pixels).tobytes()
         np.testing.assert_allclose(curve.values, expected.values, rtol=frames * 2.0**-52, atol=0)
         if frames == 1:
             assert curve.sigma is None and curve.replicas is None

@@ -18,7 +18,12 @@ fresh temporary run directory, and records:
   rows (measured against the truth's pair distances);
 - whether the truth is a candidate, its rank and the number of winners
   (candidates within one chi-square unit of the best);
-- the best chi-square and the truth's.
+- the best chi-square and the truth's;
+- every tested line's a/A0 and replica sigma.
+
+For each set and each tested line (m, f) it also records the seed spread
+of a/A0 (the sample standard deviation over the seeds) divided by the
+line's mean replica sigma, and prints the median and range of that ratio.
 
 "Unique" means the truth is the only winner.  The results go to
 `BENCH_accuracy_<T>.json` in the working directory, and a table of the
@@ -33,8 +38,10 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -96,6 +103,10 @@ def run_seed(main, config_path: Path, out: Path, seed: int, truth: tuple[int, ..
                 args += ["--config", str(config_path), "--seed", str(seed)]
             codes[command] = main(args)
     record: dict = {"seed": seed, "exit": codes}
+    if codes["analyze"] == 0:
+        spectra = json.loads((out / "spectra.json").read_text())
+        record["lines"] = [[s["m"], h["f"], h["a_A0"], h["sigma_a_A0"]]
+                           for s in spectra["fits"] for h in s["harmonics"]]
     if codes["reconstruct"] != 0:
         return record
     evidence = json.loads((out / "evidence.json").read_text())
@@ -123,6 +134,28 @@ def run_seed(main, config_path: Path, out: Path, seed: int, truth: tuple[int, ..
         unique=rank == 0 and winners == 1,
     )
     return record
+
+
+def line_spreads(records: list[dict]) -> list[dict]:
+    """Per tested line (m, f): the seed spread of a/A0 over its mean replica sigma.
+
+    The spread is the sample standard deviation over the seeds that fitted
+    the line; a replica sigma that describes the estimator's noise gives a
+    ratio near 1.
+    """
+    by_line: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    for record in records:
+        for m, f, contrast, sigma in record.get("lines", ()):
+            by_line.setdefault((m, f), []).append((contrast, sigma))
+    rows = []
+    for (m, f), seen in sorted(by_line.items()):
+        if len(seen) < 2:
+            continue
+        contrasts, sigmas = zip(*seen)
+        spread, mean_sigma = statistics.stdev(contrasts), statistics.fmean(sigmas)
+        rows.append({"m": m, "f": f, "seeds": len(seen), "spread": spread,
+                     "mean_sigma": mean_sigma, "ratio": spread / mean_sigma})
+    return rows
 
 
 def summarize(records: list[dict]) -> dict:
@@ -153,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
 
     results = []
     print(f"{'set':<20} {'seeds':>5} {'unique':>6} {'truth':>6} {'f.abs':>5} {'f.pres':>6} "
-          f"{'exit0':>5} {'s':>6}")
+          f"{'exit0':>5} {'lines':>5} {'ratio':>6} {'range':^11} {'s':>6}")
     for name, config, seeds in SETS:
         truth = canonical(config["x"])
         started = time.perf_counter()
@@ -164,11 +197,16 @@ def main(argv: list[str] | None = None) -> int:
                        for seed in seeds]
         elapsed = time.perf_counter() - started
         summary = summarize(records)
+        lines = line_spreads(records)
+        ratios = [line["ratio"] for line in lines]
         results.append({"name": name, "config": ini(config), "seeds": list(seeds),
-                        "summary": summary, "records": records, "seconds": round(elapsed, 1)})
+                        "summary": summary, "lines": lines, "records": records,
+                        "seconds": round(elapsed, 1)})
         print(f"{name:<20} {summary['seeds']:>5} {summary['unique']:>6} "
               f"{summary['truth_candidate']:>6} {summary['false_absent_seeds']:>5} "
               f"{summary['false_present_seeds']:>6} {str(summary['all_exit_0']):>5} "
+              f"{len(lines):>5} {statistics.median(ratios) if ratios else math.nan:>6.2f} "
+              f"{min(ratios, default=math.nan):>5.2f}-{max(ratios, default=math.nan):<5.2f} "
               f"{elapsed:>6.1f}")
 
     path = Path(f"BENCH_accuracy_{args.tag}.json")
