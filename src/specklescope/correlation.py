@@ -256,23 +256,21 @@ class ModulationSpectrum:
     """Offset plus comb lines fitted to one order-m correlation curve.
 
     Every line sits on the filtered comb, f = kappa*(m-1) < 2**63, since the
-    magic placement transmits nothing else (fit_fixed).  residual_rms is
-    the rms of the fit residual, and leakage the largest amplitude of its
-    periodogram away from the comb.
+    magic placement transmits nothing else (fit_fixed).  leakage is the
+    largest amplitude of the fit residual's periodogram away from the comb.
     """
 
     m: int
     a0: float
     harmonics: tuple[Harmonic, ...]
     sigma_a0: float = 0.0
-    residual_rms: float = 0.0
     leakage: float = 0.0
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise OrderError(f"correlation order must be at least 2, got {self.m}")
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
-        if not all(map(math.isfinite, (self.a0, self.sigma_a0, self.residual_rms, self.leakage))):
+        if not all(map(math.isfinite, (self.a0, self.sigma_a0, self.leakage))):
             raise ValueError("spectrum contains non-finite fields")
         if self.a0 < 0 or self.sigma_a0 < 0:
             raise ValueError("offset and its uncertainty must be non-negative")

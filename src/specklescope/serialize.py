@@ -186,7 +186,8 @@ def read_replicas(path: str | Path, curve: CorrelationCurve) -> CorrelationCurve
 
 # JSON key -> (attribute, reader that converts the value back) for each flat
 # record; writer and reader share one table, so the reader requires exactly
-# the keys the writer writes; others, such as older lines' `kappa`, are ignored.
+# the keys the writer writes; others, such as older lines' `kappa` or an older
+# spectrum's `residual_rms`, are ignored.
 _HARMONIC = {
     "f": ("f", float),
     "A": ("amplitude", float),
@@ -200,7 +201,6 @@ _SPECTRUM = {
     "m": ("m", int),
     "A0": ("a0", float),
     "sigma_A0": ("sigma_a0", float),
-    "residual_rms": ("residual_rms", float),
     "leakage": ("leakage", float),
 }
 _EVIDENCE_ROW = {

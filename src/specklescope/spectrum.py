@@ -1,9 +1,11 @@
 """Harmonic content of measured correlation curves and its aggregation.
 
 fit_fixed pins the frequencies to the filtered comb kappa*(m-1) and
-solves one weighted linear least-squares problem for the offset and a
+solves one unweighted linear least-squares problem for the offset and a
 cosine/sine pair per comb line; the curve's bootstrap replicas go through
-the same solve.  gate() keeps the lines whose contrast a/A0 passes a
+the same solve.  On a uniform full-period scan that fit is the DFT, the
+convention correlation.predicted_spectrum reads its contrasts in.  gate()
+keeps the lines above machine noise whose contrast a/A0 passes a
 family-wise two-sided test, aggregate() merges gated spectra from several
 orders into a tri-state evidence table (Present / Absent / Unknown per
 integer frequency).
@@ -31,11 +33,6 @@ __all__ = [
     "aggregate",
 ]
 
-# Harmonics below this fraction of max(1, offset) are machine noise on a
-# noiseless curve and are never reported by the fit; keeping them out
-# here lets the gate stay purely significance-based.
-_MIN_AMPLITUDE_FRACTION = 1e-9
-
 # Residual periodogram grid points per Fourier resolution 2*pi/scan.
 _OVERSAMPLE = 4
 
@@ -45,23 +42,14 @@ _OVERSAMPLE = 4
 # ---------------------------------------------------------------------------
 
 
-def _weights(curve: CorrelationCurve) -> np.ndarray:
-    """Inverse sigmas, floored; ones for a curve without sigmas."""
-    if curve.sigma is None:
-        return np.ones_like(curve.values)
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(curve.values))))
-    return 1.0 / np.maximum(curve.sigma, floor)
-
-
 def _linear_fit(
-    delta: np.ndarray, y: np.ndarray, w: np.ndarray, freqs: Sequence[float]
+    delta: np.ndarray, y: np.ndarray, freqs: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Offset plus (a, b) per frequency by weighted linear least squares.
+    """Offset plus (a, b) per frequency by linear least squares.
 
     y holds one curve per column, all fit through one factorization of the
-    weighted design.  Returns the coefficients (one column per curve) and
-    the unweighted design matrix; too few samples or a rank-deficient
-    design is a FitError.
+    design.  Returns the coefficients (one column per curve) and the design
+    matrix; too few samples or a rank-deficient design is a FitError.
     """
     columns = [np.ones_like(delta)]
     for f in freqs:
@@ -71,7 +59,7 @@ def _linear_fit(
     n_params = design.shape[1]
     if len(y) <= n_params:
         raise FitError(f"{len(y)} samples cannot constrain {n_params} parameters")
-    coef, _, rank, _ = np.linalg.lstsq(design * w[:, None], y * w[:, None], rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < n_params:
         raise FitError(f"rank-deficient design matrix (rank {rank} < {n_params})")
     return coef, design
@@ -90,18 +78,19 @@ def _replica_errors(coefs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, n
 
 
 def _covariance_errors(
-    design_w: np.ndarray, resid_w: np.ndarray, coef: np.ndarray
+    design: np.ndarray, resid: np.ndarray, coef: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The same four errors, propagated to first order from the fit covariance.
 
-    The covariance is scaled by the reduced chi-square, so misestimated
-    input sigmas do not propagate verbatim.
+    The covariance is the residual variance times inv(design^T design); a
+    curve near the float maximum overflows the squared residual, and that
+    non-finite covariance is a FitError.
     """
-    dof = design_w.shape[0] - design_w.shape[1]
-    try:  # weights near the float range can underflow the normal matrix to singular
-        cov = np.linalg.inv(design_w.T @ design_w) * (float(resid_w @ resid_w) / dof)
-    except np.linalg.LinAlgError as exc:
-        raise FitError(f"fit covariance cannot be inverted: {exc}") from exc
+    dof = design.shape[0] - design.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.linalg.inv(design.T @ design) * (float(resid @ resid) / dof)
+    if not np.all(np.isfinite(cov)):
+        raise FitError("fit covariance is not finite: the squared residual overflows")
 
     def sigma(idx: list[int], grad: list[float]) -> float:
         g = np.array(grad)
@@ -118,7 +107,7 @@ def _covariance_errors(
     return math.sqrt(max(float(cov[0, 0]), 0.0)), *map(np.array, out)
 
 
-def _off_comb_peak(delta: np.ndarray, resid: np.ndarray, w: np.ndarray, fundamental: int) -> float:
+def _off_comb_peak(delta: np.ndarray, resid: np.ndarray, fundamental: int) -> float:
     """Largest residual periodogram amplitude at least 1/2 from every comb frequency.
 
     The filter passes only multiples of m-1, so a peak here is content the
@@ -131,10 +120,9 @@ def _off_comb_peak(delta: np.ndarray, resid: np.ndarray, w: np.ndarray, fundamen
     f_grid = f_grid[np.abs(f_grid - fundamental * np.round(f_grid / fundamental)) >= 0.5]
     if f_grid.size == 0:
         return 0.0
-    # weighted rectangular-window amplitude estimates on the grid
+    # rectangular-window amplitude estimates on the grid
     phases = np.exp(-1j * f_grid[:, None] * delta[None, :])
-    weights = w**2
-    return float(np.max(2.0 * np.abs(phases @ (weights * resid)) / weights.sum()))
+    return float(np.max(2.0 * np.abs(phases @ resid) / resid.size))
 
 
 def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
@@ -143,15 +131,19 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
     Fits the offset A0 plus a cosine/sine pair (a, b) at every comb
     frequency and reports per line A = hypot(a, b), the contrast a/A0 and
     the null channel b/A0, which vanishes at the magic placement (the
-    curve is then even in delta).  Lines below machine noise are left out.
+    curve is then even in delta).  Every comb line is returned; the gate
+    drops those at machine noise.  The fit is unweighted: on a uniform
+    full-period scan it is the DFT, as in predicted_spectrum, while 1/sigma
+    weights would fold content off the comb (off-magic pair distances)
+    onto comb lines.
 
-    Errors: the bootstrap replica curves go through the same weighted
-    design in the same solve as the curve itself.  For a linear model that
-    is the exact refit of every replica (Efron & Tibshirani, An
-    Introduction to the Bootstrap, 1993), and each sigma is the spread of
-    its quantity over the replicas.  A curve without replicas falls back
-    to the fit covariance.  `leakage` records the strongest off-comb peak
-    of the residual periodogram.
+    Errors: the bootstrap replica curves go through the same design in the
+    same solve as the curve itself.  For a linear model that is the exact
+    refit of every replica (Efron & Tibshirani, An Introduction to the
+    Bootstrap, 1993), and each sigma is the spread of its quantity over
+    the replicas.  A curve without replicas falls back to the fit
+    covariance.  `leakage` records the strongest off-comb peak of the
+    residual periodogram.
     """
     if span_bound < 1:
         raise ValueError(f"span bound must be positive, got {span_bound}")
@@ -165,23 +157,19 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
             f"{2.0 * math.pi / fundamental:.3f} of the order-{curve.m} comb"
         )
     freqs = [kappa * fundamental for kappa in range(1, span_bound // fundamental + 1)]
-    w = _weights(curve)
     replicas = curve.replicas
     columns = y[:, None] if replicas is None else np.column_stack([y, replicas.T])
-    coefs, design = _linear_fit(delta, columns, w, freqs)
+    coefs, design = _linear_fit(delta, columns, freqs)
     coef = coefs[:, 0]
     a0 = float(coef[0])
     if not a0 > 0:
         raise FitError(f"fitted offset {a0:.3g} is not positive, so contrasts are undefined")
     resid = y - design @ coef
     if replicas is None:
-        sigma_a0, sigma_amp, sigma_c, sigma_q = _covariance_errors(
-            design * w[:, None], resid * w, coef
-        )
+        sigma_a0, sigma_amp, sigma_c, sigma_q = _covariance_errors(design, resid, coef)
     else:
         sigma_a0, sigma_amp, sigma_c, sigma_q = _replica_errors(coefs[:, 1:])
 
-    floor = _MIN_AMPLITUDE_FRACTION * max(1.0, a0)
     try:
         harmonics = [
             Harmonic(
@@ -199,9 +187,8 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
             m=curve.m,
             a0=a0,
             sigma_a0=sigma_a0,
-            harmonics=tuple(h for h in harmonics if h.amplitude >= floor),
-            residual_rms=float(np.sqrt(np.mean(resid**2))),
-            leakage=_off_comb_peak(delta, resid, w, fundamental),
+            harmonics=tuple(harmonics),
+            leakage=_off_comb_peak(delta, resid, fundamental),
         )
     except ValueError as exc:
         raise FitError(f"fit produced an invalid spectrum: {exc}") from exc
@@ -211,17 +198,24 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
 # gating and evidence
 # ---------------------------------------------------------------------------
 
+# Lines below this fraction of max(1, A0) in amplitude are machine noise on
+# a noiseless curve, where their rounding-sized sigmas make any z possible.
+_MIN_AMPLITUDE_FRACTION = 1e-9
+
 
 def gate(spectrum: ModulationSpectrum, policy: GatePolicy, n_tests: int) -> ModulationSpectrum:
-    """Keep the lines whose contrast a/A0 passes the two-sided test.
+    """Keep the lines above machine noise whose contrast a/A0 passes the two-sided test.
 
-    A line survives when |a/A0| >= z* sigma(a/A0), with z* from `policy`
-    for a family of n_tests lines, every comb line the run tested (across
-    all its orders).  The offset and bookkeeping fields pass through
-    unchanged.
+    A line below _MIN_AMPLITUDE_FRACTION * max(1, A0) in amplitude is
+    rejected first.  Any other survives when |a/A0| >= z* sigma(a/A0), with
+    z* from `policy` for a family of n_tests lines, every comb line the run
+    tested (across all its orders).  The offset and bookkeeping fields pass
+    through unchanged.
     """
+    floor = _MIN_AMPLITUDE_FRACTION * max(1.0, spectrum.a0)
     z = policy.threshold(n_tests)
-    kept = tuple(h for h in spectrum.harmonics if abs(h.contrast) >= z * h.sigma_contrast)
+    kept = tuple(h for h in spectrum.harmonics
+                 if h.amplitude >= floor and abs(h.contrast) >= z * h.sigma_contrast)
     return replace(spectrum, harmonics=kept)
 
 

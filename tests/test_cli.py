@@ -821,14 +821,14 @@ def test_fit_failure_exits_4(tmp_path):
 
 
 def test_a_singular_fit_covariance_is_a_fit_failure(tmp_path, capsys):
-    # without replicas the sigmas come from the covariance; weights of 1e-307
-    # underflow its normal matrix to zero
+    # without replicas the sigmas come from the covariance; a curve near the
+    # float maximum overflows its squared residual
     curve = magic_curve((1, 3), 3)
     values = 1e307 * curve.values / curve.values.max()
     write_curve_csv(replace(curve, values=values, sigma=np.full(len(curve), 1e307)),
                     tmp_path / "curves_m3.csv")
     assert main(["analyze", "--out", str(tmp_path)]) == 4
-    assert "order 3: fit failed: fit covariance cannot be inverted" in capsys.readouterr().err
+    assert "order 3: fit failed: fit covariance is not finite" in capsys.readouterr().err
     spectra = json.loads((tmp_path / "spectra.json").read_text())
     assert [failure["m"] for failure in spectra["failures"]] == [3]
 

@@ -60,9 +60,10 @@ def test_leakage_is_the_reference_off_comb_peak(curves, monkeypatch):
     peak = spectrum_module._off_comb_peak
     compared = []
 
-    def checked_peak(delta, resid, w, fundamental):
-        leakage = peak(delta, resid, w, fundamental)
-        assert leakage == reference_peak(delta, resid, w, fundamental)
+    def checked_peak(delta, resid, fundamental):
+        leakage = peak(delta, resid, fundamental)
+        # the fit is unweighted: the reference's weights are all one
+        assert leakage == reference_peak(delta, resid, np.ones_like(resid), fundamental)
         compared.append(leakage)
         return leakage
 

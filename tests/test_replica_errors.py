@@ -1,9 +1,12 @@
 """Errors of the comb fit from the bootstrap replica curves.
 
-fit_fixed solves every replica curve through the same weighted design as
-the curve itself, in one lstsq call.  For a linear model that projection
-is the exact refit of each replica, so it must agree with separate fits
-to rounding, and the reported sigmas must be the spread of those fits.
+fit_fixed solves every replica curve through the same design as the
+curve itself, in one lstsq call.  The design is unweighted: on a uniform
+full-period grid the fit is the DFT, while 1/sigma weights would fold
+content off the comb onto comb lines, and the replicas price each line
+either way.  For a linear model that projection is the exact refit of
+each replica, so it must agree with separate fits to rounding, and the
+reported sigmas must be the spread of those fits.
 """
 
 import numpy as np
@@ -17,11 +20,10 @@ from specklescope import spectrum as spectrum_module
 def test_projected_replicas_equal_separate_fits():
     curve = noisy_curve((3, 1, 4), 4, sigma=0.02, rows=40)
     freqs = [3, 6, 9, 12]
-    w = 1.0 / curve.sigma
     columns = np.column_stack([curve.values, curve.replicas.T])
-    projected, _ = spectrum_module._linear_fit(curve.delta1, columns, w, freqs)
+    projected, _ = spectrum_module._linear_fit(curve.delta1, columns, freqs)
     separate = np.column_stack([
-        spectrum_module._linear_fit(curve.delta1, column[:, None], w, freqs)[0][:, 0]
+        spectrum_module._linear_fit(curve.delta1, column[:, None], freqs)[0][:, 0]
         for column in columns.T
     ])
     # relative to the coefficient scale: null lines sit near zero

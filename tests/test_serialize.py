@@ -158,7 +158,6 @@ def test_spectrum_dict_round_trip():
             Harmonic(f=6.0, amplitude=0.4, sigma_a=0.03, contrast=-0.12,
                      sigma_contrast=0.009, quadrature=0.02, sigma_quadrature=0.008),
         ),
-        residual_rms=0.007,
         leakage=1e-4,
     )
     assert spectrum_from_dict(spectrum_to_dict(spectrum)) == spectrum

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,16 @@ from specklescope import (
     ModulationSpectrum,
     SourceGeometry,
     aggregate,
+    estimate_g_m,
     fit_fixed,
+    g_m_analytic,
     gate,
+    nearest_magic_pixels,
     predicted_spectrum,
+    sample_frames,
+    uniform_grid,
 )
+from specklescope import spectrum as spectrum_module
 
 
 def line_spectrum(*harmonics, m=3, a0=2.0):
@@ -41,21 +48,50 @@ def line(f, amplitude=0.5, sigma_a=0.05, contrast=0.25, sigma_contrast=0.02):
 @pytest.mark.parametrize("x,m", [((1, 3), 3), ((3, 1, 4), 3), ((3, 1, 4), 4), ((2, 1, 3), 5)])
 def test_fixed_fit_recovers_exact_amplitudes(x, m):
     curve = magic_curve(x, m)
-    fitted = fit_fixed(curve, span_bound=sum(x))
+    span_bound = sum(x)
+    fitted = fit_fixed(curve, span_bound=span_bound)
     surviving = surviving_frequencies(SourceGeometry(x), m)
-    exact = predicted_spectrum((SourceGeometry(x),), m, surviving)[0]
+    exact = dict(zip(surviving, predicted_spectrum((SourceGeometry(x),), m, surviving)[0]))
     # a uniform full-period scan averages every line out of the mean
     assert fitted.a0 == pytest.approx(float(np.mean(curve.values)), abs=1e-8)
-    assert fitted.frequencies == tuple(float(f) for f in surviving)
-    for got, contrast in zip(fitted.harmonics, exact):
+    # the fit lists the whole comb up to the span bound
+    comb = tuple(float(f) for f in range(m - 1, span_bound + 1, m - 1))
+    assert fitted.frequencies == comb
+    floor = spectrum_module._MIN_AMPLITUDE_FRACTION * max(1.0, fitted.a0)
+    for got in fitted.harmonics:
+        if int(got.f) not in exact:
+            # a line the filter blocks is machine noise
+            assert got.amplitude < floor
+            continue
+        contrast = exact[int(got.f)]
         assert got.amplitude == pytest.approx(contrast * fitted.a0, abs=1e-8)
         # at the magic placement every line is a pure cosine
         assert got.contrast == pytest.approx(contrast, abs=1e-8)
         assert got.quadrature == pytest.approx(0.0, abs=1e-8)
         # no replicas: the covariance errors are rounding-sized
         assert 0.0 <= got.sigma_contrast < 1e-12 and 0.0 <= got.sigma_a < 1e-12
-    assert fitted.residual_rms < 1e-8
     assert fitted.leakage < 1e-8
+    # the gate, as analyze runs it on one order, keeps exactly the surviving lines
+    kept = gate(fitted, GatePolicy(), len(comb))
+    assert kept.frequencies == tuple(float(f) for f in surviving)
+
+
+def test_sigmas_fold_no_off_comb_content_onto_the_comb():
+    # off the magic offsets (122 pixels) the noiseless demo curve at order 4
+    # holds the pair distances 1, 4, 5 and 8 off its comb and only f = 3 on it
+    geometry = SourceGeometry((3, 1, 4))
+    axis = uniform_grid(122)
+    pixels = nearest_magic_pixels(axis, 4)[0]
+    measured = estimate_g_m(sample_frames(geometry, 2000, 1, axis), [pixels])[0]
+    exact = g_m_analytic(geometry, axis, [float(axis[p]) for p in pixels])
+    assert np.ptp(measured.sigma) > 0.5 * np.max(measured.sigma)  # far from uniform
+    fitted = fit_fixed(replace(exact, sigma=measured.sigma), span_bound=20)
+    contrasts = {h.f: h.contrast for h in fitted.harmonics}
+    for f in (6.0, 9.0, 12.0, 15.0, 18.0):
+        assert abs(contrasts[f]) < 1e-12, (f, contrasts[f])
+    assert contrasts[3.0] == pytest.approx(0.2961, abs=1e-4)
+    # the sigmas enter no fit: the same bits as the fit of the bare curve
+    assert fitted == fit_fixed(exact, span_bound=20)
 
 
 def test_fixed_fit_needs_one_comb_period():

@@ -27,8 +27,8 @@ line's mean replica sigma, and prints the median and range of that ratio.
 
 "Unique" means the truth is the only winner.  The results go to
 `BENCH_accuracy_<T>.json` in the working directory, and a table of the
-sets to standard output.  The sweep takes about 35 s on two CPUs and is
-not part of the test suite.
+sets to standard output.  The sweep takes about 14 s on two CPUs (Python
+3.11, numpy 2.4, one BLAS thread) and is not part of the test suite.
 """
 
 from __future__ import annotations
