@@ -28,6 +28,7 @@ from .errors import (
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, which type checkers read; typing costs 5 ms
 if TYPE_CHECKING:
     from .config import Config
+    from .correlation import Harmonic
     from .records import CandidateSet, RunManifest
 
 # Stage functions the commands look up on this module when they run, so a
@@ -156,12 +157,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"[simulate]: {exc}") from exc
     # every order is placed before the first frame is drawn
     placements = [nearest_magic_pixels(frames.delta_axis, m) for m in sim.orders]
-    # the fit's top comb line f <= max_span must lie below the grid's Nyquist frequency
+    # the fit's lines, every integer f <= max_span, must lie below the grid's
+    # Nyquist frequency, and its 2*max_span + 1 parameters need more pixels
     span = config.reconstruct.max_span
-    coarse = [m for m in sim.orders if 2 * (span // (m - 1) * (m - 1)) >= sim.pixels]
-    if coarse:
-        raise ConfigError(f"[simulate] pixels = {sim.pixels}: order(s) {coarse} put a comb line "
-                          f"f <= max_span = {span} at or past the Nyquist frequency pixels / 2")
+    if sim.pixels <= 2 * span + 1:
+        raise ConfigError(f"[simulate] pixels = {sim.pixels}: the fit of every line f <= "
+                          f"max_span = {span}, below the Nyquist frequency pixels / 2, needs "
+                          f"more than 2*max_span + 1 = {2 * span + 1} pixels")
     out = _make_dir(Path(args.out))
     # an earlier run's frames, and results derived from its curves, would outlive them
     _remove(out, (_FRAMES_NAME, *_RESULTS))
@@ -210,6 +212,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
+
+
+def _z(line: Harmonic) -> float:
+    """|a/A0| over its sigma; inf at zero sigma, unless a/A0 is 0 too."""
+    if line.sigma_contrast:
+        return abs(line.contrast) / line.sigma_contrast
+    return float("inf") if line.contrast else 0.0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -273,8 +282,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                   f"a/A0 = {h.contrast:+.4f} +- {h.sigma_contrast:.4f}  "
                   f"[{'accepted' if h.f in kept else 'rejected'}]")
     for spectrum in raw:
-        print(f"order {spectrum.m}: A0 = {spectrum.a0:.3f}, strongest off-comb residual "
-              f"peak {spectrum.leakage:.2e}")
+        h = max(spectrum.off_comb, key=_z, default=None)
+        print(f"order {spectrum.m}: A0 = {spectrum.a0:.3f}, " + (
+            "no off-comb lines: the scan spans less than 2*pi" if h is None else
+            f"largest off-comb line f = {h.f:g}, a/A0 = {h.contrast:+.4f} +- "
+            f"{h.sigma_contrast:.4f} ({_z(h):.1f} sigma)"))
     present = evidence.present()
     print(f"evidence: present {list(present)}, absent {list(evidence.absent())}")
     if not present:

@@ -83,6 +83,8 @@ class CorrelationCurve:
         values = np.asarray(self.values, dtype=float)
         if delta1.shape != values.shape or delta1.ndim != 1:
             raise ValueError("delta1 and values must be 1-D arrays of equal length")
+        if values.size == 0:
+            raise ValueError("a curve needs at least one scan sample")
         if not np.all(np.isfinite(delta1)) or not np.all(np.isfinite(values)):
             raise ValueError("curve contains non-finite entries")
         if not np.all(np.diff(delta1) > 0):
@@ -253,30 +255,33 @@ class Harmonic:
 
 @dataclass(frozen=True)
 class ModulationSpectrum:
-    """Offset plus comb lines fitted to one order-m correlation curve.
+    """Offset plus the lines fitted to one order-m correlation curve.
 
-    Every line sits on the filtered comb, f = kappa*(m-1) < 2**63, since the
-    magic placement transmits nothing else (fit_fixed).  leakage is the
-    largest amplitude of the fit residual's periodogram away from the comb.
+    Every line of `harmonics` sits on the filtered comb, f = kappa*(m-1) <
+    2**63, all the magic placement transmits.  `off_comb` holds the lines
+    fitted between them (fit_fixed), a null channel of the model.
     """
 
     m: int
     a0: float
     harmonics: tuple[Harmonic, ...]
     sigma_a0: float = 0.0
-    leakage: float = 0.0
+    off_comb: tuple[Harmonic, ...] = ()
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise OrderError(f"correlation order must be at least 2, got {self.m}")
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
-        if not all(map(math.isfinite, (self.a0, self.sigma_a0, self.leakage))):
+        object.__setattr__(self, "off_comb", tuple(self.off_comb))
+        if not all(map(math.isfinite, (self.a0, self.sigma_a0))):
             raise ValueError("spectrum contains non-finite fields")
         if self.a0 < 0 or self.sigma_a0 < 0:
             raise ValueError("offset and its uncertainty must be non-negative")
         for h in self.harmonics:
             if h.f % (self.m - 1) or not h.f < 2**63:
                 raise ValueError(f"f={h.f} is off the order-{self.m} comb kappa*(m-1) < 2**63")
+        if any(h.f % (self.m - 1) == 0 for h in self.off_comb):
+            raise ValueError(f"an off-comb line sits on the order-{self.m} comb")
 
     @property
     def frequencies(self) -> tuple[float, ...]:

@@ -187,7 +187,7 @@ def read_replicas(path: str | Path, curve: CorrelationCurve) -> CorrelationCurve
 # JSON key -> (attribute, reader that converts the value back) for each flat
 # record; writer and reader share one table, so the reader requires exactly
 # the keys the writer writes; others, such as older lines' `kappa` or an older
-# spectrum's `residual_rms`, are ignored.
+# spectrum's `residual_rms` and `leakage`, are ignored.
 _HARMONIC = {
     "f": ("f", float),
     "A": ("amplitude", float),
@@ -201,7 +201,6 @@ _SPECTRUM = {
     "m": ("m", int),
     "A0": ("a0", float),
     "sigma_A0": ("sigma_a0", float),
-    "leakage": ("leakage", float),
 }
 _EVIDENCE_ROW = {
     "f": ("f", int),
@@ -221,15 +220,19 @@ def _record_from_dict(cls: type, data: dict, keys: dict[str, tuple[str, Callable
 
 
 def spectrum_to_dict(spectrum: ModulationSpectrum) -> dict[str, Any]:
-    harmonics = [_record_to_dict(h, _HARMONIC) for h in spectrum.harmonics]
-    return {**_record_to_dict(spectrum, _SPECTRUM), "harmonics": harmonics}
+    return {**_record_to_dict(spectrum, _SPECTRUM),
+            "harmonics": [_record_to_dict(h, _HARMONIC) for h in spectrum.harmonics],
+            "off_comb": [_record_to_dict(h, _HARMONIC) for h in spectrum.off_comb]}
 
 
 def spectrum_from_dict(data: dict[str, Any]) -> ModulationSpectrum:
+    """Inverse of spectrum_to_dict; an older spectrum without `off_comb` has none."""
     from .correlation import Harmonic, ModulationSpectrum
 
     harmonics = tuple(_record_from_dict(Harmonic, h, _HARMONIC) for h in data["harmonics"])
-    return _record_from_dict(ModulationSpectrum, data, _SPECTRUM, harmonics=harmonics)
+    off_comb = tuple(_record_from_dict(Harmonic, h, _HARMONIC) for h in data.get("off_comb", ()))
+    return _record_from_dict(ModulationSpectrum, data, _SPECTRUM, harmonics=harmonics,
+                             off_comb=off_comb)
 
 
 def spectra_to_dict(fits: list[ModulationSpectrum], gated: list[ModulationSpectrum],

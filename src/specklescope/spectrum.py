@@ -1,11 +1,11 @@
 """Harmonic content of measured correlation curves and its aggregation.
 
-fit_fixed pins the frequencies to the filtered comb kappa*(m-1) and
-solves one unweighted linear least-squares problem for the offset and a
-cosine/sine pair per comb line; the curve's bootstrap replicas go through
-the same solve.  On a uniform full-period scan that fit is the DFT, the
+fit_fixed solves one unweighted linear least-squares problem for the
+offset and a cosine/sine pair per integer frequency, on the filtered comb
+kappa*(m-1) and off it; the curve's bootstrap replicas go through the
+same solve.  On a uniform full-period scan that fit is the DFT, the
 convention correlation.predicted_spectrum reads its contrasts in.  gate()
-keeps the lines above machine noise whose contrast a/A0 passes a
+keeps the comb lines above machine noise whose contrast a/A0 passes a
 family-wise two-sided test, aggregate() merges gated spectra from several
 orders into a tri-state evidence table (Present / Absent / Unknown per
 integer frequency).
@@ -32,10 +32,6 @@ __all__ = [
     "gate",
     "aggregate",
 ]
-
-# Residual periodogram grid points per Fourier resolution 2*pi/scan.
-_OVERSAMPLE = 4
-
 
 # ---------------------------------------------------------------------------
 # fitting
@@ -107,43 +103,26 @@ def _covariance_errors(
     return math.sqrt(max(float(cov[0, 0]), 0.0)), *map(np.array, out)
 
 
-def _off_comb_peak(delta: np.ndarray, resid: np.ndarray, fundamental: int) -> float:
-    """Largest residual periodogram amplitude at least 1/2 from every comb frequency.
-
-    The filter passes only multiples of m-1, so a peak here is content the
-    model says cannot exist: misplaced detectors or a wrong model.
-    """
-    steps = np.sort(np.diff(delta))  # the median by hand: np.median imports numpy.ma
-    pitch = float((steps[(steps.size - 1) // 2] + steps[steps.size // 2]) / 2)
-    df = 2.0 * math.pi / (_OVERSAMPLE * float(delta[-1] - delta[0]))
-    f_grid = np.arange(0.5, math.pi / pitch, df)
-    f_grid = f_grid[np.abs(f_grid - fundamental * np.round(f_grid / fundamental)) >= 0.5]
-    if f_grid.size == 0:
-        return 0.0
-    # rectangular-window amplitude estimates on the grid
-    phases = np.exp(-1j * f_grid[:, None] * delta[None, :])
-    return float(np.max(2.0 * np.abs(phases @ resid) / resid.size))
-
-
 def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
-    """Least-squares lines on the filtered comb f = kappa*(m-1), f <= span_bound.
+    """Least-squares lines at every integer f <= span_bound the scan resolves.
 
-    Fits the offset A0 plus a cosine/sine pair (a, b) at every comb
-    frequency and reports per line A = hypot(a, b), the contrast a/A0 and
-    the null channel b/A0, which vanishes at the magic placement (the
-    curve is then even in delta).  Every comb line is returned; the gate
-    drops those at machine noise.  The fit is unweighted: on a uniform
-    full-period scan it is the DFT, as in predicted_spectrum, while 1/sigma
-    weights would fold content off the comb (off-magic pair distances)
-    onto comb lines.
+    Fits the offset A0 plus a cosine/sine pair (a, b) per frequency and
+    reports per line A = hypot(a, b), the contrast a/A0 and the null
+    channel b/A0, which vanishes at the magic placement (the curve is then
+    even in delta).  A scan over the whole period 2*pi resolves every
+    integer f: lines on the filtered comb f = kappa*(m-1) go to
+    `harmonics`, the others, which the magic placement does not transmit,
+    to `off_comb`.  A shorter scan needs one comb period and fits the comb
+    alone.  The fit is unweighted: on a uniform full-period scan it is the
+    DFT, as in predicted_spectrum, while 1/sigma weights would fold content
+    off the comb (off-magic pair distances) onto comb lines.
 
     Errors: the bootstrap replica curves go through the same design in the
     same solve as the curve itself.  For a linear model that is the exact
     refit of every replica (Efron & Tibshirani, An Introduction to the
     Bootstrap, 1993), and each sigma is the spread of its quantity over
     the replicas.  A curve without replicas falls back to the fit
-    covariance.  `leakage` records the strongest off-comb peak of the
-    residual periodogram.
+    covariance.
     """
     if span_bound < 1:
         raise ValueError(f"span bound must be positive, got {span_bound}")
@@ -156,7 +135,9 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
             f"scan covers {span_covered:.3f} rad, less than one period "
             f"{2.0 * math.pi / fundamental:.3f} of the order-{curve.m} comb"
         )
-    freqs = [kappa * fundamental for kappa in range(1, span_bound // fundamental + 1)]
+    # the period 2*pi is covered once the last sample's mean pitch closes it
+    step = 1 if span_covered * len(y) / (len(y) - 1) >= 2.0 * math.pi - 1e-9 else fundamental
+    freqs = range(step, span_bound + 1, step)
     replicas = curve.replicas
     columns = y[:, None] if replicas is None else np.column_stack([y, replicas.T])
     coefs, design = _linear_fit(delta, columns, freqs)
@@ -164,14 +145,13 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
     a0 = float(coef[0])
     if not a0 > 0:
         raise FitError(f"fitted offset {a0:.3g} is not positive, so contrasts are undefined")
-    resid = y - design @ coef
     if replicas is None:
-        sigma_a0, sigma_amp, sigma_c, sigma_q = _covariance_errors(design, resid, coef)
+        sigma_a0, sigma_amp, sigma_c, sigma_q = _covariance_errors(design, y - design @ coef, coef)
     else:
         sigma_a0, sigma_amp, sigma_c, sigma_q = _replica_errors(coefs[:, 1:])
 
     try:
-        harmonics = [
+        lines = [
             Harmonic(
                 f=float(f),
                 amplitude=math.hypot(coef[1 + 2 * i], coef[2 + 2 * i]),
@@ -183,13 +163,9 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
             )
             for i, f in enumerate(freqs)
         ]
-        return ModulationSpectrum(
-            m=curve.m,
-            a0=a0,
-            sigma_a0=sigma_a0,
-            harmonics=tuple(harmonics),
-            leakage=_off_comb_peak(delta, resid, fundamental),
-        )
+        return ModulationSpectrum(m=curve.m, a0=a0, sigma_a0=sigma_a0,
+                                  harmonics=tuple(h for h in lines if h.f % fundamental == 0),
+                                  off_comb=tuple(h for h in lines if h.f % fundamental))
     except ValueError as exc:
         raise FitError(f"fit produced an invalid spectrum: {exc}") from exc
 
@@ -209,14 +185,14 @@ def gate(spectrum: ModulationSpectrum, policy: GatePolicy, n_tests: int) -> Modu
     A line below _MIN_AMPLITUDE_FRACTION * max(1, A0) in amplitude is
     rejected first.  Any other survives when |a/A0| >= z* sigma(a/A0), with
     z* from `policy` for a family of n_tests lines, every comb line the run
-    tested (across all its orders).  The offset and bookkeeping fields pass
-    through unchanged.
+    tested (across all its orders).  The offset passes through unchanged;
+    the off-comb lines, which no stage decides on yet, are dropped.
     """
     floor = _MIN_AMPLITUDE_FRACTION * max(1.0, spectrum.a0)
     z = policy.threshold(n_tests)
     kept = tuple(h for h in spectrum.harmonics
                  if h.amplitude >= floor and abs(h.contrast) >= z * h.sigma_contrast)
-    return replace(spectrum, harmonics=kept)
+    return replace(spectrum, harmonics=kept, off_comb=())
 
 
 def aggregate(spectra: Sequence[ModulationSpectrum]) -> EvidenceTable:

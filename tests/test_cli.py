@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import evidence_table, fresh_interpreter_env, magic_curve
-from specklescope import cli, estimate_g_m, nearest_magic_pixels
+from specklescope import (
+    SourceGeometry, cli, estimate_g_m, g_m_analytic, magic_positions, nearest_magic_pixels,
+)
 from specklescope.cli import main
 from specklescope.serialize import (
     evidence_to_dict, read_curve_csv, read_frames, read_replicas, write_curve_csv, write_json,
@@ -122,6 +124,27 @@ def test_fit_table_repeats_the_spectra_lines(run_dir, tmp_path, capsys):
         assert (row[6] == "accepted") == ((m, line) in gated)
 
 
+def test_analyze_names_the_most_significant_off_comb_line(run_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(out)]) == 0
+    line = (r"^order (\d+): A0 = \S+, largest off-comb line f = (\S+), "
+            r"a/A0 = \S+ \+- \S+ \((\S+) sigma\)$")
+    printed = re.findall(line, capsys.readouterr().out, re.MULTILINE)
+    spectra = json.loads((out / "spectra.json").read_text())
+    assert [int(m) for m, _, _ in printed] == [s["m"] for s in spectra["fits"]] == [3, 4]
+    for (_, f, z), spectrum in zip(printed, spectra["fits"]):
+        # every integer f <= max_span = 20 off the comb, each with its replica sigma
+        m = spectrum["m"]
+        assert [h["f"] for h in spectrum["off_comb"]] == [k for k in range(1, 21) if k % (m - 1)]
+        top = max(spectrum["off_comb"], key=lambda h: abs(h["a_A0"]) / h["sigma_a_A0"])
+        assert float(f) == top["f"]
+        assert z == f"{abs(top['a_A0']) / top['sigma_a_A0']:.1f}"
+    # the gate decides on no off-comb line
+    assert all(s["off_comb"] == [] for s in spectra["gated"])
+
+
 def test_reconstruction_identifies_the_source(run_dir):
     report = json.loads((run_dir / "reconstruction.json").read_text())
     assert [c["x"] for c in report["candidates"]] == [[1, 3]]
@@ -156,6 +179,21 @@ def test_reconstruct_scores_the_fitted_lines_the_evidence_accepts(run_dir, tmp_p
     assert scaled["candidates"][0]["score"] != json.loads(original)["candidates"][0]["score"]
     # the gated copy is read by no command
     assert rescored(run_dir, tmp_path / "gated", double_gated) == original
+
+
+def test_reconstruct_reads_spectra_written_before_the_off_comb_lines(run_dir, tmp_path):
+    # an older spectra.json: a residual `leakage` per order and no `off_comb`
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    spectra = json.loads((out / "spectra.json").read_text())
+    for spectrum in spectra["fits"] + spectra["gated"]:
+        assert spectrum.pop("off_comb") is not None
+        spectrum["leakage"] = 0.05
+    write_json(out / "spectra.json", spectra)
+    assert main(["reconstruct", "--out", str(out)]) == 0
+    candidates = [json.loads((d / "reconstruction.json").read_text())["candidates"]
+                  for d in (run_dir, out)]
+    assert candidates[0] and candidates[1] == candidates[0]
 
 
 def test_report_command_summarizes(run_dir, capsys):
@@ -236,6 +274,21 @@ def test_analyze_accepts_bare_curve_files(tmp_path, capsys):
     assert "covariance" in err
 
 
+def test_analyze_summarizes_a_curve_without_off_comb_lines(tmp_path, capsys):
+    # half a period resolves the order-3 comb alone, f = 2, 4, ..., 20
+    half = g_m_analytic(SourceGeometry((1, 3)), np.linspace(0.0, np.pi, 64), magic_positions(3))
+    write_curve_csv(half, tmp_path / "curves_m3.csv")
+    write_curve_csv(magic_curve((1, 3), 4), tmp_path / "curves_m4.csv")
+    assert main(["analyze", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^order 3: A0 = \S+, no off-comb lines: the scan spans less than 2\*pi$",
+                     out, re.MULTILINE)
+    assert re.search(r"^order 4: A0 = \S+, largest off-comb line f = ", out, re.MULTILINE)
+    spectra = json.loads((tmp_path / "spectra.json").read_text())
+    assert [len(s["harmonics"]) for s in spectra["fits"]] == [10, 6]
+    assert [len(s["off_comb"]) for s in spectra["fits"]] == [0, 14]
+
+
 def test_malformed_curve_csv_exits_2(tmp_path, capsys):
     write_curve_csv(magic_curve((1, 3), 3), tmp_path / "curves_m3.csv")
     curve = (tmp_path / "curves_m3.csv").read_bytes()
@@ -246,6 +299,7 @@ def test_malformed_curve_csv_exits_2(tmp_path, capsys):
         "delta1_rad,g_value\n0.0,two\n",  # non-numeric cell
         _repeated_offsets(curve).decode(),
         "".join([header, *rows[::-1]]),  # offsets in reverse
+        header,  # a header and no samples
     ]:
         (tmp_path / "curves_m3.csv").write_text(text)
         assert main(["analyze", "--out", str(tmp_path)]) == 2, text
@@ -576,7 +630,7 @@ def test_order_2_is_refused_before_any_frame_is_drawn(tmp_path, monkeypatch, cap
 def test_a_grid_too_coarse_for_the_comb_is_refused_before_any_frame_is_drawn(
     tmp_path, monkeypatch, capsys
 ):
-    # at 40 pixels the order-3 line f = 20 <= max_span sits at the Nyquist frequency
+    # at 40 pixels the fit's top line f = max_span = 20 sits at the Nyquist frequency
     def estimate(*args):
         raise AssertionError("a frame was drawn")
 
@@ -588,7 +642,8 @@ def test_a_grid_too_coarse_for_the_comb_is_refused_before_any_frame_is_drawn(
         patch.setattr(cli, "estimate_g_m", estimate)
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: [simulate] pixels = 40: order(s) [3]")
+    assert err.startswith("config error: [simulate] pixels = 40: the fit of every line "
+                          "f <= max_span = 20")
     assert "Nyquist" in err
     assert not out.exists()
     # a lower span bound leaves the top line below Nyquist, and the fit resolves it

@@ -348,6 +348,8 @@ def test_curve_validation():
         CorrelationCurve(m=3, delta1=d, values=np.ones(9))
     with pytest.raises(OrderError):
         CorrelationCurve(m=1, delta1=d, values=np.ones(10))
+    with pytest.raises(ValueError, match="at least one scan sample"):
+        CorrelationCurve(m=3, delta1=np.array([]), values=np.array([]))
     # offsets repeated, reversed or shuffled: the fit needs a strictly increasing scan
     for scan in (np.repeat(d[:5], 2), d[::-1], d[[0, 2, 1, *range(3, 10)]]):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -363,9 +365,17 @@ def test_spectra_refuse_non_finite_fields(bad):
         Harmonic(f=2.0, amplitude=bad)
     with pytest.raises(ValueError):
         Harmonic(f=2.0, amplitude=1.0, sigma_a=bad)
-    for field in ("a0", "sigma_a0", "leakage"):
+    for field in ("a0", "sigma_a0"):
         with pytest.raises(ValueError):
             ModulationSpectrum(m=3, **{"a0": 1.0, field: bad}, harmonics=())
+
+
+def test_off_comb_lines_sit_off_the_comb():
+    # order 4 transmits multiples of 3; a line there is a comb line, not an off-comb one
+    with pytest.raises(ValueError, match="sits on the order-4 comb"):
+        ModulationSpectrum(m=4, a0=1.0, harmonics=(), off_comb=(Harmonic(f=6.0, amplitude=0.1),))
+    lines = (Harmonic(f=1.0, amplitude=0.1), Harmonic(f=4.5, amplitude=0.1))
+    assert ModulationSpectrum(m=4, a0=1.0, harmonics=(), off_comb=list(lines)).off_comb == lines
 
 
 def test_curve_replica_shape_checks():

@@ -1,12 +1,13 @@
-"""The comb fit's leakage against a residual periodogram built here.
+"""One Fourier convention: the comb fit against a DFT built here.
 
-fit_fixed checks its model with the periodogram of the fit residual away
-from the comb.  The reference below builds the frequency grid and the
-phase table itself; both routes must give the same bits, not merely close
-numbers.
+fit_fixed solves for the offset and a cosine/sine pair at every integer
+frequency up to the span bound.  On the uniform full-period grid the CLI
+scans, those columns are orthogonal and the solve is the DFT, the
+convention predicted_spectrum reads its contrasts in.  The reference
+below is a plain rfft of the curve and of each replica: A0 is bin 0, and
+line f is a = 2 Re X_f / n, b = -2 Im X_f / n, on the comb and off it.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,21 +23,19 @@ from specklescope import (
     sample_frames,
     uniform_grid,
 )
-from specklescope import spectrum as spectrum_module
+
+SPAN_BOUND = 16
 
 
-def reference_peak(delta, resid, w, fundamental):
-    """Largest weighted rectangular-window amplitude at least 1/2 off the comb."""
-    pitch = float(np.median(np.diff(delta)))
-    df = 2.0 * math.pi / (4 * float(delta[-1] - delta[0]))
-    f_grid = np.arange(0.5, math.pi / pitch, df)
-    f_grid = f_grid[np.abs(f_grid - fundamental * np.round(f_grid / fundamental)) >= 0.5]
-    if f_grid.size == 0:
-        return 0.0
-    weights = w**2
-    wsum = weights.sum()
-    phases = np.exp(-1j * f_grid[:, None] * delta[None, :])
-    return float(np.max(2.0 * np.abs(phases @ (weights * resid)) / wsum))
+def reference_lines(values):
+    """A0 and the a and b of every f in 1..SPAN_BOUND, along the last axis of values."""
+    coeff = np.fft.rfft(values, axis=-1) / values.shape[-1]
+    lines = coeff[..., 1:SPAN_BOUND + 1]
+    return coeff[..., 0].real, 2.0 * lines.real, -2.0 * lines.imag
+
+
+def sorted_lines(fitted):
+    return sorted(fitted.harmonics + fitted.off_comb, key=lambda h: h.f)
 
 
 def bootstrapped_curves():
@@ -56,20 +55,31 @@ def curves():
     return out
 
 
-def test_leakage_is_the_reference_off_comb_peak(curves, monkeypatch):
-    peak = spectrum_module._off_comb_peak
-    compared = []
+def test_the_fit_is_the_dft_on_and_off_the_comb(curves):
+    for name, curve in curves.items():
+        fitted = fit_fixed(curve, SPAN_BOUND)
+        a0, a, b = reference_lines(curve.values)
+        tol = 1e-12 * max(1.0, a0)
+        assert abs(fitted.a0 - a0) <= tol, name
+        # every integer f up to the bound is a line, on the comb or off it
+        lines = sorted_lines(fitted)
+        assert [h.f for h in lines] == [float(f) for f in range(1, SPAN_BOUND + 1)], name
+        assert all(h.f % (curve.m - 1) == 0 for h in fitted.harmonics), name
+        assert all(h.f % (curve.m - 1) for h in fitted.off_comb), name
+        assert np.max(np.abs([h.contrast * fitted.a0 for h in lines] - a)) <= tol, name
+        assert np.max(np.abs([h.quadrature * fitted.a0 for h in lines] - b)) <= tol, name
 
-    def checked_peak(delta, resid, fundamental):
-        leakage = peak(delta, resid, fundamental)
-        # the fit is unweighted: the reference's weights are all one
-        assert leakage == reference_peak(delta, resid, np.ones_like(resid), fundamental)
-        compared.append(leakage)
-        return leakage
 
-    monkeypatch.setattr(spectrum_module, "_off_comb_peak", checked_peak)
-    for curve in curves.values():
-        calls = len(compared)
-        leakage = fit_fixed(curve, 16).leakage
-        assert len(compared) == calls + 1  # one periodogram per fit
-        assert leakage == compared[-1]
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_replica_sigmas_are_the_spread_of_the_replica_dfts(curves, m):
+    # the replicas go through the same solve, so each line's sigma is the
+    # spread of its DFT contrast over the replicas
+    curve = curves[f"bootstrapped m={m}"]
+    fitted = fit_fixed(curve, SPAN_BOUND)
+    a0, a, b = reference_lines(curve.replicas)
+    lines = sorted_lines(fitted)
+    want_c = np.std(a / a0[:, None], axis=0, ddof=1)
+    want_q = np.std(b / a0[:, None], axis=0, ddof=1)
+    np.testing.assert_allclose([h.sigma_contrast for h in lines], want_c, rtol=1e-9)
+    np.testing.assert_allclose([h.sigma_quadrature for h in lines], want_q, rtol=1e-9)
+    assert fitted.sigma_a0 == pytest.approx(float(np.std(a0, ddof=1)), rel=1e-9)

@@ -158,9 +158,20 @@ def test_spectrum_dict_round_trip():
             Harmonic(f=6.0, amplitude=0.4, sigma_a=0.03, contrast=-0.12,
                      sigma_contrast=0.009, quadrature=0.02, sigma_quadrature=0.008),
         ),
-        leakage=1e-4,
+        off_comb=(
+            Harmonic(f=1.0, amplitude=0.01, sigma_a=0.01, contrast=-0.003,
+                     sigma_contrast=0.004, quadrature=0.001, sigma_quadrature=0.004),
+            Harmonic(f=5.0, amplitude=0.02, sigma_a=0.01, contrast=0.006,
+                     sigma_contrast=0.003, quadrature=-0.002, sigma_quadrature=0.003),
+        ),
     )
-    assert spectrum_from_dict(spectrum_to_dict(spectrum)) == spectrum
+    data = spectrum_to_dict(spectrum)
+    assert [line["f"] for line in data["off_comb"]] == [1.0, 5.0]
+    assert spectrum_from_dict(data) == spectrum
+    # an older spectrum: its residual `leakage` is ignored and no `off_comb` means none
+    del data["off_comb"]
+    data["leakage"] = 1e-4
+    assert spectrum_from_dict(data) == replace(spectrum, off_comb=())
 
 
 def test_evidence_dict_round_trip():

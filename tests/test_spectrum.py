@@ -70,7 +70,11 @@ def test_fixed_fit_recovers_exact_amplitudes(x, m):
         assert got.quadrature == pytest.approx(0.0, abs=1e-8)
         # no replicas: the covariance errors are rounding-sized
         assert 0.0 <= got.sigma_contrast < 1e-12 and 0.0 <= got.sigma_a < 1e-12
-    assert fitted.leakage < 1e-8
+    # the magic placement transmits nothing between the comb lines: every
+    # other integer f up to the span bound is fitted and is machine noise
+    off_comb = tuple(float(f) for f in range(1, span_bound + 1) if f % (m - 1))
+    assert tuple(h.f for h in fitted.off_comb) == off_comb
+    assert all(h.amplitude < floor for h in fitted.off_comb)
     # the gate, as analyze runs it on one order, keeps exactly the surviving lines
     kept = gate(fitted, GatePolicy(), len(comb))
     assert kept.frequencies == tuple(float(f) for f in surviving)

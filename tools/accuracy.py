@@ -19,11 +19,17 @@ fresh temporary run directory, and records:
 - whether the truth is a candidate, its rank and the number of winners
   (candidates within one chi-square unit of the best);
 - the best chi-square and the truth's;
-- every tested line's a/A0 and replica sigma.
+- every tested comb line's a/A0 and replica sigma;
+- every off-comb line's a/A0 and replica sigma (`off_comb`): the integer
+  f the fit resolves between the comb lines, where the magic placement
+  transmits nothing.
 
 For each set and each tested line (m, f) it also records the seed spread
 of a/A0 (the sample standard deviation over the seeds) divided by the
 line's mean replica sigma, and prints the median and range of that ratio.
+For the off-comb lines of each set it records the rms of z = (a/A0)/sigma,
+the line's distance from zero, and how many reach |z| >= 3; at the magic
+placement z is noise, off it the pair distances show.
 
 "Unique" means the truth is the only winner.  The results go to
 `BENCH_accuracy_<T>.json` in the working directory, and a table of the
@@ -105,8 +111,9 @@ def run_seed(main, config_path: Path, out: Path, seed: int, truth: tuple[int, ..
     record: dict = {"seed": seed, "exit": codes}
     if codes["analyze"] == 0:
         spectra = json.loads((out / "spectra.json").read_text())
-        record["lines"] = [[s["m"], h["f"], h["a_A0"], h["sigma_a_A0"]]
-                           for s in spectra["fits"] for h in s["harmonics"]]
+        for key, lines in (("lines", "harmonics"), ("off_comb", "off_comb")):
+            record[key] = [[s["m"], h["f"], h["a_A0"], h["sigma_a_A0"]]
+                           for s in spectra["fits"] for h in s.get(lines, ())]
     if codes["reconstruct"] != 0:
         return record
     evidence = json.loads((out / "evidence.json").read_text())
@@ -158,6 +165,14 @@ def line_spreads(records: list[dict]) -> list[dict]:
     return rows
 
 
+def off_comb_z(records: list[dict]) -> dict:
+    """How far the off-comb lines of a set sit from zero, in units of their sigma."""
+    z = [contrast / sigma for record in records
+         for _, _, contrast, sigma in record.get("off_comb", ()) if sigma > 0]
+    return {"lines": len(z), "rms_z": math.sqrt(statistics.fmean(v * v for v in z)) if z else None,
+            "z_ge_3": sum(abs(v) >= 3 for v in z)}
+
+
 def summarize(records: list[dict]) -> dict:
     return {
         "seeds": len(records),
@@ -186,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
 
     results = []
     print(f"{'set':<20} {'seeds':>5} {'unique':>6} {'truth':>6} {'f.abs':>5} {'f.pres':>6} "
-          f"{'exit0':>5} {'lines':>5} {'ratio':>6} {'range':^11} {'s':>6}")
+          f"{'exit0':>5} {'lines':>5} {'ratio':>6} {'range':^11} {'off':>4} {'rms z':>5} "
+          f"{'z>=3':>4} {'s':>6}")
     for name, config, seeds in SETS:
         truth = canonical(config["x"])
         started = time.perf_counter()
@@ -199,14 +215,16 @@ def main(argv: list[str] | None = None) -> int:
         summary = summarize(records)
         lines = line_spreads(records)
         ratios = [line["ratio"] for line in lines]
+        off = off_comb_z(records)
         results.append({"name": name, "config": ini(config), "seeds": list(seeds),
-                        "summary": summary, "lines": lines, "records": records,
-                        "seconds": round(elapsed, 1)})
+                        "summary": summary, "lines": lines, "off_comb": off,
+                        "records": records, "seconds": round(elapsed, 1)})
         print(f"{name:<20} {summary['seeds']:>5} {summary['unique']:>6} "
               f"{summary['truth_candidate']:>6} {summary['false_absent_seeds']:>5} "
               f"{summary['false_present_seeds']:>6} {str(summary['all_exit_0']):>5} "
               f"{len(lines):>5} {statistics.median(ratios) if ratios else math.nan:>6.2f} "
               f"{min(ratios, default=math.nan):>5.2f}-{max(ratios, default=math.nan):<5.2f} "
+              f"{off['lines']:>4} {off['rms_z'] or math.nan:>5.2f} {off['z_ge_3']:>4} "
               f"{elapsed:>6.1f}")
 
     path = Path(f"BENCH_accuracy_{args.tag}.json")
