@@ -281,6 +281,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"order {spectrum.m}: f = {h.f:g}, A = {h.amplitude:.3f} +- {h.sigma_a:.3f}, "
                   f"a/A0 = {h.contrast:+.4f} +- {h.sigma_contrast:.4f}  "
                   f"[{'accepted' if h.f in kept else 'rejected'}]")
+    n_off = sum(len(s.off_comb) for s in raw)  # the scale of the off-comb ratios below
+    print(f"off-comb: {n_off} lines fitted, family-wise z* = "
+          f"{config.gate.threshold(n_off):.2f} sigma (alpha = {config.gate.alpha:g})")
     for spectrum in raw:
         h = max(spectrum.off_comb, key=_z, default=None)
         print(f"order {spectrum.m}: A0 = {spectrum.a0:.3f}, " + (

@@ -303,7 +303,7 @@ def report_from_dict(data: dict[str, Any]) -> CandidateSet:
 
 def write_json(path: str | Path, data: dict[str, Any]) -> None:
     """Strict JSON: a NaN or infinity is a ValueError, not a NaN token in the file."""
-    atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    atomic_write_text(path, json.dumps(data, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _refuse_constant(token: str) -> None:

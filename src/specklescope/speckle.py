@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -75,15 +76,30 @@ class FrameStream:
         return int(self.delta_axis.size)
 
 
-def _frame_chunks(n_frames: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each sampling chunk; none holds a single frame of several.
+def _block_sizes(n_frames: int) -> list[int]:
+    """Frame counts of the bootstrap's contiguous blocks, as np.array_split cuts them."""
+    n_blocks = min(_MAX_BLOCKS, n_frames)
+    size, extra = divmod(n_frames, n_blocks)
+    return [size + 1] * extra + [size] * (n_blocks - extra)
 
-    A one-row complex product goes through zgemv and rounds differently from
-    the rows of a larger product, so a one-frame tail joins the chunk before.
+
+def _frame_chunks(n_frames: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each sampling chunk: whole bootstrap blocks, up to _CHUNK_FRAMES.
+
+    A longer block is cut into near-equal pieces, the longer first.  A
+    one-row complex product goes through zgemv and rounds differently from
+    the rows of a larger product, so a one-frame chunk joins the chunk before.
     """
-    starts = list(range(0, n_frames, _CHUNK_FRAMES))
-    if len(starts) > 1 and n_frames - starts[-1] == 1:
-        starts.pop()
+    cuts, at = [], 0  # the stops of every block's pieces
+    for size in _block_sizes(n_frames):
+        pieces = -(-size // _CHUNK_FRAMES)
+        cuts += [at - (-size * i // pieces) for i in range(1, pieces + 1)]
+        at += size
+    starts = [0]
+    for before, cut in zip([0] + cuts, cuts):
+        if cut - starts[-1] > _CHUNK_FRAMES:
+            starts.append(before)
+    starts = [s for s, t in zip(starts, starts[1:] + [n_frames]) if t - s > 1 or not s]
     return zip(starts, starts[1:] + [n_frames])
 
 
@@ -160,9 +176,7 @@ def sample_frames(
         raise ValueError("delta_axis must be strictly increasing")
     axis.flags.writeable = False
     n = geometry.n_sources
-    if weights is None:
-        weights = (1.0,) * n
-    weights = tuple(float(v) for v in weights)
+    weights = (1.0,) * n if weights is None else tuple(float(v) for v in weights)
     if len(weights) != n:
         raise ValueError(f"need {n} weights, got {len(weights)}")
     if any(not math.isfinite(v) or v <= 0 for v in weights):
@@ -195,11 +209,8 @@ def nearest_magic_pixels(
     if axis.ndim != 1 or axis.size == 0:
         raise ValueError("delta_axis must be a non-empty 1-D array")
     targets = magic_positions(m)
-    if axis.size > 1:
-        pitch_lo = axis[1] - axis[0]
-        pitch_hi = axis[-1] - axis[-2]
-    else:
-        pitch_lo = pitch_hi = math.inf
+    pitch = np.diff(axis)
+    pitch_lo, pitch_hi = (pitch[0], pitch[-1]) if pitch.size else (math.inf, math.inf)
     indices = []
     worst = 0.0
     for target in targets:
@@ -232,15 +243,16 @@ def estimate_g_m(
 
     One pass over the chunks fills one table of block sums: per contiguous
     frame block, row 0 holds the sum of I_p and row 1 + k set k's sum of
-    I_p * prod_j I_fj.  A block inside a chunk is read as a view of it, and
-    one that straddles chunks is first copied into a block-sized buffer.
-    Every moment comes from the table: a mean is the sum of its block sums
-    over the frame count, a block mean is a block sum over the block's
-    length, and the bootstrap resamples block means.  So a value can differ
-    from the moments of the whole stack in its last bits (at most R * 2^-52
-    relative); each sigma and replica is exactly the one a whole-stack pass
-    gives, and replica row b is the same frame resample in every curve,
-    drawn from a generator seeded by stream.seed.
+    I_p * prod_j I_fj.  Each piece of a block in a chunk, a view of it, is
+    added into the block's row of the zeroed table.  Every moment comes from
+    the table: a mean is the sum of its block sums over the frame count, a
+    block mean is a block sum over the block's length, and the bootstrap
+    resamples block means.  So a value can differ from the moments of the
+    whole stack in its last bits (at most R * 2^-52 relative), and so can a
+    sigma or replica where a block is read in pieces (the sampler's chunks
+    past 131072 frames); otherwise they are exactly the whole stack's.
+    Replica row b is the same frame resample in every curve, drawn from a
+    generator seeded by stream.seed.
     """
     n_frames, n_pixels = stream.n_frames, stream.n_pixels
     if n_frames < 1:
@@ -254,43 +266,33 @@ def estimate_g_m(
                 raise ValueError(f"fixed pixel {p} outside 0..{n_pixels - 1}")
     fixed_idx = [np.asarray(fixed, dtype=int) for fixed in fixed_sets]
 
-    # contiguous blocks of the sizes np.array_split gives
-    n_blocks = min(_MAX_BLOCKS, n_frames)
-    size, extra = divmod(n_frames, n_blocks)
-    sizes = [size + 1] * extra + [size] * (n_blocks - extra)
-    sums = np.empty((1 + len(fixed_idx), n_blocks, n_pixels))
-    buffer = np.empty((sizes[0], n_pixels))
-    b = held = 0  # the block being read, and its rows already in the buffer
+    sizes = _block_sizes(n_frames)
+    n_blocks, stops = len(sizes), list(accumulate(sizes))
+    sums = np.zeros((1 + len(fixed_idx), n_blocks, n_pixels))
+    b = read = 0  # the block being read, and the frames of the chunks before
     # no chunk is bound while the next is drawn: no enumerate, whose cached
     # result tuple keeps the last item, and each chunk is dropped when done
     for rows in stream.chunks:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != n_pixels:
             raise ValueError(f"chunks must be frames x {n_pixels} arrays")
+        if read + len(rows) > n_frames:
+            raise ValueError("the chunks hold more frames than the stream declares")
         _check_samples(rows)
         at = 0
         while at < len(rows):
-            if b == n_blocks:
-                raise ValueError("the chunks hold more frames than the stream declares")
-            take = min(sizes[b] - held, len(rows) - at)
-            block = rows[at:at + take]
-            at += take
-            if held or take < sizes[b]:  # the block straddles chunks
-                buffer[held:held + take] = block
-                held += take
-                block = buffer[:held]
-                if held < sizes[b]:
-                    continue
-                held = 0
-            # a view and the buffer are laid out as that slice of the whole
-            # stack, so their sums and products round as the slice's do
-            sums[0, b] = np.add.reduce(block, axis=0)
+            # block b's frames in this chunk, as a view laid out as that slice
+            # of the whole stack: a whole block rounds as the slice's sums do
+            piece = rows[at:stops[b] - read]
+            sums[0, b] += np.add.reduce(piece, axis=0)
             for k, idx in enumerate(fixed_idx, 1):
-                sums[k, b] = block[:, idx].prod(axis=1) @ block
-            b += 1
-        rows = block = None
-    del buffer  # nor the block buffer through the bootstrap
-    if b < n_blocks:
+                sums[k, b] += piece[:, idx].prod(axis=1) @ piece
+            at += len(piece)
+            if read + at == stops[b]:
+                b += 1
+        read += len(rows)
+        rows = piece = None
+    if read < n_frames:
         raise ValueError("the chunks hold fewer frames than the stream declares")
 
     mean_i = np.add.reduce(sums[0], axis=0) / n_frames
@@ -321,12 +323,7 @@ def estimate_g_m(
             raise DegeneratePixelError("bootstrap resample hit a zero-mean pixel")
         boot_values = counts @ (moment / block_len) / n_blocks / boot_den  # (_N_BOOT, P)
         del boot_den
-        curves.append(CorrelationCurve(
-            m=m,
-            delta1=stream.delta_axis,
-            values=values,
-            sigma=boot_values.std(axis=0, ddof=1),
-            replicas=boot_values,
-        ))
+        curves.append(CorrelationCurve(m=m, delta1=stream.delta_axis, values=values,
+                                       sigma=boot_values.std(axis=0, ddof=1), replicas=boot_values))
         del boot_values  # the curve holds a copy
     return tuple(curves)

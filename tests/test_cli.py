@@ -17,6 +17,7 @@ from specklescope import (
     SourceGeometry, cli, estimate_g_m, g_m_analytic, magic_positions, nearest_magic_pixels,
 )
 from specklescope.cli import main
+from specklescope.config import GatePolicy
 from specklescope.serialize import (
     evidence_to_dict, read_curve_csv, read_frames, read_replicas, write_curve_csv, write_json,
 )
@@ -143,6 +144,21 @@ def test_analyze_names_the_most_significant_off_comb_line(run_dir, tmp_path, cap
         assert z == f"{abs(top['a_A0']) / top['sigma_a_A0']:.1f}"
     # the gate decides on no off-comb line
     assert all(s["off_comb"] == [] for s in spectra["gated"])
+
+
+def test_analyze_scales_the_off_comb_lines_family_wise(run_dir, tmp_path, capsys):
+    # z* over every off-comb line the run fitted: 10 at order 3, 14 at order 4
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(out)]) == 0
+    printed = re.findall(r"^off-comb: (\d+) lines fitted, family-wise z\* = (\S+) sigma "
+                         r"\(alpha = (\S+)\)$", capsys.readouterr().out, re.MULTILINE)
+    spectra = json.loads((out / "spectra.json").read_text())
+    n_off = sum(len(s["off_comb"]) for s in spectra["fits"])
+    gate = GatePolicy()  # the run's config sets no [gate]
+    assert printed == [(str(n_off), f"{gate.threshold(n_off):.2f}", f"{gate.alpha:g}")]
+    assert n_off == 24 and printed[0][1:] == ("3.53", "0.01")
 
 
 def test_reconstruction_identifies_the_source(run_dir):

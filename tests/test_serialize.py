@@ -272,11 +272,16 @@ def test_frames_round_trip_keeps_bits(tmp_path):
 
 
 def test_frames_reader_streams_the_sampler_chunks(tmp_path):
-    # a one-frame tail joins the chunk before, as the sampler draws it
+    # whole bootstrap blocks of 4 or 5 frames, up to 512 frames a chunk, as
+    # the sampler draws them
+    def sampled():
+        return sample_frames(SourceGeometry((2,)), 1025, 9, uniform_grid(16))
+
     path = tmp_path / "frames.sstk"
-    save_frames(sample_frames(SourceGeometry((2,)), 1025, 9, uniform_grid(16)), path)
+    save_frames(sampled(), path)
     back = read_frames(path)
-    assert [len(rows) for rows in back.chunks] == [512, 513]
+    drawn = [len(rows) for rows in sampled().chunks]
+    assert [len(rows) for rows in back.chunks] == drawn == [509, 512, 4]
     assert list(back.chunks) == []  # a file-backed stream is read once
 
 
@@ -285,8 +290,8 @@ def test_frames_reader_streams_the_sampler_chunks(tmp_path):
     ((1.0, 0.5, 0.8, 0.6), 12, "727ccddb5b69b02d7f83b52c5e7cc53cd37e4373c11a75ef7f839ae3b7d6b7f0"),
 ], ids=["equal-weights", "weighted-12-bits"])
 def test_frame_file_bytes_are_pinned(tmp_path, weights, bits, digest):
-    # two chunks, the second with the one-frame tail folded in; a change to
-    # the amplitude draw, the propagation or the file layout moves the digest
+    # three chunks of whole bootstrap blocks (509, 512 and 4 frames); a change
+    # to the amplitude draw, the propagation or the file layout moves the digest
     # (recorded with numpy 2.4 and OpenBLAS on x86-64)
     frames = sample_frames(SourceGeometry((1, 3, 2)), 1025, 7, uniform_grid(40), weights, bits)
     path = tmp_path / "frames.sstk"

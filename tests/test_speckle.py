@@ -145,9 +145,27 @@ def test_sampled_bytes_do_not_depend_on_the_chunk_size(monkeypatch, frames, chun
     assert held_frames(small_stream(frames=frames)).tobytes() == reference
 
 
-def test_stream_folds_a_one_frame_tail_into_the_last_chunk():
-    chunks = small_stream(frames=1025).chunks
-    assert [len(rows) for rows in chunks] == [512, 513]
+@pytest.mark.parametrize("cap", [512, 7, 3, 2])
+@pytest.mark.parametrize(
+    "frames", [1, 2, 15, 22, 257, 513, 1025, 20000, 100_000, 131_072, 131_073, 10**6]
+)
+def test_frame_chunks_hold_whole_bootstrap_blocks(monkeypatch, frames, cap):
+    # the layout alone: no frame is drawn
+    monkeypatch.setattr(speckle, "_CHUNK_FRAMES", cap)
+    starts, stops = map(np.array, zip(*speckle._frame_chunks(frames)))
+    assert starts[0] == 0 and stops[-1] == frames
+    np.testing.assert_array_equal(starts[1:], stops[:-1])
+    lengths = stops - starts
+    # a chunk edge inside a block that fits a chunk would split it
+    blocks = np.array_split(np.arange(frames), min(256, frames))
+    first = np.array([block[0] for block in blocks])
+    last = np.array([block[-1] for block in blocks])
+    fits = last - first < cap
+    split = np.searchsorted(stops, last, "right") > np.searchsorted(stops, first, "right")
+    assert not np.any(split & fits)
+    # a chunk over the cap is a one-frame tail that joined the chunk before
+    assert lengths.max() <= cap + 1
+    assert frames == 1 or lengths.min() >= 2
 
 
 # the 20000 x 240 stack is 36.6 MiB; sampling, archiving and estimating it
@@ -175,28 +193,34 @@ def test_sampling_archiving_and_estimating_hold_one_chunk(tmp_path, bits):
     assert peak < _STAGE_BOUND
 
 
-def test_the_streamed_stage_holds_only_the_chunk_being_drawn(tmp_path):
-    # sampled, archived and estimated as simulate runs it.  Beside the block
-    # tables of four orders, only the chunk being drawn is alive: its complex
-    # field (two chunks of bytes) and its intensities (one), plus one chunk
-    # for the estimator's buffers.  Keeping the previous chunk referenced
-    # through the next draw, and each order's bootstrap temporaries through
-    # the next order, peaked 0.6 MiB above this bound
+def test_the_streamed_stage_holds_only_the_chunk_being_drawn(monkeypatch, tmp_path):
+    # sampled, archived and estimated as simulate runs it, with the 78- or
+    # 79-frame blocks whole in chunks of up to 512 frames or cut in three
+    # pieces by chunks of 32.  While the chunks are read, the table of block
+    # sums of the pixels and four orders (2.3 MiB) is held beside the chunk
+    # being drawn: its complex field (two chunks of bytes) and intensities
+    # (one), and no block buffer.  The peak (5.9 MiB) comes at the end, when
+    # the table is held with the bootstrap's resample counts and resampled
+    # pixel means, one order's temporaries and the replicas of the orders
+    # done.  Keeping the previous chunk referenced through the next draw, and
+    # each order's bootstrap temporaries through the next order, peaked
+    # 0.6 MiB above this bound
     pixels, orders = 240, (3, 4, 5, 6)
     axis = uniform_grid(pixels)
     pixel_sets = [nearest_magic_pixels(axis, m)[0] for m in orders]
     list(small_stream(frames=2).chunks)  # numpy.random's import is not the stage's
-    tracemalloc.start()
-    try:
-        frames = sample_frames(SourceGeometry((3, 1, 4)), 20000, 1, axis)
-        with serialize.write_frames(frames, tmp_path / "frames.sstk") as stream:
-            estimate_g_m(stream, pixel_sets)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    chunk = speckle._CHUNK_FRAMES * pixels * 8
-    tables = (len(orders) + 1) * speckle._MAX_BLOCKS * pixels * 8
-    assert peak < tables + 4 * chunk
+    bound = ((len(orders) + 1) * speckle._MAX_BLOCKS + 4 * speckle._CHUNK_FRAMES) * pixels * 8
+    for chunk in (512, 32):
+        monkeypatch.setattr(speckle, "_CHUNK_FRAMES", chunk)
+        tracemalloc.start()
+        try:
+            frames = sample_frames(SourceGeometry((3, 1, 4)), 20000, 1, axis)
+            with serialize.write_frames(frames, tmp_path / "frames.sstk") as stream:
+                estimate_g_m(stream, pixel_sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, chunk
 
 
 def test_weights_rescale_frames_exactly():
@@ -348,29 +372,37 @@ ORACLE_PIXEL_SETS = ((0, 12), (0, 8, 16), (3, 3, 9, 20), (0, 6, 6, 12, 18))
 
 @pytest.mark.parametrize(
     "frames, seed, chunk",
-    [(1000, 3, 512), (1000, 11, 512), (1000, 3, 7), (100, 3, 512), (1, 3, 512)],
-    ids=["blocks-of-3-or-4", "boot-seed", "chunks-of-7", "blocks-of-1", "single-frame"],
+    [(1000, 3, 512), (1000, 11, 512), (1000, 3, 7), (100, 3, 512), (1, 3, 512), (1000, 3, 2)],
+    ids=["blocks-of-3-or-4", "boot-seed", "chunks-of-7", "blocks-of-1", "single-frame",
+         "blocks-outgrow-chunks"],
 )
 def test_one_call_equals_the_per_order_oracle(monkeypatch, frames, seed, chunk):
     # at 1000 frames the 256 blocks hold 3 or 4 frames, so sampling chunks
-    # of 7 (or the one boundary at 512) leave blocks that straddle two chunks;
-    # the bootstrap is seeded by the stream's seed, so another seed draws
-    # other resamples
+    # of 7 or 512 hold whole blocks, and chunks of 2 cut each block of 4 in
+    # two; the bootstrap is seeded by the stream's seed, so another seed
+    # draws other resamples
     stack = held_stack(small_stream(frames=frames, seed=seed))
     monkeypatch.setattr(speckle, "_CHUNK_FRAMES", chunk)
     curves = estimate_g_m(small_stream(frames=frames, seed=seed), ORACLE_PIXEL_SETS)
     held = estimate_g_m(stack, ORACLE_PIXEL_SETS)
+    whole_blocks = -(-frames // 256) <= chunk
     assert [c.m for c in curves] == [3, 4, 5, 6]
     for pixels, curve, whole in zip(ORACLE_PIXEL_SETS, curves, held):
-        # the streamed and the held stack go through the same blocks
-        assert curve.values.tobytes() == whole.values.tobytes()
         expected = per_order_estimate(stack, pixels)
-        # both moments sum block sums, not one sum over the stack
-        assert curve.values.tobytes() == block_sum_values(stack, pixels).tobytes()
         np.testing.assert_allclose(curve.values, expected.values, rtol=frames * 2.0**-52, atol=0)
         if frames == 1:
             assert curve.sigma is None and curve.replicas is None
-        else:
+        elif not whole_blocks:
+            # a block summed in pieces moves only the last bits
+            np.testing.assert_allclose(curve.sigma, expected.sigma, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(curve.replicas, expected.replicas, rtol=1e-12, atol=0)
+        if not whole_blocks:
+            continue
+        # the streamed and the held stack go through the same blocks
+        assert curve.values.tobytes() == whole.values.tobytes()
+        # both moments sum block sums, not one sum over the stack
+        assert curve.values.tobytes() == block_sum_values(stack, pixels).tobytes()
+        if frames > 1:
             assert curve.sigma.tobytes() == expected.sigma.tobytes()
             assert curve.replicas.tobytes() == expected.replicas.tobytes()
 
