@@ -13,7 +13,9 @@ the product of its diagonal:
 With the m-1 fixed detectors parked at the magic offsets
 delta_j = 2*pi*(j-2)/(m-1), scanning delta_1 yields a cosine series in
 which only source-pair frequencies divisible by m-1 survive.  That
-filtering is what the rest of the package exploits.
+filtering is what the rest of the package exploits.  The series' lines
+are predicted in closed form (_line_coefficients, a Laplace expansion of
+perm(J)); g_m_analytic evaluates the curve itself, one permanent per offset.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ _NEGATIVE_TOL = 1e-9
 
 # Fewest bootstrap replica rows whose spread is taken as an error.
 _MIN_REPLICA_ROWS = 8
-
-# predicted_spectrum gathers at most this many complex phase terms (4 MB)
-# for one Gray-code walk; larger groups of geometries are chunked
-_CHUNK_ELEMENTS = 1 << 18
 
 
 def magic_positions(m: int) -> tuple[float, ...]:
@@ -129,35 +127,6 @@ class CorrelationCurve:
 # ---------------------------------------------------------------------------
 
 
-def _phase_table(positions, scan: np.ndarray, fixed_deltas: Sequence[float]) -> np.ndarray:
-    """Terms exp(i p (delta_k - delta_j)) of J for each source position p.
-
-    The detectors are one scanned over `scan` and one parked at each of
-    `fixed_deltas`, so m = len(fixed_deltas) + 1.  Shape (P, s, m, m) over
-    the P positions and the s scan samples.  Every geometry whose positions
-    are among them gathers its rows from here.
-    """
-    m = len(fixed_deltas) + 1
-    if m > MAX_PERMANENT_ORDER:
-        raise MatrixSizeError(f"order {m} exceeds permanent cap {MAX_PERMANENT_ORDER}")
-    deltas = np.empty((scan.size, m))
-    deltas[:, 0] = scan
-    deltas[:, 1:] = fixed_deltas
-    diff = deltas[:, None, :] - deltas[:, :, None]  # (s, m, m)
-    alpha = np.asarray(positions, dtype=float)
-    return np.exp(1j * alpha[:, None, None, None] * diff[None])
-
-
-def _coherence_stack(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Equal-weight coherence matrices (G, s, m, m) of G geometries.
-
-    rows[g] holds the table rows of geometry g's sources; all G geometries
-    have the same number of sources.
-    """
-    ones = np.ones(rows.shape[1], dtype=complex)
-    return np.einsum("l,glsjk->gsjk", ones, table[rows])
-
-
 def _ryser_batch(mats: np.ndarray) -> np.ndarray:
     """Permanents of a (S, n, n) stack by Ryser's formula: one Gray-code walk, O(2^n n)."""
     s, n, _ = mats.shape
@@ -183,6 +152,35 @@ def _ryser_batch(mats: np.ndarray) -> np.ndarray:
     if n % 2 == 1:
         total = -total
     return total
+
+
+def _minor_permanents(mats: np.ndarray) -> np.ndarray:
+    """Permanents of every first minor of a (G, n, n) stack, in one Gray-code walk.
+
+    Minor (j, k) drops row j and column k.  It is Ryser's sum differentiated
+    by mats[j, k]: over the column subsets holding k, the product of every
+    row sum but row j's, a prefix times a suffix product.  n = 1 gives ones.
+    """
+    g, n, _ = mats.shape
+    row = np.zeros((g, n), dtype=complex)
+    prefix = np.ones((g, n + 1), dtype=complex)  # prefix[:, j] = prod_{i < j} row[:, i]
+    suffix = np.ones((g, n + 1), dtype=complex)  # suffix[:, j] = prod_{i >= j} row[:, i]
+    minors = np.zeros((g, n, n), dtype=complex)  # [:, k, j]: column k's terms are contiguous
+    gray_prev = 0
+    for step in range(1, 1 << n):
+        gray = step ^ (step >> 1)
+        changed = gray ^ gray_prev
+        j = changed.bit_length() - 1
+        (np.add if gray & changed else np.subtract)(row, mats[:, :, j], out=row)
+        np.cumprod(row, axis=1, out=prefix[:, 1:])
+        np.cumprod(row[:, ::-1], axis=1, out=suffix[:, n - 1 :: -1])
+        others = prefix[:, :n] * suffix[:, 1:]
+        accumulate = np.subtract if gray.bit_count() % 2 else np.add
+        for k in range(n):
+            if gray >> k & 1:
+                accumulate(minors[:, k], others, out=minors[:, k])
+        gray_prev = gray
+    return (-minors if n % 2 else minors).transpose(0, 2, 1)
 
 
 def _normalized(perms: np.ndarray, n_sources: int, m: int) -> np.ndarray:
@@ -214,8 +212,12 @@ def g_m_analytic(
     if not np.all(np.isfinite(scan)):
         raise ValueError("scan grid contains non-finite offsets")
     m = len(fixed_deltas) + 1
-    table = _phase_table(phase_prefactors(geometry), scan, fixed_deltas)
-    mats = _coherence_stack(table, np.arange(geometry.n_sources)[None])[0]
+    if m > MAX_PERMANENT_ORDER:
+        raise MatrixSizeError(f"order {m} exceeds permanent cap {MAX_PERMANENT_ORDER}")
+    deltas = np.hstack([scan[:, None], np.tile(fixed_deltas, (scan.size, 1))])
+    diff = deltas[:, None, :] - deltas[:, :, None]  # (s, m, m)
+    alpha = np.asarray(phase_prefactors(geometry), dtype=float)
+    mats = np.exp(1j * alpha[:, None, None, None] * diff).sum(axis=0)
     values = _normalized(_ryser_batch(mats), geometry.n_sources, m)
     return CorrelationCurve(m=m, delta1=scan, values=values)
 
@@ -288,14 +290,30 @@ class ModulationSpectrum:
         return tuple(h.f for h in self.harmonics)
 
 
-def _scan_samples(span: int, m: int) -> int:
-    """Uniform samples over one filter period 2*pi/(m-1) for a span-`span` array.
+def _line_coefficients(
+    positions: np.ndarray, fixed_deltas: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier coefficients of perm(J) in the scanned offset delta, for G geometries.
 
-    At the magic placement the curve holds only f = kappa*(m-1), so it
-    repeats with that period and line kappa is bin kappa of the period's
-    DFT.  2*(span // (m-1)) + 2 samples keep the highest kappa from aliasing.
+    `positions` (G, n) holds G equal-weight geometries of n sources; one
+    detector is scanned and one parked at each of `fixed_deltas`.  The
+    Laplace expansion of perm(J) along the scanned row and column (Minc,
+    Permanents, 1978) needs only the fixed block B = sum_l u_l^* u_l^T,
+    u_l = exp(i p_l delta_k), and its first minors M:
+
+        perm J(delta) = c0 + sum_{a != b} q_ab exp(i (p_a - p_b) delta),
+
+    q_ab = u_a^H M u_b and c0 = n perm(B) + sum_a q_aa.  Returns c0 (G,) and q (G, n, n).
     """
-    return 2 * (span // (m - 1)) + 2
+    m = len(fixed_deltas) + 1
+    if m > MAX_PERMANENT_ORDER:
+        raise MatrixSizeError(f"order {m} exceeds permanent cap {MAX_PERMANENT_ORDER}")
+    u = np.exp(1j * np.asarray(positions, dtype=float)[:, :, None] * np.asarray(fixed_deltas))
+    fixed = u.conj().transpose(0, 2, 1) @ u
+    minors = _minor_permanents(fixed)
+    q = u.conj() @ minors @ u.transpose(0, 2, 1)
+    perm_fixed = (fixed[:, 0] * minors[:, 0]).sum(axis=1)  # Laplace along B's first row
+    return u.shape[1] * perm_fixed + np.trace(q, axis1=1, axis2=2), q
 
 
 def predicted_spectrum(
@@ -305,49 +323,34 @@ def predicted_spectrum(
 
     Returns a (len(geometries), len(freqs)) array: row g holds geometry g's
     contrast at each requested frequency, exactly 0.0 where f is not among
-    its surviving frequencies.  The filter passes only f = kappa*(m-1), so
-    each analytic curve is sampled over one filter period [0, 2*pi/(m-1))
-    (see _scan_samples), and A_f and A0 are read off DFT bins kappa and 0;
-    at the magic placement every line is a pure cosine, so A_f/A0 is the
-    whole prediction.  Geometries of equal span and source count share one
-    phase table and one Gray-code walk per chunk; each row is the one its
-    geometry gets alone, bit for bit.
+    its surviving frequencies.  The filter passes only f = kappa*(m-1); A_f
+    is 2|sum of q_ab over the pairs at distance f| and A0 is c0 (see
+    _line_coefficients), and at the magic placement every line is a pure
+    cosine, so A_f/A0 is the whole prediction.  Geometries of equal source
+    count share one walk; each row is the one its geometry gets alone, bit
+    for bit.
     """
     if m < 3:
         raise OrderError(f"filtered spectra need m >= 3, got m={m}")
     geometries = tuple(geometries)
     freqs = np.array(freqs, dtype=int)
-    passed = freqs % (m - 1) == 0  # what the magic placement transmits
-    groups: dict[tuple[int, int], list[int]] = {}
+    comb = np.flatnonzero(freqs % (m - 1) == 0)  # what the magic placement transmits
+    groups: dict[int, list[int]] = {}
     for i, geometry in enumerate(geometries):
-        groups.setdefault((geometry.span, geometry.n_sources), []).append(i)
+        groups.setdefault(geometry.n_sources, []).append(i)
 
     contrasts = np.zeros((len(geometries), len(freqs)))
-    tables: dict[int, np.ndarray] = {}
-    fixed, period = magic_positions(m), 2.0 * math.pi / (m - 1)
-    for (span, n), members in groups.items():
-        if span not in tables:
-            scan = np.linspace(0.0, period, _scan_samples(span, m), endpoint=False)
-            tables[span] = _phase_table(range(span + 1), scan, fixed)
-        table = tables[span]
-        samples = table.shape[1]
-        # a frequency off the comb or past the span reads some bin and is masked out below
-        bins = np.minimum(freqs // (m - 1), samples // 2)
-        lo, hi = np.triu_indices(n, 1)  # every source pair once
-        per_walk = max(1, _CHUNK_ELEMENTS // (n * table[0].size))
-        for start in range(0, len(members), per_walk):
-            chunk = members[start : start + per_walk]
-            rows = np.array([phase_prefactors(geometries[i]) for i in chunk])
-            mats = _coherence_stack(table, rows).reshape(-1, m, m)
-            perms = _ryser_batch(mats).reshape(len(chunk), -1)
-            coeff = np.fft.rfft(_normalized(perms, n, m), axis=-1) / samples
-            # np.hypot, not np.abs: it rounds exactly as abs() of one coefficient
-            lines = 2.0 * np.hypot(coeff.real[:, bins], coeff.imag[:, bins])
-            ratio = lines / coeff.real[:, :1]
-            # a line survives where f is a pair distance and the filter passes it
-            distances = rows[:, hi] - rows[:, lo]
-            present = (distances[:, :, None] == freqs).any(axis=1)
-            contrasts[chunk] = np.where(present & passed, ratio, 0.0)
+    for n, members in groups.items():
+        rows = np.array([phase_prefactors(geometries[i]) for i in members])
+        c0, q = _line_coefficients(rows, magic_positions(m))
+        _normalized(c0[:, None], n, m)  # refuses an offset with an imaginary residue
+        lo, hi = np.triu_indices(n, 1)  # every source pair once, p_hi > p_lo
+        distances, pairs = rows[:, hi] - rows[:, lo], q[:, hi, lo]
+        for i in comb:
+            # the pairs at distance f; a sum of none is exactly 0.0
+            line = np.where(distances == freqs[i], pairs, 0.0).sum(axis=1)
+            # np.hypot, not np.abs: numpy's complex abs can round 2 ulp off
+            contrasts[members, i] = 2.0 * np.hypot(line.real, line.imag) / c0.real
     return contrasts
 
 
@@ -358,15 +361,12 @@ def regular_array_reference(n_sources: int, m: int) -> np.ndarray:
     pair distance l contributes, and the amplitudes fall off linearly,
     A_l proportional to N - l.  That is the regular-array claim of the
     earlier work this paper extends (Phys. Rev. Lett. 109, 233603 (2012)).
-    The amplitudes are read off the DFT of the analytic curve.
+    Distance l's pairs sit on the l-th subdiagonal of _line_coefficients' q.
     """
     if n_sources < 2:
         raise GeometryError(f"reference array needs at least 2 sources, got {n_sources}")
     if m < 2:
         raise OrderError(f"correlation order must be at least 2, got {m}")
-    geometry = SourceGeometry((1,) * (n_sources - 1))
-    samples = max(4 * (geometry.span + 1), 8)  # no filter: the whole period
-    scan = np.linspace(0, 2 * math.pi, samples, endpoint=False)
-    curve = g_m_analytic(geometry, scan, (0.0,) * (m - 1))
-    coeff = np.fft.rfft(curve.values) / samples
-    return 2.0 * np.abs(coeff[1:n_sources])
+    _, q = _line_coefficients(np.arange(n_sources)[None], (0.0,) * (m - 1))
+    lines = np.array([np.trace(q[0], offset=-l) for l in range(1, n_sources)])
+    return 2.0 * np.abs(lines) / float(n_sources) ** m

@@ -3,8 +3,8 @@
 fit_fixed solves one unweighted linear least-squares problem for the
 offset and a cosine/sine pair per integer frequency, on the filtered comb
 kappa*(m-1) and off it; the curve's bootstrap replicas go through the
-same solve.  On a uniform full-period scan that fit is the DFT, the
-convention correlation.predicted_spectrum reads its contrasts in.  gate()
+same solve.  On a uniform full-period scan that fit is the DFT, whose
+coefficients correlation.predicted_spectrum gives in closed form.  gate()
 keeps the comb lines above machine noise whose contrast a/A0 passes a
 family-wise two-sided test, aggregate() merges gated spectra from several
 orders into a tri-state evidence table (Present / Absent / Unknown per
@@ -114,8 +114,8 @@ def fit_fixed(curve: CorrelationCurve, span_bound: int) -> ModulationSpectrum:
     `harmonics`, the others, which the magic placement does not transmit,
     to `off_comb`.  A shorter scan needs one comb period and fits the comb
     alone.  The fit is unweighted: on a uniform full-period scan it is the
-    DFT, as in predicted_spectrum, while 1/sigma weights would fold content
-    off the comb (off-magic pair distances) onto comb lines.
+    DFT, whose coefficients predicted_spectrum gives in closed form;
+    1/sigma weights would fold off-magic pair distances onto comb lines.
 
     Errors: the bootstrap replica curves go through the same design in the
     same solve as the curve itself.  For a linear model that is the exact

@@ -16,14 +16,13 @@ from specklescope import (
     ModulationSpectrum,
     OrderError,
     SourceGeometry,
-    correlation,
     g_m_analytic,
     magic_positions,
     phase_prefactors,
     predicted_spectrum,
     regular_array_reference,
 )
-from specklescope.correlation import _ryser_batch
+from specklescope.correlation import _line_coefficients, _minor_permanents, _ryser_batch
 
 
 def _weight_vector(geometry, weights):
@@ -137,6 +136,20 @@ def test_permanent_matches_permutation_sum():
             assert abs(_ryser_batch(a[None])[0] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def test_minor_permanents_match_permutation_sums():
+    # entry (j, k) is the permanent without row j and column k; a 1x1
+    # matrix has the empty minor, whose permanent is 1
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        a = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        minors = _minor_permanents(a)
+        assert minors.shape == (3, n, n)
+        for g, j, k in itertools.product(range(3), range(n), range(n)):
+            ref = permutation_permanent(np.delete(np.delete(a[g], j, 0), k, 1))
+            assert abs(minors[g, j, k] - ref) <= 1e-12 * max(1.0, abs(ref)), (n, g, j, k)
+    np.testing.assert_array_equal(_minor_permanents(rng.normal(size=(4, 1, 1))), np.ones((4, 1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # coherence matrices
 # ---------------------------------------------------------------------------
@@ -208,6 +221,13 @@ def test_analytic_order_cap():
         g_m_analytic(SourceGeometry((1,)), np.array([0.0]), (0.0,) * 12)
 
 
+def test_prediction_order_cap():
+    with pytest.raises(MatrixSizeError):
+        predicted_spectrum((SourceGeometry((1, 2)),), 13, FREQS)
+    with pytest.raises(MatrixSizeError):
+        regular_array_reference(3, 13)
+
+
 # ---------------------------------------------------------------------------
 # exact spectra
 # ---------------------------------------------------------------------------
@@ -222,6 +242,30 @@ def rfft_contrasts(geometry, m, freqs):
     curve = magic_curve(geometry.x, m, samples=8 * (geometry.span + 1))
     coeff = np.fft.rfft(curve.values)
     return np.array([2.0 * abs(coeff[f]) / coeff[0].real for f in freqs])
+
+
+def test_line_coefficients_match_the_dft_of_each_curve():
+    # the closed form at random fixed offsets, where every pair distance
+    # shows, against the DFT of the analytic curve (Ryser at each offset):
+    # c0 is bin 0 and the pairs at distance f sum to bin f
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for m in (3, 4, 5, 6):
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(3):
+                geometry = SourceGeometry(rng.integers(1, 5, size=n - 1))
+                positions = np.array([phase_prefactors(geometry)])
+                fixed = tuple(rng.uniform(0.0, 2 * math.pi, size=m - 1))
+                c0, q = _line_coefficients(positions, fixed)
+                samples = 2 * geometry.span + 2
+                scan = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
+                coeff = np.fft.rfft(g_m_analytic(geometry, scan, fixed).values) / samples
+                distance = positions[0][:, None] - positions[0][None, :]
+                lines = [q[0][distance == f].sum() for f in range(geometry.span + 1)]
+                lines[0] = c0[0]
+                error = np.abs(np.array(lines) / float(n) ** m - coeff[: geometry.span + 1])
+                worst = max(worst, error.max() / max(1.0, coeff[0].real))
+    assert worst < 1e-13
 
 
 @pytest.mark.parametrize("x", [(1, 3), (3, 1, 4), (2, 1, 3)])
@@ -256,18 +300,14 @@ def test_table_rows_match_the_dft_of_each_curve():
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
-def test_prediction_does_not_depend_on_its_batch(m, monkeypatch):
-    # every 5-source array of span 12 (walks of a quarter million phase
-    # terms would hold them all, so the walks are cut smaller) shuffled
-    # among arrays of 1 to 6 sources and other spans
-    monkeypatch.setattr(correlation, "_CHUNK_ELEMENTS", 1 << 14)
+def test_prediction_does_not_depend_on_its_batch(m):
+    # every 5-source array of span 12 shuffled among arrays of 1 to 6
+    # sources and other spans
     fives = [SourceGeometry(x) for x in itertools.product(range(1, 10), repeat=4) if sum(x) == 12]
     others = [SourceGeometry(x) for x in [(), (4,), (1, 3), (3, 1, 4), (1, 3, 5), (2, 2, 7, 1),
                                           (1, 1, 1, 1, 1), (2, 5, 1, 3, 2), (1, 3, 8, 1)]]
     batch = fives + others
     random.Random(m).shuffle(batch)
-    samples = correlation._scan_samples(12, m)
-    assert len(fives) * 5 * samples * m * m > 4 * correlation._CHUNK_ELEMENTS
     together = predicted_spectrum(batch, m, FREQS)
     assert together.shape == (len(batch), len(FREQS))
     for geometry, row in zip(batch, together):

@@ -2,8 +2,8 @@
 
 fit_fixed solves for the offset and a cosine/sine pair at every integer
 frequency up to the span bound.  On the uniform full-period grid the CLI
-scans, those columns are orthogonal and the solve is the DFT, the
-convention predicted_spectrum reads its contrasts in.  The reference
+scans, those columns are orthogonal and the solve is the DFT, whose
+coefficients predicted_spectrum gives in closed form.  The reference
 below is a plain rfft of the curve and of each replica: A0 is bin 0, and
 line f is a = 2 Re X_f / n, b = -2 Im X_f / n, on the comb and off it.
 """

@@ -313,7 +313,9 @@ HOMOMETRIC_AT_5 = CandidateSet(
 
 
 def order_5_lines(a4):
-    """The lines at f = 4 and 8 fitted from 100000 frames of x=(1, 3, 5), with A_4 = a4."""
+    """Order-5 lines at f = 4 and 8: A0, A_8 and the sigmas of a fit to 100000
+    frames of x=(1, 3, 5), and A_4 = a4, chosen so that roundoff puts the
+    first candidate's score above the second's."""
     lines = (
         Harmonic(f=4.0, amplitude=a4, sigma_a=0.05988458346151628),
         Harmonic(f=8.0, amplitude=1.4157072190937008, sigma_a=0.07236950067110268),
@@ -324,7 +326,7 @@ def order_5_lines(a4):
 
 
 def test_equal_spectra_fall_back_on_the_search_order():
-    ranked = disambiguate(HOMOMETRIC_AT_5, [order_5_lines(1.4067580071859833)]).candidates
+    ranked = disambiguate(HOMOMETRIC_AT_5, [order_5_lines(1.448)]).candidates
     assert [c.geometry.x for c in ranked] == [(1, 3, 8, 1), (5, 3, 4, 5)]
     # the stored scores keep their bits: the first one is the larger
     assert ranked[0].score > ranked[1].score
@@ -334,7 +336,7 @@ def test_equal_spectra_fall_back_on_the_search_order():
 def test_a_tie_across_a_rounding_boundary_keeps_the_search_order():
     # here the two scores round to different 12-digit values, the first up
     # and the second down; they still differ by roundoff alone
-    ranked = disambiguate(HOMOMETRIC_AT_5, [order_5_lines(1.4003)]).candidates
+    ranked = disambiguate(HOMOMETRIC_AT_5, [order_5_lines(1.5715)]).candidates
     assert [c.geometry.x for c in ranked] == [(1, 3, 8, 1), (5, 3, 4, 5)]
     assert float(f"{ranked[0].score:.12g}") > float(f"{ranked[1].score:.12g}")
     assert ranked[0].score == pytest.approx(ranked[1].score, rel=1e-12)
