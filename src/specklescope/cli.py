@@ -82,10 +82,9 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 def _read_manifest(out: Path) -> RunManifest | None:
     """The run directory's manifest.json, or None when it has none."""
     from . import serialize
-    from .records import RunManifest
 
     path = out / "manifest.json"
-    return serialize.read_json(path, RunManifest.from_dict) if path.exists() else None
+    return serialize.read_json(path, serialize.manifest_from_dict) if path.exists() else None
 
 
 def _load_config_arg(
@@ -202,7 +201,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"order {m}: {len(curve)} pixels, fixed at {list(pixels)}")
 
     manifest = RunManifest.create(config, seed=sim.seed, outputs=outputs, notes=tuple(notes))
-    serialize.write_json(out / "manifest.json", manifest.to_dict())
+    serialize.write_json(out / "manifest.json", serialize.manifest_to_dict(manifest))
     for note in notes:
         print(f"note: {note}")
     print(f"simulated {sim.frames} frames of x={list(geometry.x)} into {out}")
@@ -332,7 +331,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             except ValueError as exc:  # e.g. a zero offset or a repeated order
                 raise FormatError(f"{spectra_path}: cannot score these spectra: {exc}") from exc
 
-    serialize.write_json(out / "reconstruction.json", serialize.report_to_dict(candidate_set))
+    serialize.write_json(out / "reconstruction.json",
+                         serialize.report_to_dict(candidate_set, evidence))
 
     print(f"{len(candidate_set.candidates)} candidate geometr"
           f"{'y' if len(candidate_set.candidates) == 1 else 'ies'}")
@@ -344,9 +344,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _print_candidates(candidate_set: CandidateSet) -> None:
-    for cand in candidate_set.candidates:
-        score = "" if cand.score is None else f"  chi2 = {cand.score:.2f}"
-        print(f"  x = {list(cand.geometry.x)}{score}")
+    lines = (f"  x = {list(c.geometry.x)}" + ("" if c.score is None else f"  chi2 = {c.score:.2f}")
+             for c in candidate_set.candidates)
+    # one write: with stdout unbuffered, each print would be a write of its own
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
     if not candidate_set.candidates:
         print("warning: no geometry within the [reconstruct] bounds fits the evidence",
               file=sys.stderr)
@@ -383,11 +384,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .records import aperture_report
 
     out = Path(args.out)
-    recon_path = out / "reconstruction.json"
+    recon_path, evidence_path = out / "reconstruction.json", out / "evidence.json"
     if not recon_path.exists():
         raise ConfigError(f"missing {recon_path}; run reconstruct first")
+    if not evidence_path.exists():
+        raise ConfigError(f"missing {evidence_path}; run analyze first")
     candidate_set = serialize.read_json(recon_path, serialize.report_from_dict)
-    evidence = candidate_set.evidence
+    evidence = serialize.read_json(evidence_path, serialize.evidence_from_dict)
 
     print(f"orders measured: {list(evidence.orders_measured)}")
     print(f"present: {list(evidence.present())}")

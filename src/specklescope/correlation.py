@@ -71,7 +71,6 @@ class CorrelationCurve:
     m: int
     delta1: np.ndarray
     values: np.ndarray
-    sigma: np.ndarray | None = None
     replicas: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -91,15 +90,6 @@ class CorrelationCurve:
         if np.any(values < -_NEGATIVE_TOL * scale):
             raise ValueError("correlation values must be non-negative")
         values = np.maximum(values, 0.0)
-        sigma = self.sigma
-        if sigma is not None:
-            sigma = np.asarray(sigma, dtype=float)
-            if sigma.shape != values.shape:
-                raise ValueError("sigma must match the value array shape")
-            if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
-                raise ValueError("sigma entries must be finite and non-negative")
-            sigma = sigma.copy()
-            sigma.flags.writeable = False
         replicas = self.replicas
         if replicas is not None:
             replicas = np.asarray(replicas, dtype=float)
@@ -115,7 +105,6 @@ class CorrelationCurve:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "replicas", replicas)
 
     def __len__(self) -> int:

@@ -152,7 +152,6 @@ def search(evidence: EvidenceTable, bounds: SearchBounds | None = None) -> Candi
     gap_sets = sorted(map(_canonical_gaps, found), key=lambda x: (len(x), x))
     return CandidateSet(
         candidates=tuple(Candidate(SourceGeometry(x)) for x in gap_sets),
-        evidence=evidence,
         exhaustive=exhaustive,
     )
 

@@ -1,16 +1,16 @@
 """Records of a finished run: frequency evidence, candidates, apertures,
 and the run manifest.
 
-These are what `report` reads back from reconstruction.json and
-manifest.json, so this module imports neither numpy nor the config
-parser; spectrum and reconstruct build them.
+These are what `report` reads back from evidence.json, reconstruction.json
+and manifest.json, whose formats serialize holds, so this module imports
+neither numpy nor the config parser; spectrum and reconstruct build them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import OrderError
@@ -100,11 +100,10 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Search output: candidates, the evidence they explain, and whether
-    the enumeration covered the whole bounded space."""
+    """Search output: candidates, and whether the enumeration covered the
+    whole bounded space."""
 
     candidates: tuple[Candidate, ...]
-    evidence: EvidenceTable
     exhaustive: bool
 
     def geometries(self) -> tuple[SourceGeometry, ...]:
@@ -178,26 +177,4 @@ class RunManifest:
             created_utc=stamp,
             outputs=tuple(sorted(outputs.items())),
             notes=notes,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tool": "specklescope",
-            "version": self.version,
-            "created_utc": self.created_utc,
-            "seed": self.seed,
-            "config": self.config_text,
-            "outputs": dict(self.outputs),
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunManifest":
-        return cls(
-            config_text=str(data["config"]),
-            seed=int(data["seed"]),
-            version=str(data["version"]),
-            created_utc=str(data["created_utc"]),
-            outputs=tuple(sorted((str(k), str(v)) for k, v in data["outputs"].items())),
-            notes=tuple(str(note) for note in data["notes"]),
         )

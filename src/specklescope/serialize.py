@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO
 
 from .errors import FormatError, OutputError
 from .geometry import SourceGeometry
-from .records import Candidate, CandidateSet, EvidenceRow, EvidenceTable
+from .records import Candidate, CandidateSet, EvidenceRow, EvidenceTable, RunManifest
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,6 +47,8 @@ __all__ = [
     "evidence_from_dict",
     "report_to_dict",
     "report_from_dict",
+    "manifest_to_dict",
+    "manifest_from_dict",
     "write_json",
     "read_json",
     "write_frames",
@@ -127,8 +129,10 @@ _CURVE_HEADERS = (["delta1_rad", "g_value"], ["delta1_rad", "g_value", "sigma"])
 
 
 def write_curve_csv(curve: CorrelationCurve, path: str | Path) -> None:
-    """Curve as CSV with columns delta1_rad, g_value and optionally sigma."""
-    columns = [curve.delta1, curve.values] + ([] if curve.sigma is None else [curve.sigma])
+    """Curve as CSV with columns delta1_rad, g_value and, given replicas, their spread sigma."""
+    columns = [curve.delta1, curve.values]
+    if curve.replicas is not None:  # read only by perfbench/checks.py
+        columns.append(curve.replicas.std(axis=0, ddof=1))
     header = _CURVE_HEADERS[len(columns) - 2]
     rows = (dict(zip(header, row)) for row in zip(*(column.tolist() for column in columns)))
     write_csv(path, header, rows)
@@ -138,6 +142,7 @@ def read_curve_csv(path: str | Path, m: int) -> CorrelationCurve:
     """Read a curve CSV; the correlation order is not stored in the file.
 
     A foreign header, a row of the wrong length or a bad value is a FormatError.
+    A sigma column is checked, not kept: no fit reads it.
     """
     import numpy as np
 
@@ -152,8 +157,9 @@ def read_curve_csv(path: str | Path, m: int) -> CorrelationCurve:
             raise ValueError(f"every row needs {len(header)} cells")
         columns = np.array([[float(cell) for cell in line] for line in rows])
         columns = columns.reshape(-1, len(header)).T
-        sigma = columns[2] if len(header) == 3 else None
-        return CorrelationCurve(m=m, delta1=columns[0], values=columns[1], sigma=sigma)
+        if not np.all(np.isfinite(columns[2:]) & (columns[2:] >= 0)):
+            raise ValueError("sigma entries must be finite and non-negative")
+        return CorrelationCurve(m=m, delta1=columns[0], values=columns[1])
 
 
 def write_replicas(replicas: np.ndarray, path: str | Path) -> None:
@@ -237,7 +243,8 @@ def spectrum_from_dict(data: dict[str, Any]) -> ModulationSpectrum:
 
 def spectra_to_dict(fits: list[ModulationSpectrum], gated: list[ModulationSpectrum],
                     failures: list[tuple[int, str]]) -> dict[str, Any]:
-    """spectra.json: the comb fits, their gated versions and the failed orders."""
+    """spectra.json: the comb fits, their gated versions (no command reads them:
+    reconstruct takes fits and evidence.json) and the failed orders."""
     return {
         "fits": [spectrum_to_dict(s) for s in fits],
         "gated": [spectrum_to_dict(s) for s in gated],  # read only by perfbench/checks.py
@@ -284,20 +291,44 @@ def _candidate_from_dict(data: dict[str, Any]) -> Candidate:
     )
 
 
-def report_to_dict(candidate_set: CandidateSet) -> dict[str, Any]:
+def report_to_dict(candidate_set: CandidateSet, evidence: EvidenceTable) -> dict[str, Any]:
+    """reconstruction.json: the candidates, and a copy of the evidence they were searched on."""
     return {
-        "evidence": evidence_to_dict(candidate_set.evidence),
+        "evidence": evidence_to_dict(evidence),  # read only by perfbench/checks.py
         "candidates": [_candidate_to_dict(c) for c in candidate_set.candidates],
         "exhaustive": candidate_set.exhaustive,
     }
 
 
 def report_from_dict(data: dict[str, Any]) -> CandidateSet:
-    """Inverse of report_to_dict; other keys, such as older runs' `apertures`, are ignored."""
+    """Inverse of report_to_dict; other keys, the evidence copy that evidence.json
+    holds and older runs' `apertures`, are ignored."""
     return CandidateSet(
         candidates=tuple(_candidate_from_dict(c) for c in data["candidates"]),
-        evidence=evidence_from_dict(data["evidence"]),
         exhaustive=bool(data["exhaustive"]),
+    )
+
+
+def manifest_to_dict(manifest: RunManifest) -> dict[str, Any]:
+    return {
+        "tool": "specklescope",
+        "version": manifest.version,
+        "created_utc": manifest.created_utc,
+        "seed": manifest.seed,
+        "config": manifest.config_text,
+        "outputs": dict(manifest.outputs),
+        "notes": list(manifest.notes),
+    }
+
+
+def manifest_from_dict(data: dict[str, Any]) -> RunManifest:
+    return RunManifest(
+        config_text=str(data["config"]),
+        seed=int(data["seed"]),
+        version=str(data["version"]),
+        created_utc=str(data["created_utc"]),
+        outputs=tuple(sorted((str(k), str(v)) for k, v in data["outputs"].items())),
+        notes=tuple(str(note) for note in data["notes"]),
     )
 
 

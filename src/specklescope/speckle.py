@@ -236,10 +236,10 @@ def estimate_g_m(
 
     over frames, for every pixel p, with the fixed detectors at the given
     pixel indices (repeats are allowed and mean coincident detectors).
-    Standard errors come from a block bootstrap over frame blocks, and the
+    A block bootstrap over frame blocks resamples the curve, and the
     resampled curves ride along as curve.replicas so fitters can propagate
     the (strongly pixel-correlated) estimator noise honestly.  With a
-    single frame the estimate is defined but sigma and replicas are None.
+    single frame the estimate is defined but replicas is None.
 
     One pass over the chunks fills one table of block sums: per contiguous
     frame block, row 0 holds the sum of I_p and row 1 + k set k's sum of
@@ -249,7 +249,7 @@ def estimate_g_m(
     block mean is a block sum over the block's length, and the bootstrap
     resamples block means.  So a value can differ from the moments of the
     whole stack in its last bits (at most R * 2^-52 relative), and so can a
-    sigma or replica where a block is read in pieces (the sampler's chunks
+    replica where a block is read in pieces (the sampler's chunks
     past 131072 frames); otherwise they are exactly the whole stack's.
     Replica row b is the same frame resample in every curve, drawn from a
     generator seeded by stream.seed.
@@ -324,6 +324,6 @@ def estimate_g_m(
         boot_values = counts @ (moment / block_len) / n_blocks / boot_den  # (_N_BOOT, P)
         del boot_den
         curves.append(CorrelationCurve(m=m, delta1=stream.delta_axis, values=values,
-                                       sigma=boot_values.std(axis=0, ddof=1), replicas=boot_values))
+                                       replicas=boot_values))
         del boot_values  # the curve holds a copy
     return tuple(curves)

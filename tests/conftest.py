@@ -88,7 +88,6 @@ def noisy_curve(x, m, sigma, rows, seed=0):
         m=m,
         delta1=exact.delta1,
         values=exact.values + noise[0],
-        sigma=np.full(len(exact), sigma),
         replicas=exact.values + noise[1:] if rows else None,
     )
 

@@ -58,7 +58,6 @@ def oracle_search(evidence: EvidenceTable, bounds: SearchBounds | None = None):
         candidates=tuple(
             Candidate(g) for g in sorted(geometries, key=lambda g: (g.n_sources, g.x))
         ),
-        evidence=evidence,
         exhaustive=exhaustive,
     )
 

@@ -240,6 +240,24 @@ def test_report_prints_the_apertures_of_the_measured_orders(run_dir, tmp_path, c
     assert "order 4: moving aperture 0.3333, fixed array 0.6667" in lines
 
 
+def test_report_reads_the_evidence_from_evidence_json(run_dir, tmp_path, capsys):
+    # reconstruction.json holds a copy of evidence.json, which report ignores:
+    # without it report prints the same, and without evidence.json it exits 2
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    report = json.loads((out / "reconstruction.json").read_text())
+    assert report.pop("evidence") == json.loads((out / "evidence.json").read_text())
+    write_json(out / "reconstruction.json", report)
+    printed = []
+    for directory in (run_dir, out):
+        assert main(["report", "--out", str(directory)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    (out / "evidence.json").unlink()
+    assert main(["report", "--out", str(out)]) == 2
+    assert f"missing {out / 'evidence.json'}; run analyze first" in capsys.readouterr().err
+
+
 def test_pipeline_is_deterministic(run_dir, tmp_path):
     again = run_pipeline(tmp_path / "again")
     for name in PIPELINE_ARTIFACTS:
@@ -269,11 +287,13 @@ def test_the_frame_archive_re_estimates_the_saved_curves(run_dir):
     orders = (3, 4)
     pixel_sets = [nearest_magic_pixels(stream.delta_axis, m)[0] for m in orders]
     for m, curve in zip(orders, estimate_g_m(stream, pixel_sets)):
-        saved = read_curve_csv(run_dir / f"curves_m{m}.csv", m)
-        saved = read_replicas(run_dir / f"replicas_m{m}.npy", saved)
+        path = run_dir / f"curves_m{m}.csv"
+        saved = read_replicas(run_dir / f"replicas_m{m}.npy", read_curve_csv(path, m))
         np.testing.assert_array_equal(curve.delta1, saved.delta1)
         np.testing.assert_array_equal(curve.values, saved.values)
-        assert curve.sigma.tobytes() == saved.sigma.tobytes()
+        # the curve file's sigma column, which no command reads
+        sigma = np.array([float(row.split(",")[2]) for row in path.read_text().splitlines()[1:]])
+        assert curve.replicas.std(axis=0, ddof=1).tobytes() == sigma.tobytes()
         assert curve.replicas.tobytes() == saved.replicas.tobytes()
 
 
@@ -313,6 +333,11 @@ def test_malformed_curve_csv_exits_2(tmp_path, capsys):
         "nonsense,header\n1,2\n",  # foreign header
         "delta1_rad,g_value,sigma\n0.0,2.0\n",  # short row
         "delta1_rad,g_value\n0.0,two\n",  # non-numeric cell
+        # no fit reads the sigma column, but a bad cell in it is still refused
+        # (one row with a good sigma is a fit failure, exit 4)
+        "delta1_rad,g_value,sigma\n0.0,2.0,-0.1\n",
+        "delta1_rad,g_value,sigma\n0.0,2.0,nan\n",
+        "delta1_rad,g_value,sigma\n0.0,2.0,inf\n",
         _repeated_offsets(curve).decode(),
         "".join([header, *rows[::-1]]),  # offsets in reverse
         header,  # a header and no samples
@@ -756,11 +781,6 @@ def _old_line_keys(spectra):
     return spectra
 
 
-def _drop_evidence(report):
-    del report["evidence"]
-    return report
-
-
 def _outputs_as_list(manifest):
     manifest["outputs"] = []
     return manifest
@@ -781,11 +801,6 @@ def _line_past_int64(spectra):
 def _order_1(evidence):
     evidence["orders_measured"].insert(0, 1)
     return evidence
-
-
-def _report_order_1(report):
-    _order_1(report["evidence"])
-    return report
 
 
 def _repeated_offsets(blob):
@@ -820,8 +835,8 @@ MALFORMED_ARTIFACTS = {
     "spectra-old-lines": ("spectra.json", "reconstruct", _json_edit(_old_line_keys)),
     "spectra-line-past-int64": ("spectra.json", "reconstruct", _json_edit(_line_past_int64)),
     "evidence-order-1": ("evidence.json", "reconstruct", _json_edit(_order_1)),
-    "report-order-1": ("reconstruction.json", "report", _json_edit(_report_order_1)),
-    "report-without-evidence": ("reconstruction.json", "report", _json_edit(_drop_evidence)),
+    "report-order-1": ("evidence.json", "report", _json_edit(_order_1)),
+    "report-without-evidence": ("evidence.json", "report", _json_edit(lambda evidence: {})),
     "manifest-as-list": ("manifest.json", "report", _json_edit(list)),
     "manifest-outputs-as-list": ("manifest.json", "analyze", _json_edit(_outputs_as_list)),
     "report-chi2-as-list": ("reconstruction.json", "report", _json_edit(_chi2_as_list)),
@@ -896,8 +911,7 @@ def test_a_singular_fit_covariance_is_a_fit_failure(tmp_path, capsys):
     # float maximum overflows its squared residual
     curve = magic_curve((1, 3), 3)
     values = 1e307 * curve.values / curve.values.max()
-    write_curve_csv(replace(curve, values=values, sigma=np.full(len(curve), 1e307)),
-                    tmp_path / "curves_m3.csv")
+    write_curve_csv(replace(curve, values=values), tmp_path / "curves_m3.csv")
     assert main(["analyze", "--out", str(tmp_path)]) == 4
     assert "order 3: fit failed: fit covariance is not finite" in capsys.readouterr().err
     spectra = json.loads((tmp_path / "spectra.json").read_text())

@@ -14,6 +14,7 @@ from specklescope import (
     emit_config,
     parse_config,
 )
+from specklescope.serialize import manifest_from_dict, manifest_to_dict
 
 
 def test_empty_text_gives_defaults():
@@ -147,10 +148,10 @@ def test_manifest_round_trip():
         outputs={"curves": "curves_m3.csv", "frames": "frames.sstk"},
         notes=("clipping above half",),
     )
-    data = manifest.to_dict()
+    data = manifest_to_dict(manifest)
     assert data["tool"] == "specklescope"
     assert data["seed"] == 17
     assert data["created_utc"]  # stamped
-    back = RunManifest.from_dict(data)
+    back = manifest_from_dict(data)
     assert back == manifest
     assert parse_config(back.config_text) == Config()

@@ -49,7 +49,7 @@ def curves():
     boot = bootstrapped_curves()
     axis = boot[3].delta1
     out = {f"bootstrapped m={m}": curve for m, curve in boot.items()}
-    out["no sigma or replicas"] = replace(boot[4], sigma=None, replicas=None)
+    out["no replicas"] = replace(boot[4], replicas=None)
     out["analytic"] = magic_curve((1, 3), 3)
     out["flat"] = CorrelationCurve(m=3, delta1=axis, values=np.full(axis.size, 2.0))
     return out

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specklescope import FormatError, RunManifest, SpeckleScopeError
+from specklescope import FormatError, SpeckleScopeError
 from specklescope.cli import main
 from specklescope.serialize import (
     evidence_from_dict,
     fits_from_dict,
+    manifest_from_dict,
     read_curve_csv,
     read_frames,
     read_json,
@@ -46,7 +47,7 @@ COMMANDS = {
     "replicas_m3.npy": ("analyze",),
     "frames.sstk": (),
     "spectra.json": ("reconstruct",),
-    "evidence.json": ("reconstruct",),
+    "evidence.json": ("reconstruct", "report"),
     "reconstruction.json": ("report",),
     "manifest.json": ("analyze", "reconstruct", "report"),
 }
@@ -73,7 +74,7 @@ def _readers(run_dir):
         "spectra.json": lambda path: read_json(path, fits_from_dict),
         "evidence.json": lambda path: read_json(path, evidence_from_dict),
         "reconstruction.json": lambda path: read_json(path, report_from_dict),
-        "manifest.json": lambda path: read_json(path, RunManifest.from_dict),
+        "manifest.json": lambda path: read_json(path, manifest_from_dict),
     }
 
 

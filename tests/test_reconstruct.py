@@ -307,7 +307,6 @@ def test_disambiguate_predicts_once_per_measured_order(monkeypatch):
 # equal up to the last bits of the chi-square sum
 HOMOMETRIC_AT_5 = CandidateSet(
     candidates=(Candidate(SourceGeometry((1, 3, 8, 1))), Candidate(SourceGeometry((5, 3, 4, 5)))),
-    evidence=evidence_table((4, 8), orders_measured=(5,)),
     exhaustive=True,
 )
 
@@ -343,7 +342,6 @@ def test_a_tie_across_a_rounding_boundary_keeps_the_search_order():
 
 
 def test_winner_window():
-    table = evidence_table((2,))
     geoms = [SourceGeometry((2,)), SourceGeometry((1, 1)), SourceGeometry((1, 1, 1))]
     scored = CandidateSet(
         candidates=(
@@ -351,14 +349,11 @@ def test_winner_window():
             Candidate(geoms[1], score=0.9),
             Candidate(geoms[2], score=1.1),
         ),
-        evidence=table,
         exhaustive=True,
     )
     # within one unit of chi-square of the best
     assert [c.geometry for c in scored.winners()] == geoms[:2]
-    unscored = CandidateSet(
-        candidates=(Candidate(geoms[0]),), evidence=table, exhaustive=True
-    )
+    unscored = CandidateSet(candidates=(Candidate(geoms[0]),), exhaustive=True)
     assert unscored.winners() == ()
 
 

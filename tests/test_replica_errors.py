@@ -50,5 +50,5 @@ def test_too_few_replicas_give_no_spread(rows):
             noisy_curve((1, 3), 3, sigma=0.02, rows=rows)
         return
     curve = noisy_curve((1, 3), 3, sigma=0.02, rows=rows)
-    without = CorrelationCurve(m=3, delta1=curve.delta1, values=curve.values, sigma=curve.sigma)
+    without = CorrelationCurve(m=3, delta1=curve.delta1, values=curve.values)
     assert fit_fixed(curve, 16) != fit_fixed(without, 16)

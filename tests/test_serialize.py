@@ -31,6 +31,7 @@ from specklescope.serialize import (
     read_frames,
     read_json,
     read_replicas,
+    report_from_dict,
     report_to_dict,
     spectrum_from_dict,
     spectrum_to_dict,
@@ -58,17 +59,22 @@ def test_curve_csv_round_trip_is_exact(tmp_path, stack):
     back = read_curve_csv(path, m=2)
     np.testing.assert_array_equal(back.delta1, curve.delta1)
     np.testing.assert_array_equal(back.values, curve.values)
-    np.testing.assert_array_equal(back.sigma, curve.sigma)
     assert back.replicas is None  # replicas deliberately do not ride along
+    # the third column is the replicas' spread, written for the benchmark's
+    # curve check; the reader checks it and keeps nothing of it
+    header, *rows = path.read_text().splitlines()
+    assert header == "delta1_rad,g_value,sigma"
+    sigma = np.array([float(row.split(",")[2]) for row in rows])
+    assert sigma.tobytes() == curve.replicas.std(axis=0, ddof=1).tobytes()
 
 
 def test_curve_csv_without_sigma(tmp_path):
     curve = magic_curve((1, 3), 3)
     path = tmp_path / "noiseless.csv"
     write_curve_csv(curve, path)
+    assert path.read_text().startswith("delta1_rad,g_value\n")  # no replicas, no spread
     back = read_curve_csv(path, m=3)
     np.testing.assert_array_equal(back.values, curve.values)
-    assert back.sigma is None
 
 
 def test_curve_csv_rejects_foreign_files(tmp_path):
@@ -80,6 +86,10 @@ def test_curve_csv_rejects_foreign_files(tmp_path):
         "delta1_rad,g_value\n0.0,2.0,0.1\n",  # long row
         "delta1_rad,g_value\n0.0,two\n",  # non-numeric cell
         "delta1_rad,g_value\n0.0,nan\n",  # CorrelationCurve rejects it
+        "delta1_rad,g_value,sigma\n0.0,2.0,-0.1\n",  # negative sigma
+        "delta1_rad,g_value,sigma\n0.0,2.0,nan\n",  # non-finite sigma
+        "delta1_rad,g_value,sigma\n0.0,2.0,inf\n",
+        "delta1_rad,g_value,sigma\n0.0,2.0,two\n",  # non-numeric sigma
     ]:
         path.write_text(text)
         with pytest.raises(FormatError):
@@ -196,11 +206,15 @@ def test_evidence_dict_round_trip():
 def test_report_dict_shape():
     table = evidence_table((3, 4, 5, 8), absent=(2, 6, 7))
     candidates = search(table)
-    report = report_to_dict(candidates)
+    report = report_to_dict(candidates, table)
     assert [c["x"] for c in report["candidates"]] == [[3, 1, 4]]
     assert report["exhaustive"] is True
     # the apertures are derived from the evidence's orders when a report is printed
     assert sorted(report) == ["candidates", "evidence", "exhaustive"]
+    # the evidence is a copy of evidence.json's, which the reader ignores
+    assert report["evidence"] == evidence_to_dict(table)
+    del report["evidence"]
+    assert report_from_dict(report) == candidates
 
 
 # ---------------------------------------------------------------------------

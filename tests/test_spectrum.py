@@ -2,8 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -18,13 +16,11 @@ from specklescope import (
     ModulationSpectrum,
     SourceGeometry,
     aggregate,
-    estimate_g_m,
     fit_fixed,
     g_m_analytic,
     gate,
     nearest_magic_pixels,
     predicted_spectrum,
-    sample_frames,
     uniform_grid,
 )
 from specklescope import spectrum as spectrum_module
@@ -82,20 +78,17 @@ def test_fixed_fit_recovers_exact_amplitudes(x, m):
 
 def test_sigmas_fold_no_off_comb_content_onto_the_comb():
     # off the magic offsets (122 pixels) the noiseless demo curve at order 4
-    # holds the pair distances 1, 4, 5 and 8 off its comb and only f = 3 on it
+    # holds the pair distances 1, 4, 5 and 8 off its comb and only f = 3 on it;
+    # a curve carries no per-pixel sigmas, so none can weight the fit
     geometry = SourceGeometry((3, 1, 4))
     axis = uniform_grid(122)
     pixels = nearest_magic_pixels(axis, 4)[0]
-    measured = estimate_g_m(sample_frames(geometry, 2000, 1, axis), [pixels])[0]
     exact = g_m_analytic(geometry, axis, [float(axis[p]) for p in pixels])
-    assert np.ptp(measured.sigma) > 0.5 * np.max(measured.sigma)  # far from uniform
-    fitted = fit_fixed(replace(exact, sigma=measured.sigma), span_bound=20)
+    fitted = fit_fixed(exact, span_bound=20)
     contrasts = {h.f: h.contrast for h in fitted.harmonics}
     for f in (6.0, 9.0, 12.0, 15.0, 18.0):
         assert abs(contrasts[f]) < 1e-12, (f, contrasts[f])
     assert contrasts[3.0] == pytest.approx(0.2961, abs=1e-4)
-    # the sigmas enter no fit: the same bits as the fit of the bare curve
-    assert fitted == fit_fixed(exact, span_bound=20)
 
 
 def test_fixed_fit_needs_one_comb_period():
@@ -127,13 +120,7 @@ def test_replica_scatter_sets_amplitude_errors():
     rng = np.random.default_rng(0)
     eps = rng.normal(0.0, 0.05, size=32)
     replicas = base[None, :] + eps[:, None] * np.cos(4.0 * axis)[None, :]
-    curve = CorrelationCurve(
-        m=3,
-        delta1=axis,
-        values=base,
-        sigma=np.full(axis.size, 0.05),
-        replicas=replicas,
-    )
+    curve = CorrelationCurve(m=3, delta1=axis, values=base, replicas=replicas)
     fitted = fit_fixed(curve, span_bound=8)
     h = fitted.harmonics[fitted.frequencies.index(4.0)]
     assert h.amplitude == pytest.approx(1.0, abs=1e-12)
